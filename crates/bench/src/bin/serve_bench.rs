@@ -61,7 +61,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use deepmorph_bench::{chaos, repair_fixture, storm};
 use deepmorph_json::Json;
@@ -111,10 +111,6 @@ fn server_with_mode(
         ServerConfig {
             batch: BatchConfig {
                 max_batch,
-                // Pure load-adaptive batching: batches form from queue
-                // buildup while forwards run; no straggler timer (timed
-                // wakeups are milliseconds late on loaded machines).
-                max_wait: Duration::ZERO,
                 workers,
                 ..BatchConfig::default()
             },
@@ -766,7 +762,6 @@ fn main() {
             Json::obj([
                 ("model", Json::str(MODEL)),
                 ("max_batch", Json::usize(32)),
-                ("max_wait_us", Json::num(0.0)),
                 ("batched_workers", Json::usize(batched_workers)),
             ]),
         ),

@@ -511,7 +511,6 @@ pub fn run(config: &StormConfig) -> StormResult {
         ServerConfig {
             batch: BatchConfig {
                 max_batch: 32,
-                max_wait: Duration::ZERO,
                 workers: 1,
                 ..BatchConfig::default()
             },

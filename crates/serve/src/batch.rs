@@ -4,33 +4,34 @@
 //! — each owning its own model *replica* per registered model — pop the
 //! head request and *coalesce*: consecutive queued requests for the same
 //! model are folded in until the batch reaches `max_batch` rows or the
-//! queue runs dry (plus at most one bounded `max_wait` straggler wait
-//! when it does). Batch size is therefore **load-adaptive**: while one
-//! forward runs, new requests pile up in the queue, and the next dispatch
-//! drains them all — heavy traffic yields big batches with zero added
-//! waiting, light traffic dispatches almost immediately. The coalesced
-//! rows run as **one** eval-mode `Graph::forward` (which fans out over
-//! the `deepmorph-parallel` pool internally), and the per-row outputs are
-//! scattered back to each caller.
+//! queue runs dry, and the batch dispatches at once. Batch size is
+//! therefore **load-adaptive**: while one forward runs, new requests
+//! pile up in the queue, and the next dispatch drains them all — heavy
+//! traffic yields big batches, and a lone request never waits for
+//! company that is not coming. The coalesced rows run as **one**
+//! eval-mode `Graph::forward` (which fans out over the
+//! `deepmorph-parallel` pool internally), and the per-row outputs are
+//! scattered back to each caller; a connection's reply is written to
+//! its socket by the worker itself (see [`crate::conn`]).
 //!
 //! Because every layer computes eval-mode rows independently (see
 //! `Graph::forward_inference`), a coalesced response is **bitwise
 //! identical** to the response the same request would get alone — the
 //! scheduler changes latency and throughput, never answers.
 //!
-//! Two batching-economics notes, both measured on this project's build
-//! machines (see `crates/parallel`): a condvar wakeup costs ~100 µs, so
-//! one dispatch serving 32 requests amortizes what per-request dispatch
-//! would pay 32 times; and a batched GEMM is far more cache-efficient
-//! than 32 single-row GEMMs. Both effects are what `serve_bench`'s
-//! batched-vs-solo comparison quantifies.
+//! Batching pays twice under load: one dispatch serving 32 requests
+//! takes one queue handoff where per-request dispatch would take 32
+//! (the handoff is the traced `queue_wait` stage span, p50 about 30 µs
+//! for a lone request on a 2-core host), and a batched GEMM is far more
+//! cache-efficient than 32 single-row GEMMs. `serve_bench`'s
+//! batched-vs-solo comparison quantifies both.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use deepmorph_faults::ComputeAction;
 use deepmorph_models::ModelHandle;
@@ -39,7 +40,7 @@ use deepmorph_tensor::{workspace, Tensor};
 
 use crate::error::{ServeError, ServeResult};
 use crate::registry::{ModelId, ModelRegistry};
-use crate::sync::{wait_recover, wait_timeout_recover, LockRecover};
+use crate::sync::{wait_recover, LockRecover};
 
 /// Knobs of the micro-batching scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,12 +48,6 @@ pub struct BatchConfig {
     /// Maximum rows coalesced into one forward. `1` disables batching
     /// (every request dispatches alone — the `serve_bench` control).
     pub max_batch: usize,
-    /// Upper bound on the *single* straggler wait a worker takes when it
-    /// popped a request and the queue is empty. This is the whole latency
-    /// cost batching can add to a lone request; under load batches form
-    /// from queue buildup instead and the wait is skipped. `0` disables
-    /// the wait entirely (pure drain batching).
-    pub max_wait: Duration,
     /// Worker threads (each owns one replica per model).
     pub workers: usize,
     /// Queue capacity in requests; submissions beyond it are rejected
@@ -64,7 +59,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             max_batch: 32,
-            max_wait: Duration::from_micros(500),
             workers: 2,
             queue_capacity: 1024,
         }
@@ -161,11 +155,11 @@ pub struct JobOutput {
 pub(crate) enum Responder {
     /// In-process caller ([`Scheduler::submit_rows`], tests, benches).
     Channel(SyncSender<ServeResult<JobOutput>>),
-    /// A connection: the worker encodes the response frame, enqueues it
-    /// on the connection's outbound buffer, and wakes the owning event
-    /// loop, which flushes when the socket is writable.
+    /// A connection: the worker encodes the response frame and writes it
+    /// to the socket itself, falling back to the connection's outbound
+    /// buffer and the owning event loop when the socket is backed up.
     Stream {
-        /// Handle to the connection's outbound buffer + loop waker.
+        /// Handle to the connection's socket, buffer and loop waker.
         conn: crate::conn::ConnHandle,
         /// Request id to echo.
         id: u64,
@@ -185,7 +179,7 @@ pub(crate) struct JobTelemetry {
     pub assembly_us: u64,
     /// Queue wait (submit → worker pickup), µs.
     pub queue_us: u64,
-    /// Batch coalesce span (drain + straggler wait), µs.
+    /// Batch coalesce span (pickup → batch start), µs.
     pub coalesce_us: u64,
     /// Forward span of the batch this job rode in, µs.
     pub compute_us: u64,
@@ -443,34 +437,25 @@ fn worker_loop(shared: &Shared) {
             }
             queue = wait_recover(&shared.cv, queue);
         };
-        // Coalesce span: first pop → dispatch, covering the drain and
-        // the optional straggler wait. Clock reads only while armed.
-        let coalesce_started = deepmorph_telemetry::is_active().then(Instant::now);
+        // Pickup: every rider of this batch is already queued now (the
+        // drain below runs under the same lock hold), so this one stamp
+        // ends each rider's queue wait and starts the batch's coalesce
+        // span. Clock reads only while armed.
+        let picked_up = deepmorph_telemetry::is_active().then(Instant::now);
 
-        let max_batch = shared.cfg.max_batch.max(1);
+        // No straggler wait: the batch is whatever queued up behind the
+        // first request, typically during the previous forward. Waiting
+        // for more would only delay a lone request.
         let mut total = first.row_count();
         let mut jobs = vec![first];
-        if max_batch > 1 {
-            drain(&mut queue, &mut jobs, &mut total, max_batch);
-            // One bounded straggler wait, only when the queue is empty
-            // and the batch still has room. Never re-armed: on loaded
-            // machines a timed wake arrives late (scheduler latency is
-            // millisecond-class here), so a worker re-arming timers
-            // would idle while requests pile up. The steady-state
-            // batching signal is queue buildup during the *previous*
-            // forward, which the drain above collects without waiting.
-            if total < max_batch
-                && !shared.cfg.max_wait.is_zero()
-                && queue.is_empty()
-                && !shared.shutdown.load(Ordering::Acquire)
-            {
-                queue = wait_timeout_recover(&shared.cv, queue, shared.cfg.max_wait);
-                drain(&mut queue, &mut jobs, &mut total, max_batch);
-            }
-        }
+        drain(
+            &mut queue,
+            &mut jobs,
+            &mut total,
+            shared.cfg.max_batch.max(1),
+        );
         drop(queue);
-        let coalesce_us = coalesce_started.map(|at| at.elapsed().as_micros() as u64);
-        run_jobs(shared, &mut replicas, jobs, coalesce_us);
+        run_jobs(shared, &mut replicas, jobs, picked_up);
     }
 }
 
@@ -494,7 +479,7 @@ fn run_jobs(
     shared: &Shared,
     replicas: &mut HashMap<ModelId, Replica>,
     jobs: Vec<Job>,
-    coalesce_us: Option<u64>,
+    picked_up: Option<Instant>,
 ) {
     let stats = &shared.stats;
     // One registry handle for the whole batch; every per-version counter
@@ -539,15 +524,18 @@ fn run_jobs(
         stats.coalesced_batches.fetch_add(1, Ordering::Relaxed);
     }
 
-    // Queue wait ends here, where the batch starts; the coalesce span is
-    // batch-scoped and stamped onto every rider.
+    // Queue wait ends at pickup and the coalesce span runs from pickup
+    // to here, where the batch starts, so the two add up to each rider's
+    // submit → batch start. The coalesce span is batch-scoped and
+    // stamped onto every rider.
     if let Some(t) = &telemetry {
         let batch_start = Instant::now();
-        let coalesce_us = coalesce_us.unwrap_or(0);
+        let picked_up = picked_up.unwrap_or(batch_start);
+        let coalesce_us = batch_start.duration_since(picked_up).as_micros() as u64;
         t.record_stage(Stage::Coalesce, coalesce_us);
         for job in &mut jobs {
             if let Some(jt) = job.telemetry.as_mut() {
-                jt.queue_us = batch_start
+                jt.queue_us = picked_up
                     .saturating_duration_since(jt.submitted)
                     .as_micros() as u64;
                 jt.coalesce_us = coalesce_us;
@@ -746,9 +734,9 @@ fn run_jobs(
 }
 
 /// Sends a result to its caller: channel send, or an encoded frame
-/// written straight to the connection. When telemetry is armed this is
-/// also where the request's end-to-end latency lands in the histogram
-/// and its per-stage trace is offered to the slowest-N ring.
+/// written to the connection. When telemetry is armed this is also where
+/// the request's end-to-end latency lands in the histogram and its
+/// per-stage trace is offered to the slowest-N ring.
 fn deliver(stats: &ServeStats, mut job: Job, result: ServeResult<JobOutput>) {
     let span = job
         .telemetry
@@ -758,7 +746,7 @@ fn deliver(stats: &ServeStats, mut job: Job, result: ServeResult<JobOutput>) {
         Responder::Stream { id, .. } => *id,
         Responder::Channel(_) => 0,
     };
-    let enqueue_started = span.as_ref().map(|_| Instant::now());
+    let send_started = span.as_ref().map(|_| Instant::now());
     match job.responder {
         Responder::Channel(tx) => {
             // A disconnected receiver means the caller gave up; fine.
@@ -779,28 +767,29 @@ fn deliver(stats: &ServeStats, mut job: Job, result: ServeResult<JobOutput>) {
                 }
             };
             let wire = crate::protocol::encode_response(id, &response);
-            // Enqueue-and-wake; if the connection already closed the
-            // bytes are discarded, which is the old "client hung up
-            // mid-flight" path.
+            // Written straight to the socket unless bytes are queued
+            // ahead of it; if the connection already closed the bytes are
+            // discarded (the client hung up mid-flight).
             conn.send(stats, &wire);
         }
     }
-    if let (Some((t, jt)), Some(enqueued)) = (span, enqueue_started) {
+    if let (Some((t, jt)), Some(sent)) = (span, send_started) {
         let total_us = jt.submitted.elapsed().as_micros() as u64;
         t.record_request(total_us);
         t.offer_trace(Trace {
             id: trace_id,
             total_us,
-            // The trace's flush slot is the *enqueue* span (encode +
-            // outbound push + loop wake) — the socket flush itself runs
-            // on the event loop and lands in the `Flush` histogram.
+            // The trace's flush slot is the send span: encode plus the
+            // socket write (or, when the socket is backed up, the buffer
+            // push and loop wake). The write itself also lands in the
+            // `Flush` histogram.
             stages: [
                 0, // accept is connection-scoped, not per-request
                 jt.assembly_us,
                 jt.queue_us,
                 jt.coalesce_us,
                 jt.compute_us,
-                enqueued.elapsed().as_micros() as u64,
+                sent.elapsed().as_micros() as u64,
             ],
         });
     }

@@ -9,26 +9,34 @@
 //!   unrecoverable framing (oversized length claims) without ever
 //!   panicking on hostile input. Public because the protocol proptests
 //!   drive it directly with adversarial splits.
-//! * `Outbound` — the bounded per-connection outbound byte buffer.
-//!   Scheduler workers and admin threads *enqueue* response frames here
-//!   instead of writing to the socket; the owning event loop flushes
-//!   when the socket is writable. The bound is the backpressure policy:
-//!   a peer that stops reading eventually overflows its buffer and is
-//!   disconnected rather than growing server memory without limit.
-//! * `ConnHandle` — what a worker holds: the outbound buffer plus the
-//!   owning loop's waker. `ConnHandle::send` is the server's transport
-//!   fault seam (the old `write_wire`): when a `deepmorph-faults` plan
-//!   is armed, a response may be dropped, truncated, stalled, or the
-//!   connection reset at this boundary, exactly as before the event
-//!   loop existed.
+//! * `Outbound` — the write side of one connection: the socket (an
+//!   `Arc<TcpStream>` shared with the owning loop) plus a bounded buffer
+//!   for bytes the socket would not take yet. A producer — scheduler
+//!   worker, admin thread, or the loop itself — writes its reply
+//!   straight to the socket when nothing is buffered ahead of it. It
+//!   buffers instead when bytes are already queued or a close is
+//!   pending, and a short write buffers its remainder before the lock is
+//!   released, so frames from two writers never interleave. The owning
+//!   loop flushes buffered bytes when the socket turns writable. The
+//!   bound is the backpressure policy: a peer that stops reading
+//!   eventually overflows its buffer and is disconnected rather than
+//!   growing server memory without limit.
+//! * `ConnHandle` — what a producer holds: the outbound side plus the
+//!   owning loop's waker, used only when the loop has to act (bytes left
+//!   buffered, a close to carry out). `ConnHandle::send` is the server's
+//!   transport fault seam: when a `deepmorph-faults` plan is armed, a
+//!   response may be dropped, truncated, stalled, or the connection
+//!   reset at this boundary.
 
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use deepmorph_faults::NetAction;
+use deepmorph_telemetry::Stage;
 
 use crate::batch::ServeStats;
 use crate::protocol::MAX_FRAME_BYTES;
@@ -182,20 +190,26 @@ struct OutState {
     close_after_flush: bool,
 }
 
-/// Bounded outbound byte buffer of one connection.
+/// The write side of one connection: its socket and a bounded buffer
+/// for the bytes the socket would not take yet.
 ///
-/// Shared between the owning event loop (which flushes) and any number
-/// of scheduler workers / admin threads (which enqueue). The short
-/// critical sections — memcpy in, write syscall out — are why a plain
-/// mutex is fine here.
+/// Shared between the owning event loop (which flushes the buffer) and
+/// any number of scheduler workers / admin threads (which write their
+/// replies through [`Outbound::write_through`]). The critical sections
+/// are one nonblocking write syscall plus, at most, a memcpy into the
+/// buffer, which is why a plain mutex is fine here. Holding the socket
+/// as an `Arc` keeps its fd open for as long as any producer can still
+/// write to it, so a stale handle can never reach a reused fd number.
 pub(crate) struct Outbound {
+    stream: Arc<TcpStream>,
     cap: usize,
     state: Mutex<OutState>,
 }
 
 impl Outbound {
-    pub(crate) fn new(cap: usize) -> Outbound {
+    pub(crate) fn new(stream: Arc<TcpStream>, cap: usize) -> Outbound {
         Outbound {
+            stream,
             cap: cap.max(1),
             state: Mutex::new(OutState {
                 buf: VecDeque::new(),
@@ -205,35 +219,81 @@ impl Outbound {
         }
     }
 
-    /// Enqueues response bytes. Returns `false` when the connection is
-    /// gone (bytes discarded) or the enqueue overflowed the bound —
-    /// overflow means the peer has stopped reading faster than we
-    /// produce, so the buffer is dropped wholesale and the connection
-    /// marked dead for the loop to reap.
-    pub(crate) fn push(&self, stats: &ServeStats, bytes: &[u8]) -> bool {
+    /// Delivers one frame from the calling thread. When nothing is
+    /// buffered ahead of it and no close is pending, the frame is written
+    /// straight to the socket; the remainder of a short write is buffered
+    /// before the lock is released. Otherwise the whole frame is buffered
+    /// behind what is already queued. Bytes for a closed connection are
+    /// discarded.
+    ///
+    /// Returns `true` when the owning loop has to act: bytes were left
+    /// buffered for it to flush, or the write failed (or the buffer
+    /// overflowed) and the connection is now dead for it to reap.
+    pub(crate) fn write_through(&self, stats: &ServeStats, bytes: &[u8]) -> bool {
         let mut state = self.state.lock_recover();
         if state.closed {
             return false;
         }
+        let mut rest = bytes;
+        if state.buf.is_empty() && !state.close_after_flush {
+            // The high-water mark counts a frame that goes straight out
+            // as outbound bytes too, as if it had passed through the
+            // buffer.
+            stats
+                .outbound_hwm_bytes
+                .fetch_max(bytes.len() as u64, Ordering::Relaxed);
+            let flush_started = deepmorph_telemetry::armed().map(|t| (t, Instant::now()));
+            let written = write_nonblocking(&self.stream, bytes);
+            if let Some((t, at)) = flush_started {
+                t.record_stage(Stage::Flush, at.elapsed().as_micros() as u64);
+            }
+            match written {
+                Ok(n) if n == bytes.len() => return false,
+                Ok(n) => rest = &bytes[n..],
+                Err(_) => {
+                    state.closed = true;
+                    return true;
+                }
+            }
+        }
+        self.buffer(stats, &mut state, rest);
+        true
+    }
+
+    /// Appends bytes to the buffer. Overflow means the peer has stopped
+    /// reading faster than we produce, so the buffer is dropped wholesale
+    /// and the connection marked dead for the loop to reap.
+    fn buffer(&self, stats: &ServeStats, state: &mut OutState, bytes: &[u8]) {
         if state.buf.len() + bytes.len() > self.cap {
             state.closed = true;
             state.buf = VecDeque::new();
-            return false;
+            return;
         }
         state.buf.extend(bytes);
         stats
             .outbound_hwm_bytes
             .fetch_max(state.buf.len() as u64, Ordering::Relaxed);
-        true
+    }
+
+    /// Buffers bytes for the loop to flush without trying the socket
+    /// first, then marks the connection to be shut down once the buffer
+    /// drains (the injected truncate fault).
+    pub(crate) fn push_and_close(&self, stats: &ServeStats, bytes: &[u8]) {
+        let mut state = self.state.lock_recover();
+        if !state.closed {
+            self.buffer(stats, &mut state, bytes);
+        }
+        state.close_after_flush = true;
     }
 
     /// Marks the connection to be shut down once the buffer drains
-    /// (typed-error close and the injected truncate/reset faults).
+    /// (typed-error close after a framing loss, the injected reset
+    /// fault).
     pub(crate) fn mark_close_after_flush(&self) {
         self.state.lock_recover().close_after_flush = true;
     }
 
-    /// Marks the connection dead immediately; subsequent pushes are
+    /// Marks the connection dead immediately; subsequent writes are
     /// discarded. Called by the loop when it drops the connection.
     pub(crate) fn close(&self) {
         let mut state = self.state.lock_recover();
@@ -255,28 +315,23 @@ impl Outbound {
     /// Propagates real socket errors (connection reset etc.); the
     /// caller closes the connection. `WouldBlock` is not an error — it
     /// ends the flush with [`FlushState::Pending`].
-    pub(crate) fn flush_into(&self, stream: &TcpStream) -> std::io::Result<FlushState> {
+    pub(crate) fn flush(&self) -> std::io::Result<FlushState> {
         let mut state = self.state.lock_recover();
         if state.closed {
             return Ok(FlushState::Dead);
         }
         while !state.buf.is_empty() {
             let (front, _) = state.buf.as_slices();
-            debug_assert!(!front.is_empty());
-            match (&mut (&*stream)).write(front) {
-                Ok(0) => {
-                    state.closed = true;
-                    return Ok(FlushState::Dead);
-                }
+            let len = front.len();
+            match write_nonblocking(&self.stream, front) {
                 Ok(n) => {
                     state.buf.drain(..n);
+                    if n < len {
+                        return Ok(FlushState::Pending {
+                            buffered: state.buf.len(),
+                        });
+                    }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    return Ok(FlushState::Pending {
-                        buffered: state.buf.len(),
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => {
                     state.closed = true;
                     return Err(e);
@@ -291,12 +346,33 @@ impl Outbound {
     }
 }
 
+/// Writes as much of `bytes` as the nonblocking socket takes right now
+/// and returns how many went out: fewer than `bytes.len()` only when the
+/// socket would block.
+///
+/// # Errors
+///
+/// Real socket errors, and a write that accepts zero bytes.
+fn write_nonblocking(stream: &TcpStream, bytes: &[u8]) -> std::io::Result<usize> {
+    let mut written = 0;
+    while written < bytes.len() {
+        match (&mut &*stream).write(&bytes[written..]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(written)
+}
+
 /// How producer threads wake a (possibly sleeping) event loop and tell
-/// it which connections have pending outbound bytes.
+/// it which connections need a flush or a close.
 pub(crate) struct LoopNotify {
     /// Pulls the loop's `epoll_wait` out of the kernel.
     pub(crate) waker: deepmorph_net::Waker,
-    /// Tokens with freshly enqueued outbound data.
+    /// Tokens with buffered outbound data or a pending close.
     dirty: Mutex<Vec<u64>>,
 }
 
@@ -308,8 +384,7 @@ impl LoopNotify {
         })
     }
 
-    /// Flags `token` as having pending outbound bytes and wakes the
-    /// loop.
+    /// Flags `token` as needing the loop's attention and wakes the loop.
     pub(crate) fn notify(&self, token: u64) {
         self.dirty.lock_recover().push(token);
         self.waker.wake();
@@ -322,10 +397,11 @@ impl LoopNotify {
     }
 }
 
-/// A worker's handle to one connection: enqueue bytes, wake the loop.
+/// A producer's handle to one connection: write a reply, and wake the
+/// loop only when it has work left to do.
 ///
 /// Cloned into every [`crate::batch::Responder::Stream`]. Stale handles
-/// (connection closed, token reused) degrade safely: pushes to a closed
+/// (connection closed, token reused) degrade safely: writes to a closed
 /// [`Outbound`] are discarded, and a spurious dirty notification makes
 /// the loop flush a connection that has nothing pending.
 #[derive(Clone)]
@@ -336,48 +412,64 @@ pub(crate) struct ConnHandle {
 }
 
 impl ConnHandle {
-    /// Enqueues one wire frame for delivery, applying the armed
-    /// transport fault (if any) at this seam — the event-loop era
-    /// equivalent of the old `write_wire`:
+    /// Delivers one wire frame through [`Outbound::write_through`],
+    /// applying the armed transport fault (if any) at this seam:
     ///
     /// * `Drop` — the frame vanishes in the "network".
     /// * `Truncate` — half the frame is delivered, then the connection
-    ///   closes (after any previously queued frames flush, which on the
-    ///   old direct-write path had already reached the socket).
-    /// * `Stall` — the producer thread sleeps before enqueueing, the
-    ///   same latency the old path injected before its write.
+    ///   closes (after any previously queued frames flush).
+    /// * `Stall` — the producer thread sleeps before writing.
     /// * `Reset` — nothing more is delivered and the connection closes
     ///   after pending bytes flush.
+    ///
+    /// Truncate and reset go through the loop, which carries out the
+    /// close; every other reply wakes the loop only if it had to be
+    /// buffered.
     pub(crate) fn send(&self, stats: &ServeStats, wire: &[u8]) {
-        match deepmorph_faults::net_action() {
-            NetAction::Deliver => {
-                self.outbound.push(stats, wire);
-            }
-            NetAction::Drop => return,
+        let wake = match deepmorph_faults::net_action() {
+            NetAction::Deliver => self.outbound.write_through(stats, wire),
+            NetAction::Drop => false,
             NetAction::Truncate => {
-                self.outbound.push(stats, &wire[..wire.len() / 2]);
-                self.outbound.mark_close_after_flush();
+                self.outbound.push_and_close(stats, &wire[..wire.len() / 2]);
+                true
             }
             NetAction::Stall(pause) => {
                 std::thread::sleep(pause);
-                self.outbound.push(stats, wire);
+                self.outbound.write_through(stats, wire)
             }
             NetAction::Reset => {
                 self.outbound.mark_close_after_flush();
+                true
             }
+        };
+        if wake {
+            self.notify.notify(self.token);
         }
-        self.notify.notify(self.token);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
 
     fn frame(body: &[u8]) -> Vec<u8> {
         let mut wire = (body.len() as u32).to_le_bytes().to_vec();
         wire.extend_from_slice(body);
         wire
+    }
+
+    /// A connected loopback pair: the client end (blocking, 5 s read
+    /// timeout) and the nonblocking server end an [`Outbound`] writes to.
+    fn socket_pair() -> (TcpStream, Arc<TcpStream>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client
+            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        server_side.set_nonblocking(true).unwrap();
+        (client, Arc::new(server_side))
     }
 
     #[test]
@@ -431,46 +523,90 @@ mod tests {
 
     #[test]
     fn outbound_overflow_kills_the_buffer_instead_of_growing() {
+        let (_client, server_side) = socket_pair();
         let stats = ServeStats::default();
-        let outbound = Outbound::new(10);
-        assert!(outbound.push(&stats, &[0; 6]));
-        assert!(!outbound.push(&stats, &[0; 6]), "11 bytes > cap of 10");
+        let outbound = Outbound::new(server_side, 10);
+        // A pending close keeps later frames off the socket, so both
+        // land in the buffer.
+        outbound.push_and_close(&stats, &[0; 6]);
+        assert_eq!(outbound.pending(), 6);
+        assert!(
+            outbound.write_through(&stats, &[0; 6]),
+            "11 bytes > cap of 10: the loop must reap the connection"
+        );
         assert_eq!(outbound.pending(), 0, "overflow drops the whole buffer");
         assert!(
-            !outbound.push(&stats, &[0; 1]),
+            !outbound.write_through(&stats, &[0; 1]),
             "buffer is dead after overflow"
         );
+        assert_eq!(outbound.pending(), 0);
+        assert!(matches!(outbound.flush(), Ok(FlushState::Dead)));
         assert_eq!(stats.outbound_hwm_bytes.load(Ordering::Relaxed), 6);
     }
 
     #[test]
     fn outbound_flushes_through_a_socket_pair() {
-        use std::io::Read;
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-        server_side.set_nonblocking(true).unwrap();
-
+        let (mut client, server_side) = socket_pair();
         let stats = ServeStats::default();
-        let outbound = Outbound::new(1 << 20);
-        assert!(outbound.push(&stats, b"hello "));
-        assert!(outbound.push(&stats, b"world"));
-        match outbound.flush_into(&server_side).unwrap() {
-            FlushState::Idle => {}
-            _ => panic!("small write drains in one flush"),
-        }
-        let mut got = [0u8; 11];
-        let mut client = client;
-        client
-            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-            .unwrap();
-        client.read_exact(&mut got).unwrap();
-        assert_eq!(&got, b"hello world");
-
-        outbound.mark_close_after_flush();
-        match outbound.flush_into(&server_side).unwrap() {
+        let outbound = Outbound::new(server_side, 1 << 20);
+        assert!(
+            !outbound.write_through(&stats, b"hello "),
+            "an empty buffer writes straight to the socket"
+        );
+        assert_eq!(outbound.pending(), 0);
+        outbound.push_and_close(&stats, b"world");
+        assert!(
+            outbound.write_through(&stats, b"!"),
+            "a pending close queues later frames behind it"
+        );
+        assert_eq!(outbound.pending(), 6);
+        match outbound.flush().unwrap() {
             FlushState::CloseNow => {}
             _ => panic!("close-after-flush reported once drained"),
         }
+        let mut got = [0u8; 12];
+        client.read_exact(&mut got).unwrap();
+        assert_eq!(&got, b"hello world!");
+    }
+
+    #[test]
+    fn short_write_buffers_the_rest_and_later_frames_queue_behind_it() {
+        let (mut client, server_side) = socket_pair();
+        let stats = ServeStats::default();
+        let outbound = Outbound::new(server_side, 32 << 20);
+        // Far more than a loopback socket takes while nobody reads.
+        let big: Vec<u8> = (0..16u32 << 20).map(|i| (i % 251) as u8).collect();
+        assert!(
+            outbound.write_through(&stats, &big),
+            "the remainder waits for the loop"
+        );
+        let buffered = outbound.pending();
+        assert!(
+            buffered > 0 && buffered < big.len(),
+            "{buffered} bytes buffered"
+        );
+        assert!(
+            outbound.write_through(&stats, b"tail"),
+            "queued behind the remainder"
+        );
+        assert_eq!(outbound.pending(), buffered + 4);
+
+        let total = big.len() + 4;
+        let reader = std::thread::spawn(move || {
+            let mut got = vec![0u8; total];
+            client.read_exact(&mut got).unwrap();
+            got
+        });
+        while let FlushState::Pending { .. } = outbound.flush().unwrap() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let got = reader.join().unwrap();
+        assert!(got[..big.len()] == big[..], "the big frame arrived whole");
+        assert_eq!(&got[big.len()..], b"tail");
+        assert_eq!(
+            stats.outbound_hwm_bytes.load(Ordering::Relaxed),
+            big.len() as u64,
+            "the frame written through counts toward the high-water mark"
+        );
     }
 }

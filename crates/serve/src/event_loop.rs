@@ -6,8 +6,8 @@
 //! of connections on a constant number of OS threads. Loop 0 owns the
 //! nonblocking listener and deals accepted connections round-robin to
 //! every loop (including itself) through per-loop inboxes; each loop
-//! owns its connections outright — their fds, their
-//! [`FrameAssembler`]s, and the flush side of their [`Outbound`]
+//! owns its connections' reads, their [`FrameAssembler`]s, their
+//! epoll registrations, and the flush side of their [`Outbound`]
 //! buffers.
 //!
 //! Division of labor:
@@ -15,15 +15,19 @@
 //! * **Loops never compute.** Cheap requests (ping, listings, stats)
 //!   are answered inline; predicts are validated and enqueued with the
 //!   scheduler; diagnose/repair/rollback — minutes-class retraining —
-//!   run on short-lived admin threads tracked by the server.
-//! * **Loops own all socket writes.** Producers (scheduler workers,
-//!   admin threads, the loop itself) enqueue encoded frames on the
-//!   connection's [`Outbound`] and wake the owning loop; the loop
-//!   flushes when the socket is writable. Backpressure is two-stage: a
-//!   connection whose outbound backlog passes [`READ_PAUSE_BYTES`]
-//!   stops being *read* (no new requests admitted until the peer
-//!   drains), and one that overflows the hard cap
-//!   ([`crate::server::ServerConfig::max_outbound_bytes`]) is closed.
+//!   run on the server's reusable admin threads ([`crate::admin`]).
+//! * **Producers write their own replies.** A scheduler worker, an
+//!   admin thread, or the loop itself writes an encoded frame straight
+//!   to the socket when nothing is buffered ahead of it
+//!   ([`Outbound::write_through`]), so a lone reply costs no loop
+//!   wakeup. The loop is woken only when it has work left: the bytes a
+//!   short write could not send, frames queued behind them, or a
+//!   pending close. It flushes that backlog when the socket turns
+//!   writable. Backpressure is two-stage: a connection whose outbound
+//!   backlog passes [`READ_PAUSE_BYTES`] stops being *read* (no new
+//!   requests admitted until the peer drains), and one that overflows
+//!   the hard cap ([`crate::server::ServerConfig::max_outbound_bytes`])
+//!   is closed.
 //! * **Accept errors never kill the server.** `EMFILE`/`ENFILE`
 //!   disarms the listener for a backoff interval while existing
 //!   connections keep being served; level-triggered epoll re-reports
@@ -45,6 +49,7 @@ use std::time::{Duration, Instant};
 use deepmorph_net::{Event, Events, Interest, Poller};
 use deepmorph_telemetry::Stage;
 
+use crate::admin::AdminJob;
 use crate::batch::{validate_job, Job, JobTelemetry, Responder, ServeStats};
 use crate::conn::{ConnHandle, FlushState, FrameAssembler, LoopNotify, Outbound};
 use crate::error::{ServeError, ServeResult};
@@ -137,7 +142,9 @@ pub(crate) fn start_loop(
 
 /// One registered connection, owned by exactly one loop.
 struct Conn {
-    stream: TcpStream,
+    /// Shared with the connection's [`Outbound`], which producers write
+    /// through.
+    stream: Arc<TcpStream>,
     assembler: FrameAssembler,
     outbound: Arc<Outbound>,
     /// Interest currently registered with the poller (avoids redundant
@@ -308,10 +315,11 @@ impl IoLoop {
             self.conns.push(None);
             self.conns.len() - 1
         });
+        let stream = Arc::new(stream);
         self.conns[token] = Some(Conn {
+            outbound: Arc::new(Outbound::new(Arc::clone(&stream), self.shared.max_outbound)),
             stream,
             assembler: FrameAssembler::for_protocol(),
-            outbound: Arc::new(Outbound::new(self.shared.max_outbound)),
             interest: Interest::READ,
             paused: false,
             frame_started: None,
@@ -374,7 +382,7 @@ impl IoLoop {
                 if bursts >= MAX_READ_BURSTS {
                     break; // fairness: let other connections run
                 }
-                match conn.stream.read(&mut self.scratch) {
+                match (&*conn.stream).read(&mut self.scratch) {
                     Ok(0) => {
                         after = if conn.assembler.mid_frame() {
                             After::Lost("peer closed mid-frame".into())
@@ -440,8 +448,10 @@ impl IoLoop {
                     &ServeError::Protocol { reason },
                 );
                 handle.outbound.mark_close_after_flush();
-                // The send above marked the token dirty; the flush at
-                // the end of this iteration delivers and closes.
+                // The send above may have written the frame straight
+                // through; this flush delivers whatever it buffered and
+                // closes.
+                self.flush(token);
             }
         }
     }
@@ -474,7 +484,7 @@ impl IoLoop {
             let Some(Some(conn)) = self.conns.get_mut(token) else {
                 return;
             };
-            conn.outbound.flush_into(&conn.stream)
+            conn.outbound.flush()
         };
         if let Some((t, at)) = flush_started {
             t.record_stage(Stage::Flush, at.elapsed().as_micros() as u64);
@@ -575,7 +585,7 @@ fn reject_overloaded(shared: &ServerShared, mut stream: TcpStream) {
     let _ = stream.flush();
 }
 
-fn send_error(stats: &ServeStats, handle: &ConnHandle, id: u64, error: &ServeError) {
+pub(crate) fn send_error(stats: &ServeStats, handle: &ConnHandle, id: u64, error: &ServeError) {
     stats.errors.fetch_add(1, Ordering::Relaxed);
     let wire = encode_response(
         id,
@@ -589,8 +599,8 @@ fn send_error(stats: &ServeStats, handle: &ConnHandle, id: u64, error: &ServeErr
 
 /// Answers one decoded request. Cheap requests inline on the loop;
 /// predicts go to the scheduler; slow administrative work (diagnose /
-/// repair / rollback may retrain for minutes) runs on a tracked admin
-/// thread so the loop keeps serving its other connections.
+/// repair / rollback may retrain for minutes) runs on an admin thread
+/// so the loop keeps serving its other connections.
 fn handle_request(
     shared: &Arc<ServerShared>,
     handle: &ConnHandle,
@@ -627,7 +637,7 @@ fn handle_request(
             }
         },
         Request::Diagnose { model } => {
-            return spawn_admin(shared, handle, id, move |shared| {
+            return submit_admin(shared, handle, id, move |shared| {
                 shared
                     .registry
                     .find(&model)
@@ -641,7 +651,7 @@ fn handle_request(
         Request::Repair { model } => {
             // The admin thread blocks for the retrain; predict traffic
             // and every other connection do not.
-            return spawn_admin(shared, handle, id, move |shared| {
+            return submit_admin(shared, handle, id, move |shared| {
                 shared
                     .registry
                     .find(&model)
@@ -653,7 +663,7 @@ fn handle_request(
             });
         }
         Request::Rollback { model } => {
-            return spawn_admin(shared, handle, id, move |shared| {
+            return submit_admin(shared, handle, id, move |shared| {
                 shared
                     .registry
                     .find(&model)
@@ -702,35 +712,23 @@ fn handle_request(
     handle.send(&shared.stats, &encode_response(id, &response));
 }
 
-fn spawn_admin<F>(shared: &Arc<ServerShared>, handle: &ConnHandle, id: u64, work: F)
+fn submit_admin<F>(shared: &Arc<ServerShared>, handle: &ConnHandle, id: u64, work: F)
 where
     F: FnOnce(&Arc<ServerShared>) -> ServeResult<Response> + Send + 'static,
 {
-    let thread_shared = Arc::clone(shared);
-    let thread_handle = handle.clone();
-    let spawned = std::thread::Builder::new()
-        .name("deepmorph-serve-admin".into())
-        .spawn(move || match work(&thread_shared) {
-            Ok(response) => {
-                thread_handle.send(&thread_shared.stats, &encode_response(id, &response));
-            }
-            Err(e) => send_error(&thread_shared.stats, &thread_handle, id, &e),
-        });
-    match spawned {
-        Ok(joiner) => {
-            let mut admin = shared.admin.lock_recover();
-            // Reap finished admin threads so a long-lived server doesn't
-            // accumulate a handle per admin call it ever served.
-            admin.retain(|t| !t.is_finished());
-            admin.push(joiner);
-        }
-        Err(_) => send_error(
+    let job = AdminJob {
+        handle: handle.clone(),
+        id,
+        work: Box::new(work),
+    };
+    if shared.admin.submit(shared, job).is_err() {
+        send_error(
             &shared.stats,
             handle,
             id,
             &ServeError::Overloaded {
                 reason: "cannot spawn admin thread".into(),
             },
-        ),
+        );
     }
 }

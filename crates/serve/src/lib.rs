@@ -24,18 +24,20 @@
 //!   identically to the saved model, and refresh them at batch
 //!   boundaries when the version epoch moves.
 //! * [`batch`] — the dynamic micro-batching scheduler: a bounded queue,
-//!   worker-owned replicas, coalescing up to `max_batch` rows or
-//!   `max_wait`, one `Graph::forward_inference` per batch, per-row
-//!   scatter. Batched responses are **bitwise identical** to solo
-//!   responses (eval-mode rows are computed independently — pinned by
-//!   tests at the GEMM, graph, scheduler, and protocol levels).
+//!   worker-owned replicas, coalescing whatever queued up behind the
+//!   head request (up to `max_batch` rows, no waiting for stragglers),
+//!   one `Graph::forward_inference` per batch, per-row scatter. Batched
+//!   responses are **bitwise identical** to solo responses (eval-mode
+//!   rows are computed independently — pinned by tests at the GEMM,
+//!   graph, scheduler, and protocol levels).
 //! * [`server`] / [`client`] — the TCP endpoints. The server is
 //!   readiness-driven: a fixed pool of epoll event-loop threads
 //!   (`deepmorph-net`, raw syscall bindings — no async runtime) holds
-//!   every connection, assembles frames incrementally ([`conn`]), and
-//!   flushes worker-enqueued responses from bounded per-connection
-//!   outbound buffers, so one process carries tens of thousands of
-//!   mostly idle sockets on a constant thread count.
+//!   every connection and assembles frames incrementally ([`conn`]), so
+//!   one process carries tens of thousands of mostly idle sockets on a
+//!   constant thread count. Workers write their replies straight to the
+//!   socket; only bytes a backed-up socket would not take go through a
+//!   bounded per-connection outbound buffer that the loop flushes.
 //! * [`cases`] — per-model accumulation of labeled misclassified
 //!   traffic, the input to the diagnose endpoint; version-scoped, so a
 //!   hot-swap can never leak pre-repair mistakes into the next
@@ -68,6 +70,7 @@
 //! # }
 //! ```
 
+mod admin;
 pub mod batch;
 pub mod cases;
 pub mod conn;

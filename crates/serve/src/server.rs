@@ -2,8 +2,9 @@
 //!
 //! A fixed pool of readiness-driven event-loop threads
 //! (`crate::event_loop`) holds every connection; predicts are handed
-//! to the [`Scheduler`]'s workers, whose responses are enqueued back on
-//! the owning loop's per-connection outbound buffer. The thread count
+//! to the [`Scheduler`]'s workers, which write their responses straight
+//! to the connection's socket (through the owning loop's per-connection
+//! outbound buffer only when the socket is backed up). The thread count
 //! is a function of configuration, never of connection count.
 //!
 //! Failure policy: **the server never dies on client input.** A frame
@@ -19,6 +20,7 @@ use std::sync::{Arc, Mutex, Once};
 
 use deepmorph::pipeline::DeepMorphConfig;
 
+use crate::admin::AdminPool;
 use crate::batch::{BatchConfig, Scheduler, ServeStats};
 use crate::cases::LiveCases;
 use crate::error::{ServeError, ServeResult};
@@ -26,7 +28,6 @@ use crate::event_loop::{start_loop, LoopState};
 use crate::protocol::MAX_FRAME_BYTES;
 use crate::registry::ModelRegistry;
 use crate::repair::{self, ArtifactBackend, PromoteResponse, RepairState};
-use crate::sync::LockRecover;
 use deepmorph_nn::prelude::Precision;
 
 /// Listen backlog requested on the bound socket. `TcpListener::bind`
@@ -111,9 +112,9 @@ pub(crate) struct ServerShared {
     /// The event loops' cross-thread faces (wakers, dirty sets, accept
     /// inboxes), indexed by loop.
     pub(crate) loops: Vec<Arc<LoopState>>,
-    /// Live admin threads (diagnose/repair/rollback executors), reaped
-    /// opportunistically and joined at shutdown.
-    pub(crate) admin: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The diagnose/repair/rollback executor threads, reused across
+    /// calls and joined at shutdown.
+    pub(crate) admin: AdminPool,
 }
 
 /// A running inference server. Dropping it shuts it down.
@@ -198,7 +199,7 @@ impl Server {
             max_outbound: config.max_outbound_bytes.max(MAX_FRAME_BYTES + 4),
             shutdown: AtomicBool::new(false),
             loops,
-            admin: Mutex::new(Vec::new()),
+            admin: AdminPool::default(),
         });
         let mut io_threads = Vec::with_capacity(shared.loops.len());
         let mut listener = Some(listener);
@@ -279,11 +280,7 @@ impl Server {
         for handle in self.io_threads.drain(..) {
             let _ = handle.join();
         }
-        let mut admin = self.shared.admin.lock_recover();
-        for handle in admin.drain(..) {
-            let _ = handle.join();
-        }
-        drop(admin);
+        self.shared.admin.shutdown();
         self.shared.scheduler.shutdown();
     }
 }

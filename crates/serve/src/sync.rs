@@ -15,7 +15,6 @@
 use std::sync::{
     Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
-use std::time::Duration;
 
 /// Poison-recovering accessor for [`Mutex`].
 pub(crate) trait LockRecover<T> {
@@ -50,20 +49,6 @@ impl<T> RwRecover<T> for RwLock<T> {
 /// `Condvar::wait` that recovers a poisoned guard instead of panicking.
 pub(crate) fn wait_recover<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
-
-/// `Condvar::wait_timeout` that recovers a poisoned guard instead of
-/// panicking. The timeout flag is lost on the poison path, which is fine:
-/// callers re-check their predicate either way.
-pub(crate) fn wait_timeout_recover<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    timeout: Duration,
-) -> MutexGuard<'a, T> {
-    match cv.wait_timeout(guard, timeout) {
-        Ok((guard, _)) => guard,
-        Err(poisoned) => poisoned.into_inner().0,
-    }
 }
 
 #[cfg(test)]

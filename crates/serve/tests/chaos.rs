@@ -22,7 +22,8 @@ use deepmorph_serve::protocol;
 use deepmorph_tensor::init::stream_rng;
 use deepmorph_tensor::Tensor;
 
-/// The fault plan is process-global; tests that install one serialize.
+/// The fault plan is process-global: tests that install one serialize,
+/// and so do fault-free tests, so another test's plan cannot hit them.
 static FAULT_GUARD: Mutex<()> = Mutex::new(());
 
 fn lenet(seed: u64) -> ModelHandle {
@@ -202,6 +203,7 @@ fn worker_panic_is_contained_and_the_pool_keeps_serving() {
 
 #[test]
 fn rollback_over_the_wire_restores_bitwise_previous_serving() {
+    let _guard = FAULT_GUARD.lock().unwrap_or_else(|p| p.into_inner());
     let registry = registry_with("m", 52);
     let id = registry.find("m").unwrap();
     registry.publish(id, &mut lenet(53), None).unwrap();
@@ -289,6 +291,7 @@ fn expired_deadline_is_shed_with_a_typed_error() {
 
 #[test]
 fn connections_beyond_the_cap_get_a_typed_overloaded_frame() {
+    let _guard = FAULT_GUARD.lock().unwrap_or_else(|p| p.into_inner());
     let server = Server::start(
         registry_with("m", 55),
         ServerConfig {

@@ -16,9 +16,9 @@
 //! * **versions persist**: a restarted registry resumes the repaired
 //!   chain.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use deepmorph::pipeline::DeepMorphConfig;
 use deepmorph::prelude::{
@@ -110,9 +110,12 @@ fn served_defect_is_diagnosed_repaired_and_hot_swapped_under_load() {
 
     // -- Concurrent predict load across the whole loop ------------------
     let stop = Arc::new(AtomicBool::new(false));
-    let loaders: Vec<_> = (0..2)
-        .map(|_| {
+    let answered: Vec<Arc<AtomicUsize>> = (0..2).map(|_| Arc::default()).collect();
+    let loaders: Vec<_> = answered
+        .iter()
+        .map(|answered| {
             let stop = Arc::clone(&stop);
+            let answered = Arc::clone(answered);
             let rows = rows.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
@@ -122,6 +125,7 @@ fn served_defect_is_diagnosed_repaired_and_hot_swapped_under_load() {
                     // panics on unwrap, which is exactly the assertion.
                     let response = client.predict_full("digits", &rows, true, &[]).unwrap();
                     responses.push((Instant::now(), bits_of(&response.logits.unwrap())));
+                    answered.fetch_add(1, Ordering::Release);
                 }
                 responses
             })
@@ -159,6 +163,7 @@ fn served_defect_is_diagnosed_repaired_and_hot_swapped_under_load() {
     // -- Repair + hot-swap ----------------------------------------------
     let repair_started = Instant::now();
     let repair = client.repair("digits").unwrap();
+    let repair_done = Instant::now();
     assert!(repair.swapped, "gate rejected the repair: {repair:?}");
     assert!(
         repair.accuracy_after > repair.accuracy_before + 0.05,
@@ -181,6 +186,22 @@ fn served_defect_is_diagnosed_repaired_and_hot_swapped_under_load() {
     assert_ne!(old_bits, new_bits, "repair must actually change the model");
 
     // -- Load must have seen exactly the two versions, atomically -------
+    // A loader's request in flight at the swap may have been computed by
+    // the old version; the one it sends next is answered by the new one.
+    // So each loader completes two more requests before the load stops.
+    let marks: Vec<usize> = answered.iter().map(|a| a.load(Ordering::Acquire)).collect();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while answered
+        .iter()
+        .zip(&marks)
+        .any(|(a, &mark)| a.load(Ordering::Acquire) < mark + 2)
+    {
+        assert!(
+            Instant::now() < deadline,
+            "predict load stalled after the swap"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     stop.store(true, Ordering::Release);
     let mut pre_swap = 0usize;
     let mut post_swap = 0usize;
@@ -199,7 +220,7 @@ fn served_defect_is_diagnosed_repaired_and_hot_swapped_under_load() {
                     bits, old_bits,
                     "a pre-repair response diverged from the serving version"
                 );
-            } else {
+            } else if finished < repair_done {
                 during += 1;
             }
         }

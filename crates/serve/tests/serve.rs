@@ -5,16 +5,21 @@
 //! * **batching is invisible**: responses produced by a coalesced batch
 //!   are bitwise identical to solo (max-batch = 1) responses, at both
 //!   the scheduler and the TCP level;
+//! * **replies stay whole whoever writes them**: workers, admin threads
+//!   and the event loop write to one socket without interleaving frames,
+//!   a reader too slow to keep up gets every frame exactly once, and a
+//!   lone reply costs no extra event-loop wakeup;
 //! * **the server never dies on client bytes**: garbage, truncated, and
 //!   oversized frames produce typed error frames (or a clean connection
 //!   drop) and later clients still get service;
 //! * **the diagnose endpoint works live**: labeled misclassified
 //!   traffic accumulates and yields a well-formed `DefectReport`.
 
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use deepmorph::prelude::DefectReport;
 use deepmorph_data::{DataGenerator, DatasetKind, SynthDigits};
@@ -52,6 +57,40 @@ fn row(all: &Tensor, i: usize) -> Tensor {
     Tensor::from_vec(all.data()[i * 256..(i + 1) * 256].to_vec(), &[1, 1, 16, 16]).unwrap()
 }
 
+/// Rows in the request that holds a one-worker scheduler busy while the
+/// rows under test queue up behind it. At least any test's `max_batch`,
+/// so it always dispatches alone.
+const BLOCKER_ROWS: usize = 512;
+
+/// Reads one length-prefixed response frame off a raw socket.
+fn read_response(raw: &mut TcpStream) -> (u64, protocol::Response) {
+    let mut prefix = [0u8; 4];
+    raw.read_exact(&mut prefix).unwrap();
+    let mut frame = vec![0u8; u32::from_le_bytes(prefix) as usize];
+    raw.read_exact(&mut frame).unwrap();
+    protocol::decode_response(&frame).expect("every frame decodes whole")
+}
+
+fn predict_request(id: u64, rows: Tensor) -> Vec<u8> {
+    protocol::encode_request(
+        id,
+        &protocol::Request::Predict(protocol::PredictRequest {
+            model: "m".into(),
+            rows,
+            want_logits: true,
+            true_labels: Vec::new(),
+            deadline_ms: 0,
+        }),
+    )
+}
+
+fn assert_bitwise(expected: &Tensor, got: &Tensor, what: &str) {
+    assert_eq!(expected.shape(), got.shape(), "{what}: shape");
+    for (a, b) in expected.data().iter().zip(got.data()) {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: logits diverged");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Scheduler level: coalescing is deterministic and bitwise invisible
 // ---------------------------------------------------------------------
@@ -82,23 +121,26 @@ fn scheduler_batched_outputs_equal_solo_outputs_bitwise() {
         .collect();
     solo.shutdown();
 
-    // Batched: one worker, a wait long enough that all n single-row
-    // requests land in its window. The worker pops the first request,
-    // then waits for stragglers; every later submission folds in, so
-    // this coalesces deterministically.
+    // Batched: one worker, held busy by a large blocker request queued
+    // first. The n single rows pile up behind it while its forward runs;
+    // the worker then pops the first row and drains the rest into one
+    // batch, coalescing through queue buildup alone.
     let batched = Scheduler::new(
         Arc::clone(&registry),
         BatchConfig {
             max_batch: n,
-            max_wait: Duration::from_millis(500),
             workers: 1,
             ..BatchConfig::default()
         },
         Arc::clone(&stats),
     );
+    let blocker = batched
+        .submit_rows(m, rows(BLOCKER_ROWS, 7), false)
+        .unwrap();
     let receivers: Vec<_> = (0..n)
         .map(|i| batched.submit_rows(m, row(&inputs, i), true).unwrap())
         .collect();
+    blocker.recv().unwrap().unwrap();
     let batched_logits: Vec<Tensor> = receivers
         .into_iter()
         .map(|rx| rx.recv().unwrap().unwrap().logits.unwrap())
@@ -106,13 +148,13 @@ fn scheduler_batched_outputs_equal_solo_outputs_bitwise() {
     batched.shutdown();
 
     let snapshot = stats.snapshot();
-    assert_eq!(snapshot.rows, n as u64);
+    assert_eq!(snapshot.rows, (n + BLOCKER_ROWS) as u64);
     assert!(
         snapshot.coalesced_batches >= 1,
         "expected at least one coalesced batch, got {snapshot:?}"
     );
     assert!(
-        snapshot.batches < n as u64,
+        snapshot.batches < (n + 1) as u64,
         "batching dispatched one forward per request: {snapshot:?}"
     );
 
@@ -251,14 +293,16 @@ fn tcp_batched_responses_equal_solo_responses_bitwise() {
         .collect();
     solo_server.shutdown();
 
-    // Batched server under concurrent clients.
+    // Batched server under concurrent clients, one worker. A blocker
+    // request is queued first; only then are the clients, connected and
+    // parked on a barrier, released to send their rows, which queue up
+    // behind the blocker's forward and coalesce when it ends.
     let batched_server = Server::start(
         registry_with("m", 11),
         ServerConfig {
             batch: BatchConfig {
                 max_batch: n,
-                max_wait: Duration::from_millis(50),
-                workers: 2,
+                workers: 1,
                 ..BatchConfig::default()
             },
             ..ServerConfig::default()
@@ -266,12 +310,18 @@ fn tcp_batched_responses_equal_solo_responses_bitwise() {
     )
     .unwrap();
     let addr = batched_server.local_addr();
+    let release = Barrier::new(n + 1);
     let results: Vec<Tensor> = std::thread::scope(|scope| {
+        let mut blocker_client = Client::connect(addr).unwrap();
+        let blocker =
+            scope.spawn(move || blocker_client.predict("m", &rows(BLOCKER_ROWS, 5)).unwrap());
         let handles: Vec<_> = (0..n)
             .map(|i| {
                 let input = row(&inputs, i);
+                let mut client = Client::connect(addr).unwrap();
+                let release = &release;
                 scope.spawn(move || {
-                    let mut client = Client::connect(addr).unwrap();
+                    release.wait();
                     client
                         .predict_full("m", &input, true, &[])
                         .unwrap()
@@ -280,9 +330,25 @@ fn tcp_batched_responses_equal_solo_responses_bitwise() {
                 })
             })
             .collect();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while batched_server.stats().requests == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the blocker never reached the queue"
+            );
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        release.wait();
+        blocker.join().unwrap();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
+    let snapshot = batched_server.stats();
     batched_server.shutdown();
+    assert_eq!(snapshot.rows, (n + BLOCKER_ROWS) as u64);
+    assert!(
+        snapshot.coalesced_batches >= 1,
+        "expected at least one coalesced batch, got {snapshot:?}"
+    );
 
     for (i, (a, b)) in solo.iter().zip(&results).enumerate() {
         for (va, vb) in a.data().iter().zip(b.data()) {
@@ -293,6 +359,196 @@ fn tcp_batched_responses_equal_solo_responses_bitwise() {
             );
         }
     }
+}
+
+/// A reader too slow for its replies: the client pipelines predicts
+/// whose logits outweigh the requests many times over and reads nothing
+/// until the server has had to buffer. Writes then come up short, the
+/// remainder waits in the outbound buffer, and the event loop flushes it
+/// as the client drains. Every frame must arrive whole and exactly once,
+/// and the connection must survive.
+#[test]
+fn slow_reader_gets_every_frame_whole_and_keeps_its_connection() {
+    // A wide output layer: 16 rows x 2048 classes = 128 KiB of logits
+    // per reply, 16 MiB over the pipeline, far beyond what loopback
+    // socket buffers hold for a reader that is not reading.
+    let spec = ModelSpec::new(ModelFamily::LeNet, ModelScale::Tiny, [1, 16, 16], 2048);
+    let wide = || build_model(&spec, &mut stream_rng(31, "serve-test-wide")).unwrap();
+    let mut registry = ModelRegistry::new();
+    registry.register("m", &mut wide(), None).unwrap();
+    let server = Server::start(registry, ServerConfig::default()).unwrap();
+    let (requests, rows_each) = (128u64, 16);
+    let reply_frame = protocol::encode_response(
+        0,
+        &protocol::Response::Predict(PredictResponse {
+            predictions: vec![0; rows_each],
+            logits: Some(Tensor::zeros(&[rows_each, 2048])),
+        }),
+    );
+
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut writer = raw.try_clone().unwrap();
+    // The writer runs on its own thread: once the server pauses reading
+    // under backpressure, it blocks until the reader below drains.
+    let sender = std::thread::spawn(move || {
+        for id in 1..=requests {
+            writer
+                .write_all(&predict_request(id, rows(rows_each, id)))
+                .unwrap();
+        }
+    });
+    // Read nothing until a backlog formed: the high-water mark passes
+    // one reply frame only once a frame queued behind buffered bytes.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while server.stats().outbound_hwm_bytes <= reply_frame.len() as u64 {
+        assert!(
+            Instant::now() < deadline,
+            "no reply was ever buffered: {:?}",
+            server.stats()
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    let mut model = wide();
+    let mut seen = BTreeSet::new();
+    for _ in 0..requests {
+        let (id, response) = read_response(&mut raw);
+        let protocol::Response::Predict(p) = response else {
+            panic!("request {id}: expected a predict reply, got {response:?}");
+        };
+        assert!(seen.insert(id), "request {id} answered twice");
+        let expected = model.graph.forward_inference(&rows(rows_each, id)).unwrap();
+        assert_bitwise(&expected, &p.logits.unwrap(), &format!("request {id}"));
+    }
+    sender.join().unwrap();
+    assert_eq!(seen.len() as u64, requests, "every request answered");
+
+    // Still the same, open connection.
+    raw.write_all(&protocol::encode_request(
+        u64::MAX,
+        &protocol::Request::Ping,
+    ))
+    .unwrap();
+    let (id, response) = read_response(&mut raw);
+    assert_eq!(id, u64::MAX);
+    assert!(matches!(response, protocol::Response::Pong { .. }));
+    let stats = server.stats();
+    assert_eq!(stats.conns_closed, 0, "the slow reader was disconnected");
+    server.shutdown();
+}
+
+/// One connection, three kinds of writer at once: the event loop
+/// answering pings, two scheduler workers answering predicts, and an
+/// admin thread answering a diagnose. Every frame must decode, so no
+/// writer ever split another's frame.
+#[test]
+fn mixed_writers_on_one_connection_never_interleave_frames() {
+    let server = Server::start(
+        registry_with("m", 19),
+        ServerConfig {
+            batch: BatchConfig {
+                workers: 2,
+                ..BatchConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+
+    let pairs = 120u64;
+    let diagnose_id = 2 * pairs + 1;
+    let mut wire = Vec::new();
+    for i in 0..pairs {
+        wire.extend(protocol::encode_request(
+            2 * i + 1,
+            &protocol::Request::Ping,
+        ));
+        wire.extend(predict_request(2 * i + 2, rows(2, i)));
+        if i == pairs / 2 {
+            wire.extend(protocol::encode_request(
+                diagnose_id,
+                &protocol::Request::Diagnose { model: "m".into() },
+            ));
+        }
+    }
+    raw.write_all(&wire).unwrap();
+
+    let mut model = lenet(19);
+    let mut seen = BTreeSet::new();
+    for _ in 0..diagnose_id {
+        let (id, response) = read_response(&mut raw);
+        assert!(seen.insert(id), "request {id} answered twice");
+        match response {
+            protocol::Response::Pong { .. } => assert_eq!(id % 2, 1, "pong for {id}"),
+            protocol::Response::Predict(p) => {
+                assert_eq!(id % 2, 0, "predict reply for {id}");
+                let expected = model.graph.forward_inference(&rows(2, id / 2 - 1)).unwrap();
+                assert_bitwise(&expected, &p.logits.unwrap(), &format!("request {id}"));
+            }
+            // The model has no provenance sidecar: the admin thread
+            // answers with a typed refusal.
+            protocol::Response::Error(e) => {
+                assert_eq!(id, diagnose_id, "unexpected error for {id}: {e:?}");
+                assert_eq!(e.code, ErrorCode::Diagnosis);
+            }
+            other => panic!("request {id}: unexpected reply {other:?}"),
+        }
+    }
+    assert_eq!(seen.len() as u64, diagnose_id);
+    server.shutdown();
+}
+
+/// Admin calls from concurrent clients are all answered, whether they
+/// start an admin thread or reuse one an earlier call left idle.
+#[test]
+fn concurrent_admin_calls_are_all_answered() {
+    let server = Server::start(registry_with("m", 41), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                for _ in 0..5 {
+                    // No provenance sidecar: a typed refusal.
+                    assert!(matches!(
+                        client.diagnose("m"),
+                        Err(ServeError::Remote {
+                            code: ErrorCode::Diagnosis,
+                            ..
+                        })
+                    ));
+                }
+            });
+        }
+    });
+    assert_eq!(server.stats().errors, 20);
+    server.shutdown();
+}
+
+/// The reply path costs no event-loop wakeup: a predict wakes the loop
+/// once, to read the request, and the worker writes the reply itself.
+/// Counted, not timed, so it holds on any host.
+#[test]
+fn sequential_predicts_cost_about_one_loop_wakeup_each() {
+    let server = Server::start(registry_with("m", 29), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let inputs = rows(1, 4);
+    client.predict("m", &inputs).unwrap(); // replica warm-up
+    let requests = 200u64;
+    let before = server.stats();
+    for _ in 0..requests {
+        client.predict("m", &inputs).unwrap();
+    }
+    let after = server.stats();
+    server.shutdown();
+    let per_request = (after.loop_wakeups - before.loop_wakeups) as f64 / requests as f64;
+    assert!(
+        per_request <= 1.1,
+        "{per_request:.2} loop wakeups per sequential predict (want <= 1.1)"
+    );
 }
 
 #[test]

@@ -145,3 +145,59 @@ fn telemetry_frame_reports_live_misclassification_rate() {
     assert!((version.misclassification_rate() - 0.75).abs() < 1e-9);
     assert!(version.requests >= 5, "all answered requests counted");
 }
+
+/// A request's trace stages are disjoint spans inside its total: queue
+/// wait ends where a worker picks the request up, which is where its
+/// batch's coalesce span begins, and the reply's socket write is the
+/// flush span. (Frame assembly precedes admission, where the total
+/// starts, so it is left out of the sum.)
+#[test]
+fn trace_stages_fit_inside_the_request_total() {
+    let _guard = TELEMETRY_LOCK
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let server = Server::start(registry_with("m", 37), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    deepmorph_telemetry::install(TelemetryConfig { slow_traces: 64 });
+    // Two concurrent clients, so some batches carry more than one rider.
+    std::thread::scope(|scope| {
+        for c in 0..2 {
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                for i in 0..24 {
+                    client.predict("m", &input_row(100 * c + i)).unwrap();
+                }
+            });
+        }
+    });
+    // A worker records a reply's spans after writing it, so a client can
+    // finish first; shutdown joins the workers.
+    server.shutdown();
+    let snapshot = deepmorph_telemetry::armed().expect("armed").snapshot();
+    deepmorph_telemetry::clear();
+
+    assert!(
+        !snapshot.slowest.is_empty(),
+        "the trace ring saw the traffic"
+    );
+    for trace in &snapshot.slowest {
+        let spans: u64 = [
+            Stage::QueueWait,
+            Stage::Coalesce,
+            Stage::Compute,
+            Stage::Flush,
+        ]
+        .iter()
+        .map(|s| trace.stages[s.index()])
+        .sum();
+        assert!(
+            spans <= trace.total_us,
+            "stage spans add up to {spans} us, more than the {} us total: {trace:?}",
+            trace.total_us
+        );
+    }
+    assert!(
+        snapshot.stages[Stage::Flush.index()].count() >= 48,
+        "every reply written straight to its socket records a flush span"
+    );
+}

@@ -217,12 +217,16 @@ pub enum Stage {
     Assembly,
     /// Job submission to the scheduler until a worker picks it up.
     QueueWait,
-    /// Batch coalescing: queue drain plus the optional straggler wait.
+    /// Batch coalescing: worker pickup until the batch starts (the queue
+    /// drain and deadline shedding).
     Coalesce,
     /// The batched forward (replica refresh included).
     Compute,
-    /// Outbound delivery: response enqueue + wake on the stage
-    /// histogram's request side; socket flush passes on the loop side.
+    /// Outbound delivery. The stage histogram records every socket
+    /// write pass: a reply written straight through by the thread that
+    /// produced it, or a buffered backlog flushed by the event loop. A
+    /// request trace's slot is its send span: encode plus that write,
+    /// or the buffer push and loop wake when the socket is backed up.
     Flush,
 }
 
