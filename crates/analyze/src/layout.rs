@@ -7,9 +7,8 @@
 //! golden spec (`wire_layout.golden`), so an accidental constant edit
 //! or a reordered stats field fails analysis with a field-level message
 //! — naming the slot and byte offset — instead of a cryptic decode-test
-//! assertion. It also cross-checks the two places the stats order is
-//! spelled out (`stats_values` and the `Response::Stats` encode arm)
-//! against each other.
+//! assertion. The stats order is spelled out once, in `stats_values`;
+//! both the `Stats` frame and the telemetry payload encode through it.
 //!
 //! Changing the wire format deliberately means editing the golden file
 //! in the same PR — which is exactly the reviewable diff we want.
@@ -40,9 +39,6 @@ pub struct ActualLayout {
     /// Field order in `fn stats_values`, with the fn's line.
     pub stats_fields: Vec<String>,
     pub stats_line: u32,
-    /// Field order in the inline `Response::Stats` encode arm.
-    pub encode_fields: Vec<String>,
-    pub encode_line: u32,
 }
 
 /// The golden spec: pinned constants and the expected stats order.
@@ -126,13 +122,10 @@ pub fn extract(file: &SourceFile) -> ActualLayout {
     }
 
     let (stats_fields, stats_line) = fields_in_fn(file, "stats_values");
-    let (encode_fields, encode_line) = encode_arm_fields(tokens);
     ActualLayout {
         consts,
         stats_fields,
         stats_line,
-        encode_fields,
-        encode_line,
     }
 }
 
@@ -196,56 +189,6 @@ fn fields_in_fn(file: &SourceFile, name: &str) -> (Vec<String>, u32) {
         i += 1;
     }
     (fields, fn_line)
-}
-
-/// Field order in the inline `Response::Stats(bind) => { for v in
-/// [bind.a, bind.b, …] { … } }` encode arm.
-fn encode_arm_fields(tokens: &[Token]) -> (Vec<String>, u32) {
-    let Some(arm) = tokens.windows(4).position(|w| {
-        matches!(&w[0].tok, Tok::Ident(n) if n == "Response")
-            && w[1].tok == Tok::Punct(':')
-            && w[2].tok == Tok::Punct(':')
-            && matches!(&w[3].tok, Tok::Ident(n) if n == "Stats")
-    }) else {
-        return (Vec::new(), 0);
-    };
-    let line = tokens[arm].line;
-    // The binding name: `Stats ( bind )`.
-    let Some(Tok::Ident(bind)) = tokens.get(arm + 5).map(|t| &t.tok) else {
-        return (Vec::new(), line);
-    };
-    // First `[` after the arm opens the field array; collect
-    // `bind.field` until its matching `]`.
-    let mut i = arm + 6;
-    while !matches!(tokens.get(i).map(|t| &t.tok), Some(Tok::Punct('[')) | None) {
-        i += 1;
-    }
-    let mut depth = 0u32;
-    let mut fields = Vec::new();
-    while let Some(t) = tokens.get(i) {
-        match &t.tok {
-            Tok::Punct('[') => depth += 1,
-            Tok::Punct(']') => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            Tok::Punct('.') => {
-                if let (Some(Tok::Ident(recv)), Some(Tok::Ident(field))) = (
-                    tokens.get(i - 1).map(|t| &t.tok),
-                    tokens.get(i + 1).map(|t| &t.tok),
-                ) {
-                    if recv == bind {
-                        fields.push(field.clone());
-                    }
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    (fields, line)
 }
 
 /// Diffs actual vs golden, appending field-level findings.
@@ -336,43 +279,6 @@ pub fn check(
                 message,
             );
         }
-
-        // Internal consistency: the encode arm must spell the same order.
-        if actual.encode_fields.is_empty() {
-            push(
-                findings,
-                0,
-                "encode:missing".to_string(),
-                "could not find the `Response::Stats` encode arm".to_string(),
-            );
-        } else if actual.encode_fields != actual.stats_fields {
-            let slot = actual
-                .encode_fields
-                .iter()
-                .zip(&actual.stats_fields)
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| actual.encode_fields.len().min(actual.stats_fields.len()));
-            push(
-                findings,
-                actual.encode_line,
-                format!("encode:{slot}"),
-                format!(
-                    "`Response::Stats` encode arm disagrees with `stats_values` at slot {slot} \
-                     (byte offset {}): `{}` vs `{}`",
-                    stats_offset(slot),
-                    actual
-                        .encode_fields
-                        .get(slot)
-                        .map(String::as_str)
-                        .unwrap_or("<none>"),
-                    actual
-                        .stats_fields
-                        .get(slot)
-                        .map(String::as_str)
-                        .unwrap_or("<none>"),
-                ),
-            );
-        }
     }
 }
 
@@ -389,17 +295,6 @@ const RESPONSE_BIT: u8 = 0x80;
 
 fn stats_values(s: &StatsSnapshot) -> [u64; 2] {
     [s.requests, s.rows]
-}
-
-fn encode(r: &Response, w: &mut W) -> u8 {
-    match r {
-        Response::Stats(s) => {
-            for v in [s.requests, s.rows] {
-                w.put_u64(v);
-            }
-            RESPONSE_BIT | KIND_STATS
-        }
-    }
 }
 "#;
 
@@ -470,16 +365,6 @@ stats 1 rows
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("KIND_FLUSH"));
         assert!(findings[0].message.contains("not pinned"));
-    }
-
-    #[test]
-    fn encode_arm_disagreement_is_caught_without_golden_help() {
-        let skewed = FIXTURE.replace(
-            "for v in [s.requests, s.rows]",
-            "for v in [s.rows, s.requests]",
-        );
-        let findings = run(&skewed, GOLDEN);
-        assert!(findings.iter().any(|f| f.key == "encode:0"), "{findings:?}");
     }
 
     #[test]

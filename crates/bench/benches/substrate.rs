@@ -1,14 +1,15 @@
 //! Substrate throughput benchmarks: the tensor/NN kernels every
 //! experiment spends its time in.
 //!
-//! The `*_serial` vs `*_parallel` pairs compare the pinned single-threaded
-//! reference kernels against the default dispatch (threaded + ILP-blocked
-//! under the `parallel` feature); `scripts/record_baseline.sh` captures
-//! their ratio into `BENCH_baseline.json`.
+//! The `*_serial` vs `*_parallel` pairs compare the scalar reference GEMM
+//! with fan-out pinned off against the default `ComputeCtx` dispatch
+//! (threaded under the `parallel` feature); `scripts/record_baseline.sh`
+//! captures their ratio into `BENCH_baseline.json`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use deepmorph_data::{DataGenerator, SynthDigits};
 use deepmorph_nn::prelude::*;
+use deepmorph_tensor::backend::{self, GemmSpec};
 use deepmorph_tensor::conv::{im2col, Conv2dGeometry};
 use deepmorph_tensor::init::stream_rng;
 use deepmorph_tensor::{workspace, Tensor};
@@ -29,16 +30,25 @@ fn synth_tensor(shape: &[usize], salt: u64) -> Tensor {
     Tensor::from_vec(data, shape).unwrap()
 }
 
+/// `spec`'s product on the scalar reference backend into a workspace
+/// tensor, with the fan-out hint exactly as `spec` sets it.
+fn scalar_product(spec: GemmSpec, a: &Tensor, b: &Tensor) -> Tensor {
+    let mut out = workspace::tensor_zeroed(&[spec.m, spec.n]);
+    backend::scalar().gemm(&spec, a.data(), b.data(), out.data_mut());
+    out
+}
+
 fn bench_matmul_serial_vs_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("tensor");
+    let ctx = ComputeCtx::default();
     for &n in &[128usize, 256] {
         let a = synth_tensor(&[n, n], 1);
         let b = synth_tensor(&[n, n], 2);
         group.bench_function(format!("matmul_serial_{n}x{n}"), |bench| {
-            bench.iter(|| a.matmul_serial(&b).unwrap())
+            bench.iter(|| scalar_product(GemmSpec::nn(n, n, n), &a, &b))
         });
         group.bench_function(format!("matmul_parallel_{n}x{n}"), |bench| {
-            bench.iter(|| a.matmul(&b).unwrap())
+            bench.iter(|| ctx.matmul(&a, &b).unwrap())
         });
     }
     group.finish();
@@ -58,10 +68,14 @@ fn bench_conv_batch64_serial_vs_parallel(c: &mut Criterion) {
         16,
         &mut wrng,
     );
+    let ctx = ComputeCtx::default();
+    let (m, k) = (cols.shape()[0], cols.shape()[1]);
     group.bench_function("gemm_serial", |b| {
-        b.iter(|| cols.matmul_nt_serial(&w).unwrap())
+        b.iter(|| scalar_product(GemmSpec::nt(m, k, 16), &cols, &w))
     });
-    group.bench_function("gemm_parallel", |b| b.iter(|| cols.matmul_nt(&w).unwrap()));
+    group.bench_function("gemm_parallel", |b| {
+        b.iter(|| ctx.matmul_nt(&cols, &w).unwrap())
+    });
     group.bench_function("im2col", |b| b.iter(|| im2col(&x, &geo).unwrap()));
     let mut rng = stream_rng(2, "bench-conv-layer");
     let mut layer = Conv2d::new(8, 16, 16, 16, 3, 1, 1, &mut rng).unwrap();
@@ -126,16 +140,17 @@ fn bench_steady_state(c: &mut Criterion) {
     let mut bias = Tensor::zeros(&[classes]);
     let loss = SoftmaxCrossEntropy::new();
     let mut by: Vec<usize> = Vec::with_capacity(batch);
+    let ctx = ComputeCtx::default();
     let mut probe_epoch = |weight: &mut Tensor, bias: &mut Tensor| {
         for chunk in order.chunks(batch) {
             let bx = deepmorph_nn::train::gather_batch(&feats, chunk).unwrap();
             by.clear();
             by.extend(chunk.iter().map(|&i| labels[i]));
-            let mut logits = bx.matmul_nt(weight).unwrap();
+            let mut logits = ctx.matmul_nt(&bx, weight).unwrap();
             logits.add_row_broadcast(bias).unwrap();
             let (_, g) = loss.compute(&logits, &by).unwrap();
             workspace::recycle_tensor(logits);
-            let dw = g.matmul_tn(&bx).unwrap();
+            let dw = ctx.matmul_tn(&g, &bx).unwrap();
             workspace::recycle_tensor(bx);
             weight.axpy(-0.3, &dw).unwrap();
             workspace::recycle_tensor(dw);
@@ -156,12 +171,13 @@ fn bench_steady_state(c: &mut Criterion) {
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("tensor");
+    let ctx = ComputeCtx::default();
     for &n in &[32usize, 128] {
         let a =
             Tensor::from_vec((0..n * n).map(|i| (i % 13) as f32 - 6.0).collect(), &[n, n]).unwrap();
         let b = a.clone();
         group.bench_function(format!("matmul_{n}x{n}"), |bench| {
-            bench.iter(|| a.matmul(&b).unwrap())
+            bench.iter(|| ctx.matmul(&a, &b).unwrap())
         });
     }
     group.finish();

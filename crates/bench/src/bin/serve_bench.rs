@@ -109,11 +109,7 @@ fn server_with_mode(
     Server::start(
         registry,
         ServerConfig {
-            batch: BatchConfig {
-                max_batch,
-                workers,
-                ..BatchConfig::default()
-            },
+            batch: BatchConfig { max_batch, workers },
             ..ServerConfig::default()
         },
     )

@@ -512,7 +512,6 @@ pub fn run(config: &StormConfig) -> StormResult {
             batch: BatchConfig {
                 max_batch: 32,
                 workers: 1,
-                ..BatchConfig::default()
             },
             max_connections: config.idle_connections + config.active_concurrency + 256,
             ..ServerConfig::default()

@@ -10,6 +10,7 @@
 
 use deepmorph_nn::layer::Mode;
 use deepmorph_nn::prelude::NodeId;
+use deepmorph_tensor::backend::ComputeCtx;
 use deepmorph_tensor::conv::global_avg_pool;
 use deepmorph_tensor::init::{stream_rng, Init};
 use deepmorph_tensor::{workspace, Tensor};
@@ -129,7 +130,7 @@ impl TrainedProbe {
     ///
     /// Returns a shape error if `features` disagrees with the probe.
     pub fn predict_probs(&self, features: &Tensor) -> Result<Tensor> {
-        let mut logits = features.matmul_nt(&self.weight)?;
+        let mut logits = ComputeCtx::default().matmul_nt(features, &self.weight)?;
         logits.add_row_broadcast(&self.bias)?;
         Ok(logits.softmax_rows()?)
     }
@@ -393,18 +394,21 @@ fn fit_probe(
     // thread's workspace arena, so after the first epoch warms it the
     // probe-training loop performs no heap allocations.
     let mut by: Vec<usize> = Vec::with_capacity(config.batch_size.max(1));
+    // The scalar reference backend: probe weights feed the pinned
+    // report digests, so they never ride an opt-in SIMD context.
+    let ctx = ComputeCtx::default();
     for _ in 0..config.epochs {
         order.shuffle(&mut rng);
         for chunk in order.chunks(config.batch_size.max(1)) {
             let bx = deepmorph_nn::train::gather_batch(&x, chunk)?;
             by.clear();
             by.extend(chunk.iter().map(|&i| labels[i]));
-            let mut logits = bx.matmul_nt(&weight)?;
+            let mut logits = ctx.matmul_nt(&bx, &weight)?;
             logits.add_row_broadcast(&bias)?;
             let (_, grad) = loss.compute(&logits, &by)?;
             workspace::recycle_tensor(logits);
             // dW = grad^T X, db = column sums.
-            let dw = grad.matmul_tn(&bx)?;
+            let dw = ctx.matmul_tn(&grad, &bx)?;
             workspace::recycle_tensor(bx);
             weight.axpy(-config.learning_rate, &dw)?;
             workspace::recycle_tensor(dw);

@@ -42,6 +42,10 @@ use crate::error::{ServeError, ServeResult};
 use crate::registry::{ModelId, ModelRegistry};
 use crate::sync::{wait_recover, LockRecover};
 
+/// Queue capacity in requests; submissions beyond it are rejected with a
+/// typed busy error instead of growing without bound.
+const QUEUE_CAPACITY: usize = 1024;
+
 /// Knobs of the micro-batching scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
@@ -50,9 +54,6 @@ pub struct BatchConfig {
     pub max_batch: usize,
     /// Worker threads (each owns one replica per model).
     pub workers: usize,
-    /// Queue capacity in requests; submissions beyond it are rejected
-    /// with a typed busy error instead of growing without bound.
-    pub queue_capacity: usize,
 }
 
 impl Default for BatchConfig {
@@ -60,7 +61,6 @@ impl Default for BatchConfig {
         BatchConfig {
             max_batch: 32,
             workers: 2,
-            queue_capacity: 1024,
         }
     }
 }
@@ -347,7 +347,7 @@ impl Scheduler {
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
-        if queue.len() >= self.shared.cfg.queue_capacity {
+        if queue.len() >= QUEUE_CAPACITY {
             self.shared
                 .stats
                 .busy_rejections

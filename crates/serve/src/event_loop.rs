@@ -1,7 +1,7 @@
 //! The readiness-driven I/O loops.
 //!
 //! A fixed pool of event-loop threads (one epoll instance each,
-//! [`crate::server::ServerConfig::io_threads`]) replaces the old
+//! [`IO_THREADS`] of them) replaces the old
 //! thread-per-connection model, so the process holds tens of thousands
 //! of connections on a constant number of OS threads. Loop 0 owns the
 //! nonblocking listener and deals accepted connections round-robin to
@@ -26,8 +26,7 @@
 //!   writable. Backpressure is two-stage: a connection whose outbound
 //!   backlog passes [`READ_PAUSE_BYTES`] stops being *read* (no new
 //!   requests admitted until the peer drains), and one that overflows
-//!   the hard cap ([`crate::server::ServerConfig::max_outbound_bytes`])
-//!   is closed.
+//!   the hard cap ([`MAX_OUTBOUND_BYTES`]) is closed.
 //! * **Accept errors never kill the server.** `EMFILE`/`ENFILE`
 //!   disarms the listener for a backoff interval while existing
 //!   connections keep being served; level-triggered epoll re-reports
@@ -55,10 +54,22 @@ use crate::conn::{ConnHandle, FlushState, FrameAssembler, LoopNotify, Outbound};
 use crate::error::{ServeError, ServeResult};
 use crate::protocol::{
     decode_request, encode_response, ErrorFrame, Request, Response, TelemetryReport,
+    MAX_FRAME_BYTES,
 };
 use crate::repair;
 use crate::server::ServerShared;
 use crate::sync::LockRecover;
+
+/// Event-loop threads per server. Loops never compute, so a small fixed
+/// pool carries tens of thousands of sockets.
+pub(crate) const IO_THREADS: usize = 2;
+
+/// Hard cap on one connection's buffered outbound bytes. A peer that
+/// stops reading past it is disconnected (reads pause much earlier, at
+/// [`READ_PAUSE_BYTES`]).
+const MAX_OUTBOUND_BYTES: usize = 32 << 20;
+// A legitimate response must always fit in the buffer.
+const _: () = assert!(MAX_OUTBOUND_BYTES >= MAX_FRAME_BYTES + 4);
 
 /// Reserved token for the loop's eventfd waker.
 const WAKER_TOKEN: u64 = u64::MAX;
@@ -317,7 +328,7 @@ impl IoLoop {
         });
         let stream = Arc::new(stream);
         self.conns[token] = Some(Conn {
-            outbound: Arc::new(Outbound::new(Arc::clone(&stream), self.shared.max_outbound)),
+            outbound: Arc::new(Outbound::new(Arc::clone(&stream), MAX_OUTBOUND_BYTES)),
             stream,
             assembler: FrameAssembler::for_protocol(),
             interest: Interest::READ,

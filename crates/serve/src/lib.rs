@@ -89,7 +89,7 @@ pub use client::{Client, ClientConfig, RetryPolicy};
 pub use conn::{FrameAssembler, FramingError};
 pub use error::{ErrorCode, ServeError, ServeResult};
 pub use registry::{DiagnosisContext, ModelId, ModelRegistry, VersionPin};
-pub use repair::{ArtifactBackend, PromoteResponse};
+pub use repair::PromoteResponse;
 pub use server::{Server, ServerConfig};
 
 /// Convenience re-exports.
@@ -103,7 +103,7 @@ pub mod prelude {
         StatsSnapshot, TelemetryReport, VersionInfo,
     };
     pub use crate::registry::{DiagnosisContext, ModelId, ModelRegistry, VersionPin};
-    pub use crate::repair::{ArtifactBackend, PromoteResponse};
+    pub use crate::repair::PromoteResponse;
     pub use crate::server::{Server, ServerConfig};
     pub use deepmorph_nn::prelude::{BackendKind, ComputeCtx, Precision};
     pub use deepmorph_telemetry::{

@@ -415,9 +415,11 @@ pub fn encode_request(id: u64, request: &Request) -> Vec<u8> {
     finish(kind, id, w)
 }
 
-/// Serving-counter values in their canonical wire order (the order the
-/// `Stats` frame has always used; the telemetry payload prefixes it with
-/// a count so the list can grow).
+/// Serving-counter values in their canonical wire order: the body of the
+/// `Stats` frame, and the telemetry payload's counter list (prefixed
+/// there with a count so the list can grow). The one spelling of that
+/// order; both frames encode through here and decode through
+/// [`stats_from_values`], and `wire_layout.golden` pins it.
 fn stats_values(s: &StatsSnapshot) -> [u64; 20] {
     [
         s.requests,
@@ -651,28 +653,7 @@ pub fn encode_response(id: u64, response: &Response) -> Vec<u8> {
             RESPONSE_BIT | KIND_DIAGNOSE
         }
         Response::Stats(s) => {
-            for v in [
-                s.requests,
-                s.rows,
-                s.batches,
-                s.coalesced_batches,
-                s.errors,
-                s.busy_rejections,
-                s.diagnoses,
-                s.probe_trainings,
-                s.repairs,
-                s.swaps,
-                s.expired,
-                s.worker_panics,
-                s.rollbacks,
-                s.conn_rejections,
-                s.active_connections,
-                s.conns_accepted,
-                s.conns_closed,
-                s.outbound_hwm_bytes,
-                s.loop_wakeups,
-                s.accept_backoffs,
-            ] {
+            for v in stats_values(s) {
                 w.put_u64(v);
             }
             RESPONSE_BIT | KIND_STATS
@@ -840,28 +821,13 @@ pub fn decode_response(frame: &[u8]) -> CodecResult<(u64, Response)> {
             report_json: r.get_str("report json")?,
             cases: r.get_u64("report cases")?,
         }),
-        k if k == RESPONSE_BIT | KIND_STATS => Response::Stats(StatsSnapshot {
-            requests: r.get_u64("stats")?,
-            rows: r.get_u64("stats")?,
-            batches: r.get_u64("stats")?,
-            coalesced_batches: r.get_u64("stats")?,
-            errors: r.get_u64("stats")?,
-            busy_rejections: r.get_u64("stats")?,
-            diagnoses: r.get_u64("stats")?,
-            probe_trainings: r.get_u64("stats")?,
-            repairs: r.get_u64("stats")?,
-            swaps: r.get_u64("stats")?,
-            expired: r.get_u64("stats")?,
-            worker_panics: r.get_u64("stats")?,
-            rollbacks: r.get_u64("stats")?,
-            conn_rejections: r.get_u64("stats")?,
-            active_connections: r.get_u64("stats")?,
-            conns_accepted: r.get_u64("stats")?,
-            conns_closed: r.get_u64("stats")?,
-            outbound_hwm_bytes: r.get_u64("stats")?,
-            loop_wakeups: r.get_u64("stats")?,
-            accept_backoffs: r.get_u64("stats")?,
-        }),
+        k if k == RESPONSE_BIT | KIND_STATS => {
+            let mut values = [0u64; 20];
+            for value in &mut values {
+                *value = r.get_u64("stats")?;
+            }
+            Response::Stats(stats_from_values(&values))
+        }
         k if k == RESPONSE_BIT | KIND_REPAIR => {
             let plan = r.get_str("repair plan")?;
             let cases = r.get_u64("repair cases")?;

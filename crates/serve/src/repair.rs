@@ -56,33 +56,6 @@ use crate::registry::{DiagnosisContext, ModelEntry, ModelId, VersionPin};
 use crate::server::ServerShared;
 use crate::sync::LockRecover;
 
-/// Where the server's staged engine keeps repair artifacts.
-#[derive(Debug, Clone, Default)]
-pub enum ArtifactBackend {
-    /// No caching: every repair retrains.
-    Disabled,
-    /// Process-local cache (the default): identical repairs of the same
-    /// model retrain once per server lifetime.
-    #[default]
-    Memory,
-    /// On-disk cache rooted at the given directory: identical repairs
-    /// retrain once across restarts.
-    Disk(std::path::PathBuf),
-}
-
-impl ArtifactBackend {
-    fn open(&self) -> ArtifactStore {
-        match self {
-            ArtifactBackend::Disabled => ArtifactStore::disabled(),
-            ArtifactBackend::Memory => ArtifactStore::in_memory(),
-            // Falling back to a disabled store only costs recomputation.
-            ArtifactBackend::Disk(dir) => {
-                ArtifactStore::open(dir).unwrap_or_else(|_| ArtifactStore::disabled())
-            }
-        }
-    }
-}
-
 /// A memoized diagnosis session, valid for exactly one model version.
 struct CachedSession {
     /// Content fingerprint of the model version the session instruments.
@@ -103,15 +76,17 @@ pub(crate) struct RepairState {
     /// Serializes repairs of one model; a second concurrent repair gets a
     /// typed error instead of retraining the same thing twice.
     locks: Vec<Mutex<()>>,
+    /// Caches repair executions in process memory, so an identical
+    /// repair of an unchanged model retrains once per server lifetime.
     engine: StagedEngine,
 }
 
 impl RepairState {
-    pub(crate) fn new(slots: usize, backend: &ArtifactBackend) -> Self {
+    pub(crate) fn new(slots: usize) -> Self {
         RepairState {
             sessions: (0..slots).map(|_| Mutex::new(None)).collect(),
             locks: (0..slots).map(|_| Mutex::new(())).collect(),
-            engine: StagedEngine::new(backend.open()),
+            engine: StagedEngine::new(ArtifactStore::in_memory()),
         }
     }
 }

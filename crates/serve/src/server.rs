@@ -24,10 +24,9 @@ use crate::admin::AdminPool;
 use crate::batch::{BatchConfig, Scheduler, ServeStats};
 use crate::cases::LiveCases;
 use crate::error::{ServeError, ServeResult};
-use crate::event_loop::{start_loop, LoopState};
-use crate::protocol::MAX_FRAME_BYTES;
+use crate::event_loop::{start_loop, LoopState, IO_THREADS};
 use crate::registry::ModelRegistry;
-use crate::repair::{self, ArtifactBackend, PromoteResponse, RepairState};
+use crate::repair::{self, PromoteResponse, RepairState};
 use deepmorph_nn::prelude::Precision;
 
 /// Listen backlog requested on the bound socket. `TcpListener::bind`
@@ -38,6 +37,9 @@ const LISTEN_BACKLOG: u32 = 4096;
 /// `RLIMIT_NOFILE` target requested at first server start.
 const NOFILE_TARGET: u64 = 1 << 20;
 
+/// Per-model cap on retained misclassified cases for live diagnosis.
+const MAX_LIVE_CASES: usize = 256;
+
 /// Server construction knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -46,33 +48,13 @@ pub struct ServerConfig {
     pub addr: String,
     /// Micro-batching configuration.
     pub batch: BatchConfig,
-    /// Per-model cap on retained misclassified cases for live diagnosis.
-    pub max_live_cases: usize,
     /// DeepMorph configuration used by the diagnose and repair endpoints.
     pub deepmorph: DeepMorphConfig,
-    /// Where repair executions are cached (default: in-memory, so an
-    /// identical repair of an unchanged model retrains nothing).
-    pub artifacts: ArtifactBackend,
     /// Cap on simultaneously live connections; a connection beyond it is
     /// answered with one typed overloaded error frame and closed, so
     /// clients can tell admission rejection from a network failure (and
     /// their backoff policy treats it as retryable).
     pub max_connections: usize,
-    /// Version retention for directory-backed registries: keep at most
-    /// this many *superseded* versions per model on disk, garbage-
-    /// collecting the oldest after each publish (versions pinned by an
-    /// in-flight diagnosis session are never collected). `None` (the
-    /// default) keeps everything, exactly as before this knob existed.
-    pub retain_versions: Option<usize>,
-    /// Event-loop I/O threads. Each owns one epoll instance and a
-    /// round-robin share of the connections; loops never compute, so a
-    /// small fixed pool carries tens of thousands of sockets.
-    pub io_threads: usize,
-    /// Hard cap on one connection's buffered outbound bytes. A peer
-    /// that stops reading past it is disconnected (reads pause much
-    /// earlier, at the soft watermark). Clamped to at least one
-    /// maximum-size frame so a legitimate response can always buffer.
-    pub max_outbound_bytes: usize,
 }
 
 impl Default for ServerConfig {
@@ -80,16 +62,11 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             batch: BatchConfig::default(),
-            max_live_cases: 256,
             deepmorph: DeepMorphConfig {
                 max_faulty_cases: 256,
                 ..DeepMorphConfig::default()
             },
-            artifacts: ArtifactBackend::default(),
             max_connections: 1024,
-            retain_versions: None,
-            io_threads: 2,
-            max_outbound_bytes: 32 << 20,
         }
     }
 }
@@ -105,9 +82,6 @@ pub(crate) struct ServerShared {
     pub(crate) deepmorph: DeepMorphConfig,
     pub(crate) repair: RepairState,
     pub(crate) max_connections: usize,
-    /// Per-connection outbound buffer cap (see
-    /// [`ServerConfig::max_outbound_bytes`]).
-    pub(crate) max_outbound: usize,
     pub(crate) shutdown: AtomicBool,
     /// The event loops' cross-thread faces (wakers, dirty sets, accept
     /// inboxes), indexed by loop.
@@ -139,7 +113,8 @@ impl Server {
     /// Binds, spawns the scheduler workers and the I/O event loops, and
     /// returns immediately. The first start in a process also raises
     /// `RLIMIT_NOFILE` as far as the kernel allows and logs the
-    /// effective cap.
+    /// effective cap. The registry keeps its retention policy
+    /// ([`ModelRegistry::set_retention`]).
     ///
     /// # Errors
     ///
@@ -160,7 +135,6 @@ impl Server {
             Ok(cap) => eprintln!("deepmorph-serve: RLIMIT_NOFILE effective soft limit = {cap}"),
             Err(e) => eprintln!("deepmorph-serve: could not raise RLIMIT_NOFILE: {e}"),
         });
-        registry.set_retention(config.retain_versions);
         let registry = Arc::new(registry);
         let stats = Arc::new(ServeStats::default());
         let scheduler = Arc::new(Scheduler::new(
@@ -172,7 +146,7 @@ impl Server {
             .ids()
             .map(|id| {
                 let mut cases =
-                    LiveCases::new(registry.current(id).spec.input_shape, config.max_live_cases);
+                    LiveCases::new(registry.current(id).spec.input_shape, MAX_LIVE_CASES);
                 // Align the buffer with the slot's current epoch. Today
                 // every slot starts at epoch 0 (epochs are per-process,
                 // not persisted), so this is a no-op kept so the pairing
@@ -181,11 +155,11 @@ impl Server {
                 Arc::new(Mutex::new(cases))
             })
             .collect();
-        let repair = RepairState::new(registry.len(), &config.artifacts);
+        let repair = RepairState::new(registry.len());
         let listener = TcpListener::bind(&config.addr)?;
         let _ = deepmorph_net::boost_listen_backlog(&listener, LISTEN_BACKLOG);
         let local_addr = listener.local_addr()?;
-        let loops = (0..config.io_threads.max(1))
+        let loops = (0..IO_THREADS)
             .map(|_| LoopState::new().map(Arc::new))
             .collect::<std::io::Result<Vec<_>>>()?;
         let shared = Arc::new(ServerShared {
@@ -196,7 +170,6 @@ impl Server {
             deepmorph: config.deepmorph,
             repair,
             max_connections: config.max_connections.max(1),
-            max_outbound: config.max_outbound_bytes.max(MAX_FRAME_BYTES + 4),
             shutdown: AtomicBool::new(false),
             loops,
             admin: AdminPool::default(),
@@ -288,5 +261,24 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use deepmorph_models::{build_model, ModelFamily, ModelScale, ModelSpec};
+    use deepmorph_tensor::init::stream_rng;
+
+    #[test]
+    fn start_keeps_the_registry_retention() {
+        let spec = ModelSpec::new(ModelFamily::LeNet, ModelScale::Tiny, [1, 16, 16], 10);
+        let mut model = build_model(&spec, &mut stream_rng(1, "server-test")).unwrap();
+        let mut registry = ModelRegistry::new();
+        registry.register("m", &mut model, None).unwrap();
+        registry.set_retention(Some(1));
+        let server = Server::start(registry, ServerConfig::default()).unwrap();
+        assert_eq!(server.shared.registry.retention(), Some(1));
+        server.shutdown();
     }
 }

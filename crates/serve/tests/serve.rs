@@ -109,7 +109,6 @@ fn scheduler_batched_outputs_equal_solo_outputs_bitwise() {
         BatchConfig {
             max_batch: 1,
             workers: 1,
-            ..BatchConfig::default()
         },
         Arc::new(ServeStats::default()),
     );
@@ -130,7 +129,6 @@ fn scheduler_batched_outputs_equal_solo_outputs_bitwise() {
         BatchConfig {
             max_batch: n,
             workers: 1,
-            ..BatchConfig::default()
         },
         Arc::clone(&stats),
     );
@@ -275,7 +273,6 @@ fn tcp_batched_responses_equal_solo_responses_bitwise() {
             batch: BatchConfig {
                 max_batch: 1,
                 workers: 1,
-                ..BatchConfig::default()
             },
             ..ServerConfig::default()
         },
@@ -303,7 +300,6 @@ fn tcp_batched_responses_equal_solo_responses_bitwise() {
             batch: BatchConfig {
                 max_batch: n,
                 workers: 1,
-                ..BatchConfig::default()
             },
             ..ServerConfig::default()
         },

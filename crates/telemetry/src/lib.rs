@@ -190,23 +190,6 @@ impl Counter {
     }
 }
 
-/// A relaxed last-write-wins gauge.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Sets the gauge (relaxed).
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value (relaxed).
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// The per-request pipeline stages the serving stack instruments, in
 /// request order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,18 +1,19 @@
 //! Pluggable compute backends behind one typed kernel API.
 //!
-//! Every dense product in the workspace — the matmul family, the im2col'd
-//! convolution, and the elementwise activation/bias kernels — dispatches
-//! through the [`Backend`] trait. The descriptor every backend consumes is
-//! a [`GemmSpec`]: dimensions plus per-operand [`MatLayout`]s and a
-//! fan-out hint, replacing the historical `(a_transposed, b_transposed)`
-//! boolean-flag call surface. The raw kernel entry points are private to
-//! this crate; [`Tensor`]'s `matmul*` methods and
-//! [`ComputeCtx`] are the only ways in.
+//! Every f32 dense product in the workspace — the dense and convolution
+//! layers' forward and backward GEMMs, and the DeepMorph probes' softmax
+//! regressions — enters through [`ComputeCtx::matmul`],
+//! [`ComputeCtx::matmul_nt`] or [`ComputeCtx::matmul_tn`], which validate
+//! the tensor shapes, build a [`GemmSpec`] and call the context's
+//! [`Backend::gemm`]. The spec carries the dimensions, a per-operand
+//! [`MatLayout`] and a fan-out hint. `Backend::gemm` is the only kernel
+//! hook; elementwise work (ReLU, bias rows) stays in the layers, and
+//! quantized serving replicas run their own integer kernel ([`quant`]).
 //!
-//! Three implementations exist:
+//! Two implementations exist:
 //!
 //! * [`ScalarBackend`] — the default and the **bitwise reference**. It is
-//!   the PR 2 cache-blocked, B-panel-packed kernel with the pinned
+//!   the cache-blocked, B-panel-packed kernel with the pinned
 //!   per-element accumulation order; every determinism digest in
 //!   `tests/determinism.rs` is defined against it, and it is selected
 //!   everywhere unless a caller explicitly asks for something else.
@@ -22,23 +23,19 @@
 //!   FMA with per-tile partial sums), so results match the scalar backend
 //!   to documented ULP bounds, not bitwise — see
 //!   `crates/tensor/tests/backend_conformance.rs`.
-//! * Elementwise ops (`relu_inplace`, `bias_add_rows`) are pure per-element
-//!   maps: every backend produces bitwise-identical results for them by
-//!   construction.
 //!
 //! # Selection
 //!
 //! Nothing is implicit: [`ComputeCtx`] carries the chosen backend handle
-//! (plus workspace access) and is threaded explicitly through
-//! `Graph`/`Trainer`/the serve scheduler. [`ComputeCtx::default`] is the
-//! scalar backend, so a build with `--features simd` is still
-//! bitwise-unchanged until a caller opts a context in via
-//! [`ComputeCtx::auto`], [`select`], or `DEEPMORPH_BACKEND`.
+//! and is threaded explicitly through `Graph`/`Trainer`/the serve
+//! scheduler. [`ComputeCtx::default`] is the scalar backend, so a build
+//! with `--features simd` is still bitwise-unchanged until a caller opts a
+//! context in via [`ComputeCtx::auto`] or [`ComputeCtx::for_kind`].
 
 use std::sync::Arc;
 use std::sync::OnceLock;
 
-use crate::workspace::{self, Workspace};
+use crate::workspace;
 use crate::{Tensor, TensorError};
 
 pub mod quant;
@@ -176,7 +173,7 @@ impl GemmSpec {
     }
 }
 
-/// A compute backend: the kernels behind every layer forward/backward.
+/// A compute backend: the GEMM kernel behind every dense product.
 ///
 /// Implementations must be `Send + Sync` — one handle is shared across
 /// serving workers and training threads. See the module docs for the
@@ -191,55 +188,13 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     ///
     /// Panics if slice lengths disagree with the spec.
     fn gemm(&self, spec: &GemmSpec, a: &[f32], b: &[f32], out: &mut [f32]);
-
-    /// The im2col'd convolution product: `cols[m, k] @ weight[n, k]ᵀ`,
-    /// where `m = batch · output positions`, `k` is the patch length, and
-    /// `n` the output channels. Default: exactly [`Backend::gemm`] with an
-    /// `nt` spec — the lowering *is* a GEMM; a backend only overrides this
-    /// to fuse packing with the gather.
-    fn conv_cols_gemm(&self, spec: &GemmSpec, cols: &[f32], weight: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(
-            spec.rhs,
-            MatLayout::Transposed,
-            "conv weight is [out_c, patch]"
-        );
-        self.gemm(spec, cols, weight, out);
-    }
-
-    /// Elementwise `x[i] = max(x[i], 0)`. Pure per-element map: every
-    /// backend is bitwise-identical here.
-    fn relu_inplace(&self, x: &mut [f32]) {
-        for v in x.iter_mut() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
-    }
-
-    /// Adds `bias` to every `bias.len()`-sized row of `x`. Pure
-    /// per-element map: every backend is bitwise-identical here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` is not a multiple of `bias.len()`.
-    fn bias_add_rows(&self, x: &mut [f32], bias: &[f32]) {
-        if bias.is_empty() {
-            return;
-        }
-        assert_eq!(x.len() % bias.len(), 0, "bias_add_rows: ragged rows");
-        for row in x.chunks_exact_mut(bias.len()) {
-            for (v, &b) in row.iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
-    }
 }
 
 /// Shared, cheaply clonable handle to a backend.
 pub type BackendHandle = Arc<dyn Backend>;
 
-/// The default backend: the PR 2 cache-blocked scalar kernel with the
-/// pinned per-element accumulation order. This is the bitwise reference
+/// The default backend: the cache-blocked scalar kernel with the pinned
+/// per-element accumulation order. This is the bitwise reference
 /// every digest and cross-build test is defined against.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ScalarBackend;
@@ -250,39 +205,10 @@ impl Backend for ScalarBackend {
     }
 
     fn gemm(&self, spec: &GemmSpec, a: &[f32], b: &[f32], out: &mut [f32]) {
-        spec.check(a, b, out);
         // Per-shape kernel timing; `None` (one relaxed load) unless
         // telemetry is armed and `DEEPMORPH_KERNEL_TIMING=1`.
         let _timer = deepmorph_telemetry::kernel_timer(spec.m, spec.k, spec.n);
-        use crate::gemm::{gemm_into, GemmOp};
-        match (spec.lhs, spec.rhs) {
-            (MatLayout::RowMajor, MatLayout::RowMajor) => {
-                gemm_into(GemmOp::NN, a, b, out, spec.m, spec.k, spec.n, spec.parallel);
-            }
-            (MatLayout::RowMajor, MatLayout::Transposed) => {
-                gemm_into(GemmOp::NT, a, b, out, spec.m, spec.k, spec.n, spec.parallel);
-            }
-            (MatLayout::Transposed, MatLayout::RowMajor) => {
-                gemm_into(GemmOp::TN, a, b, out, spec.m, spec.k, spec.n, spec.parallel);
-            }
-            (MatLayout::Transposed, MatLayout::Transposed) => {
-                // Never on a hot path (no layer emits it); define it by
-                // materializing the lhs row-major, then running the NT
-                // reference kernel — semantics documented on `GemmSpec`.
-                let packed = crate::gemm::pack_a_transposed(a, spec.m, spec.k);
-                gemm_into(
-                    GemmOp::NT,
-                    &packed,
-                    b,
-                    out,
-                    spec.m,
-                    spec.k,
-                    spec.n,
-                    spec.parallel,
-                );
-                workspace::recycle(packed);
-            }
-        }
+        crate::gemm::gemm_into(spec, a, b, out);
     }
 }
 
@@ -305,19 +231,6 @@ pub enum BackendKind {
     /// The fastest backend available: SIMD when compiled + detected,
     /// scalar otherwise.
     Auto,
-}
-
-impl BackendKind {
-    /// Parses `"scalar"` / `"simd"` / `"auto"` (used by
-    /// `DEEPMORPH_BACKEND` and CLI flags).
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Some(BackendKind::Scalar),
-            "simd" => Some(BackendKind::Simd),
-            "auto" => Some(BackendKind::Auto),
-            _ => None,
-        }
-    }
 }
 
 /// Resolves a [`BackendKind`] to a concrete handle. `Simd`/`Auto` fall
@@ -359,8 +272,8 @@ pub fn simd_with_tuning(t: tune::GemmTuning) -> Option<BackendHandle> {
     simd::SimdBackend::new(t).map(|b| Arc::new(b) as BackendHandle)
 }
 
-/// Explicit compute context: the backend handle a graph/trainer/scheduler
-/// runs its kernels on, plus access to the per-thread scratch workspace.
+/// Explicit compute context: the backend handle a graph, trainer, probe
+/// or scheduler runs its dense products on.
 ///
 /// Contexts are cheap to clone (one `Arc` bump) and are threaded
 /// explicitly — a `Graph` owns one, the serve scheduler hands one to each
@@ -390,26 +303,11 @@ impl ComputeCtx {
         }
     }
 
-    /// A context on an explicit backend handle.
-    pub fn with_backend(backend: BackendHandle) -> Self {
-        ComputeCtx { backend }
-    }
-
     /// A context resolved from a [`BackendKind`].
     pub fn for_kind(kind: BackendKind) -> Self {
         ComputeCtx {
             backend: select(kind),
         }
-    }
-
-    /// A context from the `DEEPMORPH_BACKEND` environment variable
-    /// (`scalar` | `simd` | `auto`; unset or unknown = scalar).
-    pub fn from_env() -> Self {
-        let kind = std::env::var("DEEPMORPH_BACKEND")
-            .ok()
-            .and_then(|v| BackendKind::parse(&v))
-            .unwrap_or_default();
-        ComputeCtx::for_kind(kind)
     }
 
     /// The backend handle.
@@ -422,15 +320,11 @@ impl ComputeCtx {
         self.backend.name()
     }
 
-    /// Runs `f` with the calling thread's scratch [`Workspace`] — the
-    /// context's explicit door to the arena every kernel draws buffers
-    /// from (one arena per thread; see [`crate::workspace`]).
-    pub fn with_workspace<R>(&self, f: impl FnOnce(&mut Workspace) -> R) -> R {
-        workspace::with(f)
-    }
-
-    /// `A @ B` on this context's backend (shapes as
-    /// [`Tensor::matmul`](crate::Tensor::matmul)).
+    /// `A @ B` for rank-2 `a: [m, k]` and `b: [k, n]`; the `[m, n]`
+    /// result comes from the thread's [`workspace`] arena. Products large
+    /// enough to pay for dispatch fan out over output rows
+    /// ([`GemmSpec::parallel_worthwhile`]); the result is bitwise the same
+    /// either way.
     ///
     /// # Errors
     ///
@@ -440,8 +334,8 @@ impl ComputeCtx {
         self.product(a, b, MatLayout::RowMajor, MatLayout::RowMajor, "matmul")
     }
 
-    /// `A @ Bᵀ` on this context's backend (shapes as
-    /// [`Tensor::matmul_nt`](crate::Tensor::matmul_nt)).
+    /// `A @ Bᵀ` for `a: [m, k]` and `b: [n, k]`, without materializing
+    /// the transpose; otherwise as [`ComputeCtx::matmul`].
     ///
     /// # Errors
     ///
@@ -457,8 +351,8 @@ impl ComputeCtx {
         )
     }
 
-    /// `Aᵀ @ B` on this context's backend (shapes as
-    /// [`Tensor::matmul_tn`](crate::Tensor::matmul_tn)).
+    /// `Aᵀ @ B` for `a: [k, m]` and `b: [k, n]`, without materializing
+    /// the transpose; otherwise as [`ComputeCtx::matmul`].
     ///
     /// # Errors
     ///
@@ -474,6 +368,8 @@ impl ComputeCtx {
         )
     }
 
+    /// Validates ranks and inner dimensions for the given operand
+    /// layouts, then runs the product on this context's backend.
     fn product(
         &self,
         a: &Tensor,
@@ -482,7 +378,23 @@ impl ComputeCtx {
         rhs: MatLayout,
         op: &'static str,
     ) -> Result<Tensor, TensorError> {
-        let spec = a.gemm_spec(b, lhs, rhs, op)?.parallel_worthwhile();
+        a.expect_rank(2, op)?;
+        b.expect_rank(2, op)?;
+        let (m, k) = match lhs {
+            MatLayout::RowMajor => (a.shape()[0], a.shape()[1]),
+            MatLayout::Transposed => (a.shape()[1], a.shape()[0]),
+        };
+        let (k2, n) = match rhs {
+            MatLayout::RowMajor => (b.shape()[0], b.shape()[1]),
+            MatLayout::Transposed => (b.shape()[1], b.shape()[0]),
+        };
+        if k != k2 {
+            return Err(TensorError::MatmulDimMismatch {
+                lhs: [m, k],
+                rhs: [k2, n],
+            });
+        }
+        let spec = GemmSpec::with_layouts(m, k, n, lhs, rhs).parallel_worthwhile();
         let mut out = workspace::tensor_zeroed(&[spec.m, spec.n]);
         self.backend.gemm(&spec, a.data(), b.data(), out.data_mut());
         Ok(out)
@@ -522,7 +434,7 @@ mod tests {
             Tensor::from_vec((0..12).map(|v| v as f32 * 0.37 - 1.0).collect(), &[3, 4]).unwrap();
         let b =
             Tensor::from_vec((0..20).map(|v| (v as f32 * 0.11).sin()).collect(), &[4, 5]).unwrap();
-        let via_tensor = a.matmul(&b).unwrap();
+        let via_tensor = ComputeCtx::default().matmul(&a, &b).unwrap();
         let mut out = vec![0.0f32; 15];
         scalar().gemm(&GemmSpec::nn(3, 4, 5), a.data(), b.data(), &mut out);
         assert_eq!(via_tensor.data(), &out[..]);
@@ -555,24 +467,7 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_defaults() {
-        let mut x = vec![-1.0f32, 0.0, 2.5, -0.0];
-        ScalarBackend.relu_inplace(&mut x);
-        assert_eq!(x, vec![0.0, 0.0, 2.5, -0.0]);
-
-        let mut y = vec![1.0f32, 2.0, 3.0, 4.0];
-        ScalarBackend.bias_add_rows(&mut y, &[10.0, 20.0]);
-        assert_eq!(y, vec![11.0, 22.0, 13.0, 24.0]);
-        ScalarBackend.bias_add_rows(&mut y, &[]);
-        assert_eq!(y, vec![11.0, 22.0, 13.0, 24.0]);
-    }
-
-    #[test]
-    fn kind_parsing_and_selection_fall_back_to_scalar() {
-        assert_eq!(BackendKind::parse("Scalar"), Some(BackendKind::Scalar));
-        assert_eq!(BackendKind::parse("SIMD"), Some(BackendKind::Simd));
-        assert_eq!(BackendKind::parse("auto"), Some(BackendKind::Auto));
-        assert_eq!(BackendKind::parse("gpu"), None);
+    fn kind_selection_falls_back_to_scalar() {
         assert_eq!(select(BackendKind::Scalar).name(), "scalar");
         // Simd/Auto resolve to *something* valid on every build.
         let name = select(BackendKind::Auto).name();
@@ -588,12 +483,11 @@ mod tests {
         let c = ctx.matmul(&a, &b).unwrap();
         assert_eq!(c.data(), a.data());
         let nt = ctx.matmul_nt(&a, &b).unwrap();
-        assert_eq!(nt.data(), a.matmul_nt(&b).unwrap().data());
+        assert_eq!(nt.data(), a.data());
         let tn = ctx.matmul_tn(&a, &b).unwrap();
-        assert_eq!(tn.data(), a.matmul_tn(&b).unwrap().data());
+        assert_eq!(tn.data(), &[1.0, 3.0, 2.0, 4.0]);
         assert!(ctx.matmul(&a, &Tensor::ones(&[3, 2])).is_err());
-        ctx.with_workspace(|ws| {
-            let _ = ws.stats();
-        });
+        assert!(ctx.matmul_nt(&a, &Tensor::ones(&[2, 3])).is_err());
+        assert!(ctx.matmul_tn(&a, &Tensor::ones(&[3, 2])).is_err());
     }
 }

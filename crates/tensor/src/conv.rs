@@ -727,6 +727,7 @@ pub fn global_avg_pool_backward(grad: &Tensor, h: usize, w: usize) -> Result<Ten
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::ComputeCtx;
 
     fn seq_tensor(shape: &[usize]) -> Tensor {
         let len: usize = shape.iter().product();
@@ -805,7 +806,7 @@ mod tests {
         let g = Conv2dGeometry::new(1, 1, 4, 4, 2, 2, 1, 0).unwrap();
         let cols = im2col(&x, &g).unwrap();
         let wf = w.reshape(&[1, 4]).unwrap();
-        let out = cols.matmul_nt(&wf).unwrap(); // [9, 1]
+        let out = ComputeCtx::default().matmul_nt(&cols, &wf).unwrap(); // [9, 1]
 
         // Direct: out[y][x] = x[y][x] - x[y+1][x+1] = -5 for this ramp.
         for v in out.data() {

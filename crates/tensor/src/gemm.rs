@@ -1,11 +1,12 @@
 //! Unified cache-blocked, B-panel-packed GEMM.
 //!
-//! One kernel computes all three products the network needs — `A·B`,
-//! `A·Bᵀ`, and `Aᵀ·B` — parameterized by [`GemmOp`]. Operands that would
-//! be walked with a stride are first packed into contiguous workspace
-//! buffers ([`crate::workspace`]): `Aᵀ` for [`GemmOp::TN`], `Bᵀ` for
-//! [`GemmOp::NT`], and wide `B` matrices into cache-sized column panels.
-//! After packing, every variant runs the same inner loop.
+//! One kernel computes every product a [`GemmSpec`] describes — `A·B`,
+//! `A·Bᵀ`, `Aᵀ·B`, and the double-transposed `Aᵀ·Bᵀ`. Operands that
+//! would be walked with a stride are first packed into contiguous
+//! workspace buffers ([`crate::workspace`]): a transposed lhs into
+//! row-major `A`, a transposed rhs into `Bᵀ` column panels, and wide
+//! row-major `B` matrices into cache-sized column panels. After packing,
+//! every layout runs the same inner loop.
 //!
 //! # Determinism contract
 //!
@@ -14,78 +15,52 @@
 //!
 //! * every output element accumulates its `k` terms with `p` ascending, as
 //!   a single dependent add chain;
-//! * [`GemmOp::NN`] and [`GemmOp::TN`] skip terms whose `A` coefficient is
-//!   exactly `0.0` (matching the historical reference kernels — skipping
-//!   is *not* a pure optimization, it changes `-0.0` and `NaN`/`inf`
-//!   propagation); [`GemmOp::NT`] never skips (its reference was a plain
-//!   dot product);
+//! * products with a row-major rhs skip terms whose `A` coefficient is
+//!   exactly `0.0` ([`GemmSpec::skips_zero_lhs`]; skipping is *not* a pure
+//!   optimization, it changes `-0.0` and `NaN`/`inf` propagation);
+//!   products with a transposed rhs never skip;
 //! * the 4-step unrolled chain `(((o + a₀x₀) + a₁x₁) + a₂x₂) + a₃x₃`
 //!   performs the same adds in the same order as four single steps;
 //! * parallelism only changes which thread computes an output row, never
 //!   the order of operations within one.
 
+use crate::backend::{GemmSpec, MatLayout};
 use crate::workspace;
-
-/// Which operand, if any, the product uses transposed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GemmOp {
-    /// `out = A[m,k] · B[k,n]`, skipping zero `A` coefficients.
-    NN,
-    /// `out = A[m,k] · B[n,k]ᵀ`, no zero skipping.
-    NT,
-    /// `out = A[k,m]ᵀ · B[k,n]`, skipping zero `A` coefficients.
-    TN,
-}
 
 /// Panel width (output columns) processed per cache block. One output
 /// segment plus four packed `B` rows of this width stay inside L1.
 const PANEL: usize = 512;
 
-/// Accumulates the selected product into `out` (`m · n`, caller-zeroed for
-/// a plain product).
+/// Accumulates the product `spec` describes into `out` (`m · n`,
+/// caller-zeroed for a plain product).
 ///
-/// `a` and `b` are row-major with the shapes implied by `op`; `parallel`
-/// requests fan-out over output rows (honored only when the `parallel`
-/// feature is active, enough threads exist, and the product is large
-/// enough to pay for dispatch — smaller products run inline).
+/// `spec.parallel` requests fan-out over output rows (honored only when
+/// the `parallel` feature is active and enough threads exist — otherwise
+/// the rows run inline).
 ///
 /// # Panics
 ///
-/// Panics if slice lengths disagree with `(m, k, n)` and `op`.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_into(
-    op: GemmOp,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    parallel: bool,
-) {
-    assert_eq!(a.len(), m * k, "gemm: lhs length");
-    assert_eq!(b.len(), k * n, "gemm: rhs length");
-    assert_eq!(out.len(), m * n, "gemm: out length");
+/// Panics if slice lengths disagree with the spec ([`GemmSpec::check`]).
+pub(crate) fn gemm_into(spec: &GemmSpec, a: &[f32], b: &[f32], out: &mut [f32]) {
+    spec.check(a, b, out);
+    let (m, k, n) = (spec.m, spec.k, spec.n);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
 
     // Pack strided operands into contiguous workspace buffers.
-    let a_packed = match op {
-        GemmOp::TN => Some(pack_a_transposed(a, m, k)),
-        _ => None,
-    };
+    let a_packed = (spec.lhs == MatLayout::Transposed).then(|| pack_a_transposed(a, m, k));
     let a_eff: &[f32] = a_packed.as_deref().unwrap_or(a);
 
-    let b_packed = match op {
-        GemmOp::NT => Some(pack_b_panels_transposed(b, k, n)),
+    let b_packed = match spec.rhs {
+        MatLayout::Transposed => Some(pack_b_panels_transposed(b, k, n)),
         // Row-major B is already a single contiguous panel when it fits.
-        GemmOp::NN | GemmOp::TN if n > PANEL => Some(pack_b_panels(b, k, n)),
-        _ => None,
+        MatLayout::RowMajor if n > PANEL => Some(pack_b_panels(b, k, n)),
+        MatLayout::RowMajor => None,
     };
     let b_eff: &[f32] = b_packed.as_deref().unwrap_or(b);
 
-    let skip_zero = op != GemmOp::NT;
+    let skip_zero = spec.skips_zero_lhs();
     let row = |i: usize, out_row: &mut [f32]| {
         let a_row = &a_eff[i * k..(i + 1) * k];
         let mut j0 = 0;
@@ -97,7 +72,7 @@ pub fn gemm_into(
         }
     };
 
-    if parallel {
+    if spec.parallel {
         // Grain 0: the caller already decided this product is worth
         // fanning out; `for_chunks_mut` still falls back to the serial
         // loop when the feature is off or no extra threads exist.
@@ -162,7 +137,7 @@ fn accumulate_panel(a_row: &[f32], panel: &[f32], out_seg: &mut [f32], w: usize,
 /// Packs `a` (`[k, m]` row-major) as `Aᵀ` (`[m, k]` row-major) into a
 /// workspace buffer. Source rows stream; the `m` destination rows being
 /// interleaved stay within a few open cache lines.
-pub(crate) fn pack_a_transposed(a: &[f32], m: usize, k: usize) -> Vec<f32> {
+fn pack_a_transposed(a: &[f32], m: usize, k: usize) -> Vec<f32> {
     let mut dst = workspace::take_raw(m * k);
     for p in 0..k {
         let src_row = &a[p * m..(p + 1) * m];
@@ -236,22 +211,23 @@ mod tests {
 
     /// Independent per-element reference with the documented order and
     /// skip semantics.
-    fn naive(op: GemmOp, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    fn naive(spec: &GemmSpec, a: &[f32], b: &[f32]) -> Vec<f32> {
+        let (m, k, n) = (spec.m, spec.k, spec.n);
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0f32;
                 for p in 0..k {
-                    let av = match op {
-                        GemmOp::TN => a[p * m + i],
-                        _ => a[i * k + p],
+                    let av = match spec.lhs {
+                        MatLayout::Transposed => a[p * m + i],
+                        MatLayout::RowMajor => a[i * k + p],
                     };
-                    if op != GemmOp::NT && av == 0.0 {
+                    if spec.skips_zero_lhs() && av == 0.0 {
                         continue;
                     }
-                    let bv = match op {
-                        GemmOp::NT => b[j * k + p],
-                        _ => b[p * n + j],
+                    let bv = match spec.rhs {
+                        MatLayout::Transposed => b[j * k + p],
+                        MatLayout::RowMajor => b[p * n + j],
                     };
                     acc += av * bv;
                 }
@@ -263,6 +239,7 @@ mod tests {
 
     #[test]
     fn matches_naive_reference_bitwise() {
+        use MatLayout::{RowMajor, Transposed};
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
             (3, 5, 7),
@@ -271,7 +248,13 @@ mod tests {
             (4, 6, PANEL + 3), // exercises the panel split
             (2, 70, 2 * PANEL + 1),
         ] {
-            for op in [GemmOp::NN, GemmOp::NT, GemmOp::TN] {
+            for (lhs, rhs) in [
+                (RowMajor, RowMajor),
+                (RowMajor, Transposed),
+                (Transposed, RowMajor),
+                (Transposed, Transposed),
+            ] {
+                let spec = GemmSpec::with_layouts(m, k, n, lhs, rhs);
                 for zeros in [false, true] {
                     let mut a = synth(m * k, 1);
                     let mut b = synth(k * n, 2);
@@ -279,13 +262,13 @@ mod tests {
                         a = with_zeros(a);
                         b = with_zeros(b);
                     }
-                    let expect = naive(op, &a, &b, m, k, n);
+                    let expect = naive(&spec, &a, &b);
                     for parallel in [false, true] {
                         let mut out = vec![0.0f32; m * n];
-                        gemm_into(op, &a, &b, &mut out, m, k, n, parallel);
+                        gemm_into(&spec.parallel(parallel), &a, &b, &mut out);
                         assert_eq!(
                             out, expect,
-                            "{op:?} {m}x{k}x{n} zeros={zeros} parallel={parallel}"
+                            "{lhs:?}/{rhs:?} {m}x{k}x{n} zeros={zeros} parallel={parallel}"
                         );
                     }
                 }
@@ -296,9 +279,9 @@ mod tests {
     #[test]
     fn empty_dims_are_no_ops() {
         let mut out = vec![1.0f32; 0];
-        gemm_into(GemmOp::NN, &[], &[], &mut out, 0, 0, 0, false);
+        gemm_into(&GemmSpec::nn(0, 0, 0), &[], &[], &mut out);
         let mut out = vec![0.0f32; 4];
-        gemm_into(GemmOp::NN, &[], &[], &mut out, 2, 0, 2, false);
+        gemm_into(&GemmSpec::nn(2, 0, 2), &[], &[], &mut out);
         assert_eq!(out, vec![0.0; 4]);
     }
 
@@ -307,7 +290,7 @@ mod tests {
         let a = vec![1.0f32, 2.0];
         let b = vec![3.0f32, 4.0];
         let mut out = vec![10.0f32];
-        gemm_into(GemmOp::NN, &a, &b, &mut out, 1, 2, 1, false);
+        gemm_into(&GemmSpec::nn(1, 2, 1), &a, &b, &mut out);
         assert_eq!(out, vec![10.0 + 3.0 + 8.0]);
     }
 }

@@ -5,17 +5,16 @@
 //! workspace builds on. It provides:
 //!
 //! * [`Tensor`] — a contiguous, row-major, `f32` n-dimensional array with
-//!   elementwise arithmetic, matrix multiplication, reductions, and
-//!   softmax/log-softmax.
+//!   elementwise arithmetic, reductions, and softmax/log-softmax.
 //! * [`conv`] — `im2col`/`col2im` and pooling kernels used by the
 //!   convolution layers in `deepmorph-nn`.
-//! * [`backend`] — the pluggable compute seam: a [`backend::Backend`]
-//!   trait every dense product dispatches through, with the cache-blocked
-//!   scalar kernel as the bitwise reference, a feature-gated AVX2/FMA
-//!   microkernel (`--features simd`), and the explicit
-//!   [`backend::ComputeCtx`] threaded through graphs and servers. The raw
-//!   kernel entry points are private; [`Tensor::matmul`] and friends are
-//!   the pinned scalar surface.
+//! * [`backend`] — matrix products. [`backend::ComputeCtx`] is the one
+//!   door into a dense product: its `matmul`/`matmul_nt`/`matmul_tn`
+//!   validate shapes and call [`backend::Backend::gemm`], the one kernel
+//!   hook. The cache-blocked scalar kernel is the bitwise reference and
+//!   the default; a feature-gated AVX2/FMA microkernel (`--features
+//!   simd`) is opt-in per context. Contexts are threaded explicitly
+//!   through graphs, probes and servers.
 //! * [`workspace`] — the thread-local scratch arena that keeps the
 //!   conv/matmul hot loop allocation-free after warm-up.
 //! * [`init`] — deterministic weight initialization (uniform, normal,
@@ -31,12 +30,13 @@
 //! # Example
 //!
 //! ```
+//! use deepmorph_tensor::backend::ComputeCtx;
 //! use deepmorph_tensor::Tensor;
 //!
 //! # fn main() -> Result<(), deepmorph_tensor::TensorError> {
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
 //! let b = Tensor::eye(2);
-//! let c = a.matmul(&b)?;
+//! let c = ComputeCtx::default().matmul(&a, &b)?;
 //! assert_eq!(c.data(), a.data());
 //! # Ok(())
 //! # }

@@ -1,7 +1,6 @@
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-use crate::backend::{Backend, GemmSpec, MatLayout, ScalarBackend};
 use crate::shape::{Shape, MAX_RANK};
 use crate::{workspace, Result, TensorError};
 
@@ -727,176 +726,6 @@ impl Tensor {
         }
         Ok(out)
     }
-
-    // ---------------------------------------------------------------------
-    // Matrix multiplication
-    // ---------------------------------------------------------------------
-    //
-    // All entry points below run on the **scalar reference backend**
-    // ([`crate::backend::ScalarBackend`]) with a [`GemmSpec`] describing
-    // dims and operand layouts; the dispatching versions fan rows out over
-    // threads for large products, the `*_serial` versions pin
-    // single-threaded execution (benches and the determinism tests compare
-    // the two). Every variant produces bitwise-identical results because
-    // the reference kernel fixes the per-element accumulation order
-    // regardless of threading. Backend-selectable products live on
-    // [`crate::backend::ComputeCtx`]; these methods *are* the pinned
-    // reference the other backends are tested against.
-
-    /// Matrix product `self @ other` for rank-2 tensors.
-    ///
-    /// The result buffer comes from the thread's [`workspace`] arena.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] or
-    /// [`TensorError::MatmulDimMismatch`].
-    pub fn matmul(&self, other: &Tensor) -> Result<Tensor> {
-        self.reference_product(
-            other,
-            MatLayout::RowMajor,
-            MatLayout::RowMajor,
-            "matmul",
-            true,
-        )
-    }
-
-    /// Single-threaded reference entry point for [`Tensor::matmul`]
-    /// (same kernel, threading pinned off; bitwise identical).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] or
-    /// [`TensorError::MatmulDimMismatch`].
-    pub fn matmul_serial(&self, other: &Tensor) -> Result<Tensor> {
-        self.reference_product(
-            other,
-            MatLayout::RowMajor,
-            MatLayout::RowMajor,
-            "matmul",
-            false,
-        )
-    }
-
-    /// `self @ other.T` without materializing the transpose.
-    ///
-    /// `self` is `[m, k]`, `other` is `[n, k]`; result is `[m, n]`. The
-    /// kernel packs `other`ᵀ into a workspace panel buffer, then runs the
-    /// same inner loop as [`Tensor::matmul`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] or
-    /// [`TensorError::MatmulDimMismatch`].
-    pub fn matmul_nt(&self, other: &Tensor) -> Result<Tensor> {
-        self.reference_product(
-            other,
-            MatLayout::RowMajor,
-            MatLayout::Transposed,
-            "matmul_nt",
-            true,
-        )
-    }
-
-    /// Single-threaded reference entry point for [`Tensor::matmul_nt`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] or
-    /// [`TensorError::MatmulDimMismatch`].
-    pub fn matmul_nt_serial(&self, other: &Tensor) -> Result<Tensor> {
-        self.reference_product(
-            other,
-            MatLayout::RowMajor,
-            MatLayout::Transposed,
-            "matmul_nt",
-            false,
-        )
-    }
-
-    /// `self.T @ other` without materializing the transpose.
-    ///
-    /// `self` is `[k, m]`, `other` is `[k, n]`; result is `[m, n]`. The
-    /// kernel packs `self`ᵀ into a workspace buffer, then runs the same
-    /// inner loop as [`Tensor::matmul`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] or
-    /// [`TensorError::MatmulDimMismatch`].
-    pub fn matmul_tn(&self, other: &Tensor) -> Result<Tensor> {
-        self.reference_product(
-            other,
-            MatLayout::Transposed,
-            MatLayout::RowMajor,
-            "matmul_tn",
-            true,
-        )
-    }
-
-    /// Single-threaded reference entry point for [`Tensor::matmul_tn`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] or
-    /// [`TensorError::MatmulDimMismatch`].
-    pub fn matmul_tn_serial(&self, other: &Tensor) -> Result<Tensor> {
-        self.reference_product(
-            other,
-            MatLayout::Transposed,
-            MatLayout::RowMajor,
-            "matmul_tn",
-            false,
-        )
-    }
-
-    /// Runs the product on the scalar reference backend, with the fan-out
-    /// hint sized by [`GemmSpec::parallel_worthwhile`] or pinned off.
-    fn reference_product(
-        &self,
-        other: &Tensor,
-        lhs: MatLayout,
-        rhs: MatLayout,
-        op: &'static str,
-        dispatch: bool,
-    ) -> Result<Tensor> {
-        let mut spec = self.gemm_spec(other, lhs, rhs, op)?;
-        if dispatch {
-            spec = spec.parallel_worthwhile();
-        }
-        let mut out = workspace::tensor_zeroed(&[spec.m, spec.n]);
-        ScalarBackend.gemm(&spec, &self.data, &other.data, &mut out.data);
-        Ok(out)
-    }
-
-    /// Validates operand ranks/shapes for the matmul family against the
-    /// given operand layouts and returns the corresponding [`GemmSpec`]
-    /// (fan-out hint unset).
-    pub(crate) fn gemm_spec(
-        &self,
-        other: &Tensor,
-        lhs: MatLayout,
-        rhs: MatLayout,
-        op: &'static str,
-    ) -> Result<GemmSpec> {
-        self.expect_rank(2, op)?;
-        other.expect_rank(2, op)?;
-        let (m, k) = match lhs {
-            MatLayout::Transposed => (self.shape()[1], self.shape()[0]),
-            MatLayout::RowMajor => (self.shape()[0], self.shape()[1]),
-        };
-        let (k2, n) = match rhs {
-            MatLayout::Transposed => (other.shape()[1], other.shape()[0]),
-            MatLayout::RowMajor => (other.shape()[0], other.shape()[1]),
-        };
-        if k != k2 {
-            return Err(TensorError::MatmulDimMismatch {
-                lhs: [m, k],
-                rhs: [k2, n],
-            });
-        }
-        Ok(GemmSpec::with_layouts(m, k, n, lhs, rhs))
-    }
 }
 
 impl Default for Tensor {
@@ -957,6 +786,7 @@ impl Mul<f32> for &Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::ComputeCtx;
 
     fn close(a: f32, b: f32) -> bool {
         (a - b).abs() < 1e-5
@@ -995,7 +825,7 @@ mod tests {
     fn matmul_matches_hand_computation() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
         let b = Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], &[3, 2]).unwrap();
-        let c = a.matmul(&b).unwrap();
+        let c = ComputeCtx::default().matmul(&a, &b).unwrap();
         assert_eq!(c.shape(), &[2, 2]);
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
@@ -1005,7 +835,7 @@ mod tests {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[2, 3]);
         assert!(matches!(
-            a.matmul(&b).unwrap_err(),
+            ComputeCtx::default().matmul(&a, &b).unwrap_err(),
             TensorError::MatmulDimMismatch { .. }
         ));
     }
@@ -1014,8 +844,9 @@ mod tests {
     fn matmul_nt_equals_matmul_with_transpose() {
         let a = Tensor::from_vec((0..6).map(|v| v as f32).collect(), &[2, 3]).unwrap();
         let b = Tensor::from_vec((0..12).map(|v| v as f32 * 0.5).collect(), &[4, 3]).unwrap();
-        let via_nt = a.matmul_nt(&b).unwrap();
-        let via_t = a.matmul(&b.transpose().unwrap()).unwrap();
+        let ctx = ComputeCtx::default();
+        let via_nt = ctx.matmul_nt(&a, &b).unwrap();
+        let via_t = ctx.matmul(&a, &b.transpose().unwrap()).unwrap();
         assert_eq!(via_nt, via_t);
     }
 
@@ -1023,8 +854,9 @@ mod tests {
     fn matmul_tn_equals_transpose_then_matmul() {
         let a = Tensor::from_vec((0..6).map(|v| v as f32).collect(), &[3, 2]).unwrap();
         let b = Tensor::from_vec((0..12).map(|v| v as f32 * 0.25).collect(), &[3, 4]).unwrap();
-        let via_tn = a.matmul_tn(&b).unwrap();
-        let via_t = a.transpose().unwrap().matmul(&b).unwrap();
+        let ctx = ComputeCtx::default();
+        let via_tn = ctx.matmul_tn(&a, &b).unwrap();
+        let via_t = ctx.matmul(&a.transpose().unwrap(), &b).unwrap();
         assert_eq!(via_tn, via_t);
     }
 
@@ -1139,8 +971,9 @@ mod tests {
     #[test]
     fn eye_is_matmul_identity() {
         let t = Tensor::from_vec((0..9).map(|v| v as f32).collect(), &[3, 3]).unwrap();
-        assert_eq!(t.matmul(&Tensor::eye(3)).unwrap(), t);
-        assert_eq!(Tensor::eye(3).matmul(&t).unwrap(), t);
+        let ctx = ComputeCtx::default();
+        assert_eq!(ctx.matmul(&t, &Tensor::eye(3)).unwrap(), t);
+        assert_eq!(ctx.matmul(&Tensor::eye(3), &t).unwrap(), t);
     }
 
     #[test]

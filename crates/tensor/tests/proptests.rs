@@ -1,5 +1,6 @@
 //! Property-based tests for the tensor substrate.
 
+use deepmorph_tensor::backend::ComputeCtx;
 use deepmorph_tensor::conv::{self, Conv2dGeometry, PoolGeometry};
 use deepmorph_tensor::{io, stats, Tensor};
 use proptest::prelude::*;
@@ -18,8 +19,9 @@ proptest! {
     fn matmul_identity_left_right(t in tensor_strategy(6)) {
         let rows = t.shape()[0];
         let cols = t.shape()[1];
-        let left = Tensor::eye(rows).matmul(&t).unwrap();
-        let right = t.matmul(&Tensor::eye(cols)).unwrap();
+        let ctx = ComputeCtx::default();
+        let left = ctx.matmul(&Tensor::eye(rows), &t).unwrap();
+        let right = ctx.matmul(&t, &Tensor::eye(cols)).unwrap();
         for (a, b) in left.data().iter().zip(t.data()) {
             prop_assert!((a - b).abs() < 1e-4);
         }
@@ -44,8 +46,13 @@ proptest! {
             (0..k * n).map(|i| ((i as u64 * 11 + seed) % 23) as f32 - 11.0).collect(),
             &[k, n],
         ).unwrap();
-        let lhs = a.matmul(&b.add_tensor(&c).unwrap()).unwrap();
-        let rhs = a.matmul(&b).unwrap().add_tensor(&a.matmul(&c).unwrap()).unwrap();
+        let ctx = ComputeCtx::default();
+        let lhs = ctx.matmul(&a, &b.add_tensor(&c).unwrap()).unwrap();
+        let rhs = ctx
+            .matmul(&a, &b)
+            .unwrap()
+            .add_tensor(&ctx.matmul(&a, &c).unwrap())
+            .unwrap();
         for (x, y) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((x - y).abs() < 1e-2, "{x} vs {y}");
         }
@@ -61,8 +68,11 @@ proptest! {
         } else {
             return Ok(());
         };
-        let ab_t = a.matmul(&b).unwrap().transpose().unwrap();
-        let bt_at = b.transpose().unwrap().matmul(&a.transpose().unwrap()).unwrap();
+        let ctx = ComputeCtx::default();
+        let ab_t = ctx.matmul(&a, &b).unwrap().transpose().unwrap();
+        let bt_at = ctx
+            .matmul(&b.transpose().unwrap(), &a.transpose().unwrap())
+            .unwrap();
         for (x, y) in ab_t.data().iter().zip(bt_at.data()) {
             prop_assert!((x - y).abs() < 1e-3);
         }

@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use deepmorph_nn::prelude::*;
 use deepmorph_telemetry::{Stage, TelemetryConfig, Trace, STAGE_COUNT};
+use deepmorph_tensor::backend::{self, GemmSpec};
 use deepmorph_tensor::init::stream_rng;
 use deepmorph_tensor::{workspace, Tensor};
 
@@ -77,8 +78,8 @@ fn conv_step(layer: &mut Conv2d, x: &Tensor, grad: &Tensor) {
     workspace::recycle_tensor(gx);
 }
 
-fn matmul_step(a: &Tensor, b: &Tensor) {
-    let c = a.matmul(b).unwrap();
+fn matmul_step(ctx: &ComputeCtx, a: &Tensor, b: &Tensor) {
+    let c = ctx.matmul(a, b).unwrap();
     workspace::recycle_tensor(c);
 }
 
@@ -92,13 +93,14 @@ fn warm_conv_step_and_matmul_do_not_allocate() {
     let grad = Tensor::ones(&[64, 16, 16, 16]);
     let a = synth_tensor(&[128, 128], 5);
     let b = synth_tensor(&[128, 128], 6);
+    let ctx = ComputeCtx::default();
 
     // Warm-up: spawns the worker pool (parallel builds), sizes the arena's
     // free lists, and settles optimizer-free layer caches. Two rounds so
     // the cached-cols swap cycle reaches steady state.
     for _ in 0..3 {
         conv_step(&mut layer, &x, &grad);
-        matmul_step(&a, &b);
+        matmul_step(&ctx, &a, &b);
     }
 
     // Measured window: a warm conv forward+backward step.
@@ -113,13 +115,14 @@ fn warm_conv_step_and_matmul_do_not_allocate() {
 
     // Measured window: a warm dispatching matmul (includes the workspace
     // packing buffers and the pooled result).
-    let c = a.matmul(&b).unwrap();
-    workspace::recycle_tensor(c);
+    matmul_step(&ctx, &a, &b);
     let after_matmul = allocations();
     assert_eq!(after_matmul - after_conv, 0, "warm matmul allocated");
 
-    // The serial reference entry point shares the same arena.
-    let c = a.matmul_serial(&b).unwrap();
+    // The same product with fan-out pinned off shares the same arena.
+    let mut c = workspace::tensor_zeroed(&[128, 128]);
+    let serial = GemmSpec::nn(128, 128, 128).parallel(false);
+    backend::scalar().gemm(&serial, a.data(), b.data(), c.data_mut());
     workspace::recycle_tensor(c);
     let after_serial = allocations();
     assert_eq!(

@@ -4,12 +4,13 @@
 //! path: every output element accumulates its terms in the same order; only
 //! the thread that computes it changes. These tests pin that contract:
 //!
-//! 1. kernel-level: the dispatching matmuls equal both their pinned serial
-//!    entry points and an independent naive per-element reference bit for
-//!    bit (the serial entry points share the unified GEMM kernel, so the
-//!    naive reference is what actually pins the accumulation order:
-//!    `p` ascending per element, zero-skip on the `A` coefficient for
-//!    NN/TN, no skip for NT),
+//! 1. kernel-level: for the NN/NT/TN products, `Backend::gemm` with the
+//!    fan-out hint sized by the product (what every `ComputeCtx` product
+//!    dispatches) equals the same call with fan-out pinned off and an
+//!    independent naive per-element reference bit for bit (both calls
+//!    share the unified GEMM kernel, so the naive reference is what
+//!    actually pins the accumulation order: `p` ascending per element,
+//!    zero-skip on the `A` coefficient for NN/TN, no skip for NT),
 //! 2. scenario-level: a fixed-seed LeNet/Digits diagnosis is identical
 //!    run-to-run in one process, and
 //! 3. build-level: the report digest is recorded under `target/` and
@@ -18,6 +19,7 @@
 //!    second run verify the first's digest.
 
 use deepmorph_repro::prelude::*;
+use deepmorph_tensor::backend::{self, GemmSpec};
 use deepmorph_tensor::Tensor;
 
 fn synth(shape: &[usize], salt: u64) -> Tensor {
@@ -44,7 +46,14 @@ fn with_zeros(t: &Tensor) -> Tensor {
     z
 }
 
-/// Independent per-element reference for the whole matmul family: `p`
+/// `spec`'s product on the scalar reference backend, from zero.
+fn scalar_product(spec: GemmSpec, a: &Tensor, b: &Tensor) -> Vec<f32> {
+    let mut out = vec![0.0f32; spec.out_len()];
+    backend::scalar().gemm(&spec, a.data(), b.data(), &mut out);
+    out
+}
+
+/// Independent per-element reference for the NN/NT/TN products: `p`
 /// ascending, single dependent add chain per output element, zero-skip on
 /// the `A` coefficient for NN/TN (matching the historical reference
 /// kernels) and no skip for NT. This is deliberately *not* the production
@@ -90,26 +99,20 @@ fn matmul_family_bitwise_matches_serial_reference() {
             let a0 = synth(&[m, k], salt);
             let b0 = synth(&[k, n], salt + 10);
             for (a, b) in [(a0.clone(), b0.clone()), (with_zeros(&a0), with_zeros(&b0))] {
-                let fast = a.matmul(&b).unwrap();
-                let slow = a.matmul_serial(&b).unwrap();
-                assert_eq!(fast.data(), slow.data(), "matmul {m}x{k}x{n}");
-                let naive = naive_matmul("nn", &a, &b, m, k, n);
-                assert_eq!(fast.data(), &naive[..], "matmul vs naive {m}x{k}x{n}");
-
                 let bt = synth(&[n, k], salt + 20);
-                let fast = a.matmul_nt(&bt).unwrap();
-                let slow = a.matmul_nt_serial(&bt).unwrap();
-                assert_eq!(fast.data(), slow.data(), "matmul_nt {m}x{k}x{n}");
-                let naive = naive_matmul("nt", &a, &bt, m, k, n);
-                assert_eq!(fast.data(), &naive[..], "matmul_nt vs naive {m}x{k}x{n}");
-
                 let at = synth(&[k, m], salt + 30);
                 let bk = synth(&[k, n], salt + 40);
-                let fast = at.matmul_tn(&bk).unwrap();
-                let slow = at.matmul_tn_serial(&bk).unwrap();
-                assert_eq!(fast.data(), slow.data(), "matmul_tn {m}x{k}x{n}");
-                let naive = naive_matmul("tn", &at, &bk, m, k, n);
-                assert_eq!(fast.data(), &naive[..], "matmul_tn vs naive {m}x{k}x{n}");
+                for (op, spec, lhs, rhs) in [
+                    ("nn", GemmSpec::nn(m, k, n), &a, &b),
+                    ("nt", GemmSpec::nt(m, k, n), &a, &bt),
+                    ("tn", GemmSpec::tn(m, k, n), &at, &bk),
+                ] {
+                    let fast = scalar_product(spec.parallel_worthwhile(), lhs, rhs);
+                    let slow = scalar_product(spec.parallel(false), lhs, rhs);
+                    assert_eq!(fast, slow, "{op} {m}x{k}x{n}");
+                    let naive = naive_matmul(op, lhs, rhs, m, k, n);
+                    assert_eq!(fast, naive, "{op} vs naive {m}x{k}x{n}");
+                }
             }
         }
     }
