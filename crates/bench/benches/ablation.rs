@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design decisions called out in DESIGN.md:
+//! Ablation benchmarks for three design decisions of the diagnosis:
 //!
 //! 1. probe placement granularity (all probes vs. a truncated subset),
 //! 2. alignment metric (Jensen–Shannon vs. cosine), and

@@ -2,9 +2,10 @@
 //!
 //! Default mode: prints the mean footprint-specifics features per
 //! injected defect so the signature weights in
-//! `deepmorph::classify::SignatureWeights` can be grounded in data. Not
-//! part of the paper's artifacts; used to document how the default
-//! weights were derived (see DESIGN.md).
+//! `deepmorph::classify::SignatureWeights` can be grounded in data: the
+//! staged engine's footprints and patterns, averaged per feature instead
+//! of classified. Not part of the paper's artifacts; it documents the
+//! feature values the default weights were derived from.
 //!
 //! `calibrate gemm [--force]`: measures SIMD GEMM block-size candidates
 //! on this machine and persists the winner keyed by CPU features (see
@@ -14,12 +15,9 @@
 //! kept.
 
 use deepmorph::classify::PopulationEvidence;
-use deepmorph::instrument::InstrumentedModel;
-use deepmorph::pattern::ClassPatterns;
 use deepmorph::prelude::*;
 use deepmorph::specifics::FootprintSpecifics;
 use deepmorph_bench::table1::{dataset_for, default_defects};
-use deepmorph_tensor::init::stream_rng;
 
 fn main() -> Result<(), DeepMorphError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -150,48 +148,14 @@ fn analyze(family: ModelFamily, defect: &DefectSpec) -> Result<(), DeepMorphErro
         .inject(defect.clone())
         .build()?;
 
-    // Re-run the pipeline manually to get raw specifics.
-    let (clean_train, test) = scenario.generate_data();
-    let mut inject_rng = stream_rng(7, "scenario-inject");
-    let train = defect.apply_to_dataset(&clean_train, &mut inject_rng)?;
-    let input_shape = [dataset.channels(), dataset.side(), dataset.side()];
-    let spec =
-        defect.apply_to_model_spec(ModelSpec::new(family, ModelScale::Tiny, input_shape, 10));
-    let mut model_rng = stream_rng(7, "scenario-model");
-    let mut model = build_model(&spec, &mut model_rng)?;
-    let mut train_rng = stream_rng(7, "scenario-train");
-    Trainer::new(TrainConfig {
-        epochs: 10,
-        batch_size: 32,
-        learning_rate: 0.05,
-        ..TrainConfig::default()
-    })
-    .fit(
-        &mut model.graph,
-        train.images(),
-        train.labels(),
-        &mut train_rng,
-    )?;
-    let test_acc = evaluate_accuracy(&mut model.graph, test.images(), test.labels(), 64)?;
-    let mut faulty = FaultyCases::collect(&mut model, &test)?;
-    faulty.truncate(200)?;
-
-    // Mirror the pipeline's fit/holdout split.
-    let mut split_rng = stream_rng(ProbeTrainingConfig::default().seed, "holdout-split");
-    let (fit, holdout) = train.split_stratified(0.85, &mut split_rng);
-    let mut inst =
-        InstrumentedModel::build(model, fit.images(), fit.labels(), 10, &Default::default())?;
-    let train_fps = inst.footprints(fit.images())?;
-    let holdout_fps = inst.footprints(holdout.images())?;
-    let patterns = ClassPatterns::learn_with_holdout(
-        &train_fps,
-        fit.labels(),
-        &holdout_fps,
-        holdout.labels(),
-        inst.probe_accuracies(),
-    )?;
-    let faulty_fps = inst.footprints(&faulty.images)?;
-    let specifics: Vec<FootprintSpecifics> = faulty_fps
+    let engine = StagedEngine::ephemeral();
+    let trained = engine.trained(&scenario)?;
+    let instrumented = engine.instrumented(&scenario, &trained)?;
+    let footprints = engine.footprints(&scenario, &trained, &instrumented)?;
+    let patterns = engine.patterns(&scenario, &instrumented, &footprints)?;
+    let faulty = &trained.faulty;
+    let specifics: Vec<FootprintSpecifics> = footprints
+        .faulty
         .iter()
         .zip(faulty.true_labels.iter().zip(&faulty.predicted))
         .map(|(fp, (&t, &p))| {
@@ -212,7 +176,7 @@ fn analyze(family: ModelFamily, defect: &DefectSpec) -> Result<(), DeepMorphErro
          pair={:.2} tconc={:.2} pconc={:.2}",
         family.name(),
         defect.describe(),
-        test_acc,
+        trained.test_accuracy,
         specifics.len(),
         patterns.health(),
         mean(&|s| s.novelty),

@@ -14,7 +14,8 @@
 //!   flat thread count while an active, bitwise-verified predict load
 //!   keeps its latency.
 //! * Criterion benches in `benches/` measure substrate and pipeline
-//!   throughput plus the DESIGN.md ablations.
+//!   throughput plus three ablations: probe granularity, alignment
+//!   metric, and population evidence.
 
 pub mod chaos;
 pub mod repair_fixture;

@@ -3,7 +3,7 @@
 //! DeepMorph's last stage (paper Fig. 1): "by examining the process, layer
 //! by layer, of how inputs are misclassified, DeepMorph can then reason the
 //! defect that causes the faulty cases". Each faulty case is scored against
-//! the three defect signatures formalized in DESIGN.md:
+//! three defect signatures:
 //!
 //! * **SD** — the model itself is weak: its *training* data is poorly
 //!   separated even at the deepest probes (low health), and early-layer
@@ -25,7 +25,8 @@ use deepmorph_defects::DefectKind;
 use crate::pattern::ClassPatterns;
 use crate::specifics::FootprintSpecifics;
 
-/// Footprint-to-pattern alignment metric (DESIGN.md ablation point 2).
+/// Footprint-to-pattern alignment metric. Jensen–Shannon is the default;
+/// the `ablation` bench in `deepmorph-bench` measures cosine against it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlignmentMetric {
     /// `1 - JSD/ln2` on probe distributions (default).
@@ -44,9 +45,10 @@ impl AlignmentMetric {
     }
 }
 
-/// Signature weights. The defaults were calibrated once against the
-/// feature distributions printed by the `calibrate` binary (see the
-/// calibration notes in DESIGN.md) and are deliberately *not* per-model:
+/// Signature weights. The defaults were calibrated once against the mean
+/// per-defect feature values printed by the `calibrate` binary
+/// (`cargo run --release -p deepmorph-bench --bin calibrate`) and are
+/// deliberately *not* per-model:
 /// Table I uses a single configuration across all four architectures, as
 /// the paper does.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,7 +104,8 @@ pub struct ClassifierConfig {
     /// Alignment metric for footprint-vs-pattern comparison.
     pub metric: AlignmentMetric,
     /// Include population-level evidence (pair/class concentrations across
-    /// all faulty cases). Disabling this is DESIGN.md ablation point 3.
+    /// all faulty cases). Off, neutral values stand in for that evidence;
+    /// the `ablation` bench measures both settings.
     pub use_population: bool,
     /// Signature weights.
     pub weights: SignatureWeights,

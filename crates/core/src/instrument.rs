@@ -252,16 +252,6 @@ impl InstrumentedModel {
         self.num_classes
     }
 
-    /// Mutable access to the wrapped model (e.g. for predictions).
-    pub fn model_mut(&mut self) -> &mut ModelHandle {
-        &mut self.model
-    }
-
-    /// Consumes the instrumented model, returning the backbone.
-    pub fn into_model(self) -> ModelHandle {
-        self.model
-    }
-
     /// Extracts the data-flow footprints of `images`.
     ///
     /// # Errors

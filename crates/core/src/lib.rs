@@ -22,9 +22,11 @@
 //!    by layer, score the three defect signatures, and aggregate into the
 //!    per-defect ratios of [`report::DefectReport`].
 //!
-//! [`pipeline::DeepMorph`] wires the steps together; [`scenario`] adds the
-//! end-to-end experiment driver (generate data → inject defect → train →
-//! diagnose) used by the examples and the Table I harness.
+//! [`pipeline`] writes each step after probe fitting once and runs them
+//! live ([`pipeline::DiagnosisSession`]); [`stage`] runs the same steps
+//! behind cached stages, and [`scenario`] adds the end-to-end experiment
+//! driver (generate data → inject defect → train → diagnose) used by the
+//! examples and the Table I harness.
 //!
 //! # Quickstart
 //!

@@ -1,5 +1,10 @@
-//! The end-to-end DeepMorph pipeline.
+//! The DeepMorph diagnosis steps, each written once: the fit/holdout
+//! split, class-pattern learning, and the classification of faulty
+//! footprints into a [`DefectReport`]. [`DiagnosisSession`] runs them
+//! against a live instrumented model (what the server does);
+//! [`crate::stage::StagedEngine`] runs them from stored artifacts.
 
+use deepmorph_tensor::init::stream_rng;
 use deepmorph_tensor::{workspace, Tensor};
 
 use deepmorph_data::Dataset;
@@ -7,6 +12,7 @@ use deepmorph_models::ModelHandle;
 use deepmorph_nn::train::{gather_batch, predict_all};
 
 use crate::classify::{ClassifierConfig, DefectClassifier};
+use crate::footprint::FootprintSet;
 use crate::instrument::{InstrumentedModel, ProbeTrainingConfig};
 use crate::pattern::ClassPatterns;
 use crate::report::{CaseDiagnosis, DefectRatios, DefectReport};
@@ -38,23 +44,16 @@ pub struct FaultyCases {
 }
 
 impl FaultyCases {
-    /// Runs `model` over `test` and collects every misclassified sample.
-    ///
-    /// # Errors
-    ///
-    /// Propagates network errors.
-    pub fn collect(model: &mut ModelHandle, test: &Dataset) -> Result<Self> {
-        Ok(FaultyCases::collect_capped(model, test, 0)?.0)
-    }
-
-    /// Like [`FaultyCases::collect`], but keeps only the first `max`
-    /// misclassified samples (`0` = no cap). The cap is applied to the
-    /// *index list*, before any image is gathered, so a capped run never
-    /// materializes the full faulty batch only to truncate it. Returns the
-    /// capped cases together with the total (pre-cap) faulty count.
+    /// Runs `model` over `test` and collects the misclassified samples,
+    /// keeping only the first `max` of them (`0` = no cap). The cap is
+    /// applied to the *index list*, before any image is gathered, so a
+    /// capped run never materializes the full faulty batch only to
+    /// truncate it. Returns the capped cases together with the total
+    /// (pre-cap) faulty count.
     ///
     /// The kept cases are the prefix of the test-order faulty list —
-    /// identical to `collect` + [`FaultyCases::truncate`], bit for bit.
+    /// identical to an uncapped collection followed by
+    /// [`FaultyCases::truncate`], bit for bit.
     ///
     /// # Errors
     ///
@@ -129,11 +128,6 @@ impl DeepMorph {
         DeepMorph { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &DeepMorphConfig {
-        &self.config
-    }
-
     /// The expensive, faulty-case-independent half of diagnosis: builds
     /// the softmax-instrumented model and learns the class execution
     /// patterns from the training set. The returned [`DiagnosisSession`]
@@ -145,77 +139,19 @@ impl DeepMorph {
     ///
     /// Propagates instrumentation/network errors.
     pub fn prepare(&self, model: ModelHandle, train: &Dataset) -> Result<DiagnosisSession> {
-        // Stratified fit/holdout split: probes are fitted on `fit`, while
-        // the label-noise statistics come from `holdout` so backbone
-        // memorization cannot erase the UTD fingerprint (see
-        // `ClassPatterns::learn_with_holdout`). Tiny training sets skip
-        // the split.
-        let mut split_rng =
-            deepmorph_tensor::init::stream_rng(self.config.probe.seed, "holdout-split");
-        let use_holdout = train.len() >= 10 * train.num_classes();
-        let (fit, holdout) = if use_holdout {
-            train.split_stratified(0.85, &mut split_rng)
-        } else {
-            (train.clone(), train.clone())
-        };
-
-        // 1. Softmax-instrumented model.
-        let mut instrumented = InstrumentedModel::build(
-            model,
-            fit.images(),
-            fit.labels(),
-            train.num_classes(),
-            &self.config.probe,
+        let split = FitSplit::new(train, &self.config.probe);
+        let mut instrumented = split.instrument(model, &self.config.probe)?;
+        let (fit_fps, holdout_fps) = split.footprints(&mut instrumented)?;
+        let patterns = split.learn_patterns(
+            &fit_fps,
+            holdout_fps.as_ref(),
+            instrumented.probe_accuracies(),
         )?;
-
-        // 2. Execution patterns from training footprints, noise statistics
-        //    from the holdout.
-        let train_fps = instrumented.footprints(fit.images())?;
-        let patterns = if use_holdout {
-            let holdout_fps = instrumented.footprints(holdout.images())?;
-            ClassPatterns::learn_with_holdout(
-                &train_fps,
-                fit.labels(),
-                &holdout_fps,
-                holdout.labels(),
-                instrumented.probe_accuracies(),
-            )?
-        } else {
-            ClassPatterns::learn(&train_fps, fit.labels(), instrumented.probe_accuracies())?
-        };
-
         Ok(DiagnosisSession {
             instrumented,
             patterns,
-            probe_labels: train_fps.probe_labels().to_vec(),
             config: self.config,
         })
-    }
-
-    /// Runs the full diagnosis pipeline.
-    ///
-    /// Consumes the model (instrumentation wraps it); returns the report
-    /// and the instrumented model for further queries. Equivalent to
-    /// [`DeepMorph::prepare`] followed by one
-    /// [`DiagnosisSession::diagnose`], bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeepMorphError::NoFaultyCases`] if `faulty` is empty, and
-    /// propagates instrumentation/network errors.
-    pub fn diagnose(
-        &self,
-        model: ModelHandle,
-        train: &Dataset,
-        faulty: &FaultyCases,
-        subject: &str,
-    ) -> Result<(DefectReport, InstrumentedModel)> {
-        if faulty.is_empty() {
-            return Err(DeepMorphError::NoFaultyCases);
-        }
-        let mut session = self.prepare(model, train)?;
-        let report = session.diagnose(faulty, subject)?;
-        Ok((report, session.into_instrumented()))
     }
 }
 
@@ -229,7 +165,6 @@ impl DeepMorph {
 pub struct DiagnosisSession {
     instrumented: InstrumentedModel,
     patterns: ClassPatterns,
-    probe_labels: Vec<String>,
     config: DeepMorphConfig,
 }
 
@@ -246,52 +181,137 @@ impl DiagnosisSession {
         }
         let mut faulty = faulty.clone();
         faulty.truncate(self.config.max_faulty_cases)?;
-
-        // 3. Faulty-case footprints → specifics.
         let faulty_fps = self.instrumented.footprints(&faulty.images)?;
-        let specifics: Vec<FootprintSpecifics> = faulty_fps
-            .iter()
-            .zip(faulty.true_labels.iter().zip(&faulty.predicted))
-            .map(|(fp, (&t, &p))| {
-                FootprintSpecifics::compute(fp, t, p, &self.patterns, self.config.classifier.metric)
-            })
-            .collect();
-
-        // 4. Defect reasoning.
-        let classifier = DefectClassifier::new(self.config.classifier);
-        let (scores, ratios) = classifier.classify(&specifics, &self.patterns);
-
-        let cases = scores
-            .iter()
-            .enumerate()
-            .map(|(i, s)| CaseDiagnosis {
-                case_index: i,
-                true_label: faulty.true_labels[i],
-                predicted: faulty.predicted[i],
-                assigned: s.assigned().abbrev().to_string(),
-                score_distribution: s.distribution(),
-            })
-            .collect();
-
-        Ok(DefectReport {
-            ratios: DefectRatios::new(ratios),
-            num_cases: specifics.len(),
-            probe_labels: self.probe_labels.clone(),
-            probe_accuracies: self.instrumented.probe_accuracies(),
-            model_health: self.patterns.health(),
-            cases,
-            subject: subject.to_string(),
-        })
+        Ok(classify(
+            &faulty,
+            &faulty_fps,
+            &self.patterns,
+            self.config.classifier,
+            self.instrumented.probe_accuracies(),
+            subject,
+        ))
     }
 
     /// The instrumented model (e.g. for UTD label-cleaning footprints).
     pub fn instrumented_mut(&mut self) -> &mut InstrumentedModel {
         &mut self.instrumented
     }
+}
 
-    /// Unwraps the session into its instrumented model.
-    pub fn into_instrumented(self) -> InstrumentedModel {
-        self.instrumented
+/// The training set divided for diagnosis: probes and class patterns are
+/// fitted on `fit`, label-noise statistics come from `holdout` so backbone
+/// memorization cannot erase the UTD fingerprint (see
+/// [`ClassPatterns::learn_with_holdout`]). A stratified 85/15 split from
+/// the probe seed; under 10 samples per class, `fit` is the whole set.
+pub(crate) struct FitSplit {
+    fit: Dataset,
+    holdout: Option<Dataset>,
+}
+
+impl FitSplit {
+    pub(crate) fn new(train: &Dataset, probe: &ProbeTrainingConfig) -> Self {
+        if train.len() < 10 * train.num_classes() {
+            return FitSplit {
+                fit: train.clone(),
+                holdout: None,
+            };
+        }
+        let (fit, holdout) =
+            train.split_stratified(0.85, &mut stream_rng(probe.seed, "holdout-split"));
+        FitSplit {
+            fit,
+            holdout: Some(holdout),
+        }
+    }
+
+    /// Fits the auxiliary softmax probes on the fit split.
+    pub(crate) fn instrument(
+        &self,
+        model: ModelHandle,
+        probe: &ProbeTrainingConfig,
+    ) -> Result<InstrumentedModel> {
+        let fit = &self.fit;
+        InstrumentedModel::build(model, fit.images(), fit.labels(), fit.num_classes(), probe)
+    }
+
+    /// Footprints of the fit split, and of the holdout if there is one.
+    pub(crate) fn footprints(
+        &self,
+        instrumented: &mut InstrumentedModel,
+    ) -> Result<(FootprintSet, Option<FootprintSet>)> {
+        let fit = instrumented.footprints(self.fit.images())?;
+        let holdout = self
+            .holdout
+            .as_ref()
+            .map(|h| instrumented.footprints(h.images()))
+            .transpose()?;
+        Ok((fit, holdout))
+    }
+
+    /// Learns the class execution patterns from the footprints
+    /// [`FitSplit::footprints`] extracted (or their stored copies).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeepMorphError::Artifact`] if the split has a holdout but
+    /// `holdout_fps` is `None`, and propagates pattern-learning errors.
+    pub(crate) fn learn_patterns(
+        &self,
+        fit_fps: &FootprintSet,
+        holdout_fps: Option<&FootprintSet>,
+        probe_accuracies: Vec<f32>,
+    ) -> Result<ClassPatterns> {
+        let Some(holdout) = &self.holdout else {
+            return ClassPatterns::learn(fit_fps, self.fit.labels(), probe_accuracies);
+        };
+        let holdout_fps = holdout_fps.ok_or_else(|| DeepMorphError::Artifact {
+            reason: "footprint artifact lacks the holdout split".into(),
+        })?;
+        ClassPatterns::learn_with_holdout(
+            fit_fps,
+            self.fit.labels(),
+            holdout_fps,
+            holdout.labels(),
+            probe_accuracies,
+        )
+    }
+}
+
+/// Classifies faulty cases: footprints (one per case of `faulty`) →
+/// [`FootprintSpecifics`] → [`DefectClassifier`] → [`DefectReport`].
+pub(crate) fn classify(
+    faulty: &FaultyCases,
+    faulty_fps: &FootprintSet,
+    patterns: &ClassPatterns,
+    config: ClassifierConfig,
+    probe_accuracies: Vec<f32>,
+    subject: &str,
+) -> DefectReport {
+    let specifics: Vec<FootprintSpecifics> = faulty_fps
+        .iter()
+        .zip(faulty.true_labels.iter().zip(&faulty.predicted))
+        .map(|(fp, (&t, &p))| FootprintSpecifics::compute(fp, t, p, patterns, config.metric))
+        .collect();
+    let (scores, ratios) = DefectClassifier::new(config).classify(&specifics, patterns);
+    let cases = scores
+        .iter()
+        .enumerate()
+        .map(|(i, s)| CaseDiagnosis {
+            case_index: i,
+            true_label: faulty.true_labels[i],
+            predicted: faulty.predicted[i],
+            assigned: s.assigned().abbrev().to_string(),
+            score_distribution: s.distribution(),
+        })
+        .collect();
+    DefectReport {
+        ratios: DefectRatios::new(ratios),
+        num_cases: specifics.len(),
+        probe_labels: faulty_fps.probe_labels().to_vec(),
+        probe_accuracies,
+        model_health: patterns.health(),
+        cases,
+        subject: subject.to_string(),
     }
 }
 
@@ -299,7 +319,6 @@ impl DiagnosisSession {
 mod tests {
     use super::*;
     use deepmorph_models::{build_model, ModelFamily, ModelScale, ModelSpec};
-    use deepmorph_tensor::init::stream_rng;
 
     fn toy_dataset(per_class: usize) -> Dataset {
         // Class-dependent constant images: trivially learnable by probes.
@@ -324,7 +343,7 @@ mod tests {
         let mut model = build_model(&spec, &mut rng).unwrap();
         let test = toy_dataset(5);
         // Untrained model: most predictions are wrong.
-        let faulty = FaultyCases::collect(&mut model, &test).unwrap();
+        let faulty = FaultyCases::collect_capped(&mut model, &test, 0).unwrap().0;
         assert!(!faulty.is_empty());
         assert_eq!(faulty.images.shape()[0], faulty.len());
         for (t, p) in faulty.true_labels.iter().zip(&faulty.predicted) {
@@ -338,7 +357,7 @@ mod tests {
         let mut rng = stream_rng(2, "pipeline");
         let mut model = build_model(&spec, &mut rng).unwrap();
         let test = toy_dataset(5);
-        let mut faulty = FaultyCases::collect(&mut model, &test).unwrap();
+        let mut faulty = FaultyCases::collect_capped(&mut model, &test, 0).unwrap().0;
         faulty.truncate(3).unwrap();
         assert!(faulty.len() <= 3);
         assert_eq!(faulty.images.shape()[0], faulty.len());
@@ -351,7 +370,7 @@ mod tests {
         let mut model = build_model(&spec, &mut rng).unwrap();
         let train = toy_dataset(10);
         let test = toy_dataset(4);
-        let faulty = FaultyCases::collect(&mut model, &test).unwrap();
+        let faulty = FaultyCases::collect_capped(&mut model, &test, 0).unwrap().0;
         assert!(!faulty.is_empty());
 
         let tool = DeepMorph::new(DeepMorphConfig {
@@ -362,7 +381,8 @@ mod tests {
             max_faulty_cases: 10,
             ..Default::default()
         });
-        let (report, _instrumented) = tool.diagnose(model, &train, &faulty, "LeNet toy").unwrap();
+        let mut session = tool.prepare(model, &train).unwrap();
+        let report = session.diagnose(&faulty, "LeNet toy").unwrap();
         assert!(report.num_cases > 0 && report.num_cases <= 10);
         let sum: f32 = report.ratios.as_array().iter().sum();
         assert!((sum - 1.0).abs() < 1e-4);
@@ -381,9 +401,9 @@ mod tests {
             true_labels: vec![],
             predicted: vec![],
         };
-        let tool = DeepMorph::default();
+        let mut session = DeepMorph::default().prepare(model, &train).unwrap();
         assert!(matches!(
-            tool.diagnose(model, &train, &faulty, "x").unwrap_err(),
+            session.diagnose(&faulty, "x").unwrap_err(),
             DeepMorphError::NoFaultyCases
         ));
     }

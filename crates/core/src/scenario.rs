@@ -105,8 +105,9 @@ impl ScenarioBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`DeepMorphError::InvalidScenario`] for empty datasets or a
-    /// channel mismatch between dataset kind and model input.
+    /// Returns [`DeepMorphError::InvalidScenario`] if `train_per_class` or
+    /// `test_per_class` is zero. The model's input shape is taken from the
+    /// dataset kind, so the two cannot disagree.
     pub fn build(self) -> Result<Scenario> {
         if self.train_per_class == 0 || self.test_per_class == 0 {
             return Err(DeepMorphError::InvalidScenario {

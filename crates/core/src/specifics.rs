@@ -46,8 +46,8 @@ pub struct FootprintSpecifics {
 impl FootprintSpecifics {
     /// Computes the specifics of one faulty case.
     ///
-    /// `metric` selects the footprint-to-pattern alignment function (the
-    /// DESIGN.md ablation point).
+    /// `metric` selects the footprint-to-pattern alignment function
+    /// (Jensen–Shannon by default; the `ablation` bench compares cosine).
     pub fn compute(
         footprint: &Footprint,
         true_label: usize,

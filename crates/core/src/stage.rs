@@ -1,7 +1,7 @@
 //! The staged scenario engine.
 //!
-//! [`Scenario::run`] used to be a monolithic in-process pass; this module
-//! splits it into four explicit stages with typed, serializable artifacts:
+//! [`Scenario::run`] drives a scenario through four explicit stages with
+//! typed, serializable artifacts:
 //!
 //! 1. **Train** → [`TrainedModelArtifact`]: inject the defect, build and
 //!    train the backbone, evaluate it, and collect the (capped) faulty
@@ -13,6 +13,10 @@
 //!    cases.
 //! 4. **Report** → [`DefectReport`]: learn class patterns, score the
 //!    defect signatures, and assemble the diagnosis.
+//!
+//! The steps inside the stages are the ones [`crate::pipeline`] shares
+//! with its live `DiagnosisSession`; this module adds the cache
+//! boundaries.
 //!
 //! Each stage is keyed by a content [`Fingerprint`] of everything that
 //! influences it (scenario inputs plus the upstream stage's fingerprint)
@@ -39,15 +43,14 @@ use deepmorph_tensor::io::{
 use deepmorph_tensor::Tensor;
 
 use crate::artifact::{content_fingerprint, ArtifactStore, Fingerprint, Fingerprinter};
-use crate::classify::{AlignmentMetric, ClassifierConfig, DefectClassifier};
+use crate::classify::{AlignmentMetric, ClassifierConfig};
 use crate::footprint::{Footprint, FootprintSet};
 use crate::instrument::{InstrumentedModel, ProbeTrainingConfig, TrainedProbe};
 use crate::pattern::ClassPatterns;
-use crate::pipeline::FaultyCases;
+use crate::pipeline::{classify, FaultyCases, FitSplit};
 use crate::repair::{recommend, RepairPlan};
-use crate::report::{CaseDiagnosis, DefectRatios, DefectReport};
+use crate::report::DefectReport;
 use crate::scenario::{RepairOutcome, Scenario, ScenarioOutcome};
-use crate::specifics::FootprintSpecifics;
 use crate::{DeepMorphError, Result};
 
 const TRAINED_MAGIC: [u8; 4] = *b"DMS1";
@@ -182,11 +185,6 @@ impl InstrumentedArtifact {
                 })
                 .collect(),
         }
-    }
-
-    /// Number of probes.
-    pub fn probe_count(&self) -> usize {
-        self.probes.len()
     }
 
     /// Per-probe training accuracies, input → output order.
@@ -648,19 +646,6 @@ impl StagedEngine {
         }
     }
 
-    /// The fit/holdout split used by stages 2–4, exactly as the monolithic
-    /// pipeline computed it.
-    fn split_train(train: &Dataset, probe: &ProbeTrainingConfig) -> (Dataset, Dataset, bool) {
-        let mut split_rng = deepmorph_tensor::init::stream_rng(probe.seed, "holdout-split");
-        let use_holdout = train.len() >= 10 * train.num_classes();
-        if use_holdout {
-            let (fit, holdout) = train.split_stratified(0.85, &mut split_rng);
-            (fit, holdout, true)
-        } else {
-            (train.clone(), train.clone(), false)
-        }
-    }
-
     /// Stage 1: train (or load) the defective model and its faulty cases.
     ///
     /// # Errors
@@ -710,14 +695,8 @@ impl StagedEngine {
         }
         let model = trained.instantiate()?;
         let (train, _test) = scenario.injected_data()?;
-        let (fit, _holdout, _use) = Self::split_train(&train, &scenario.cfg.deepmorph.probe);
-        let inst = InstrumentedModel::build(
-            model,
-            fit.images(),
-            fit.labels(),
-            train.num_classes(),
-            &scenario.cfg.deepmorph.probe,
-        )?;
+        let probe = &scenario.cfg.deepmorph.probe;
+        let inst = FitSplit::new(&train, probe).instrument(model, probe)?;
         let artifact = InstrumentedArtifact::from_model(&inst);
         self.store.put(&key, &artifact.encode());
         Ok(artifact)
@@ -741,24 +720,20 @@ impl StagedEngine {
         let model = trained.instantiate()?;
         let mut inst = instrumented.instantiate(model)?;
         let (train, _test) = scenario.injected_data()?;
-        let (fit, holdout, use_holdout) = Self::split_train(&train, &scenario.cfg.deepmorph.probe);
-        let fit_fps = inst.footprints(fit.images())?;
-        let holdout_fps = if use_holdout {
-            Some(inst.footprints(holdout.images())?)
-        } else {
-            None
-        };
-        let faulty_fps = inst.footprints(&trained.faulty.images)?;
+        let (fit, holdout) =
+            FitSplit::new(&train, &scenario.cfg.deepmorph.probe).footprints(&mut inst)?;
+        let faulty = inst.footprints(&trained.faulty.images)?;
         let artifact = FootprintArtifact {
-            fit: fit_fps,
-            holdout: holdout_fps,
-            faulty: faulty_fps,
+            fit,
+            holdout,
+            faulty,
         };
         self.store.put(&key, &artifact.encode());
         Ok(artifact)
     }
 
-    /// Stage 4: learn patterns, classify, and assemble (or load) the
+    /// Stage 4: learn patterns, classify (the step
+    /// `DiagnosisSession::diagnose` also runs), and assemble (or load) the
     /// report.
     ///
     /// # Errors
@@ -783,72 +758,42 @@ impl StagedEngine {
         }) {
             return Ok(report);
         }
-
-        let (train, _test) = scenario.injected_data()?;
-        let (fit, holdout, use_holdout) = Self::split_train(&train, &scenario.cfg.deepmorph.probe);
-        let probe_accuracies = instrumented.probe_accuracies();
-        let patterns = if use_holdout {
-            let holdout_fps =
-                footprints
-                    .holdout
-                    .as_ref()
-                    .ok_or_else(|| DeepMorphError::Artifact {
-                        reason: "footprint artifact lacks the holdout split".into(),
-                    })?;
-            ClassPatterns::learn_with_holdout(
-                &footprints.fit,
-                fit.labels(),
-                holdout_fps,
-                holdout.labels(),
-                probe_accuracies.clone(),
-            )?
-        } else {
-            ClassPatterns::learn(&footprints.fit, fit.labels(), probe_accuracies.clone())?
-        };
-
-        let faulty = &trained.faulty;
-        let specifics: Vec<FootprintSpecifics> = footprints
-            .faulty
-            .iter()
-            .zip(faulty.true_labels.iter().zip(&faulty.predicted))
-            .map(|(fp, (&t, &p))| {
-                FootprintSpecifics::compute(
-                    fp,
-                    t,
-                    p,
-                    &patterns,
-                    scenario.cfg.deepmorph.classifier.metric,
-                )
-            })
-            .collect();
-
-        let classifier = DefectClassifier::new(scenario.cfg.deepmorph.classifier);
-        let (scores, ratios) = classifier.classify(&specifics, &patterns);
-        let cases = scores
-            .iter()
-            .enumerate()
-            .map(|(i, s)| CaseDiagnosis {
-                case_index: i,
-                true_label: faulty.true_labels[i],
-                predicted: faulty.predicted[i],
-                assigned: s.assigned().abbrev().to_string(),
-                score_distribution: s.distribution(),
-            })
-            .collect();
-        let report = DefectReport {
-            ratios: DefectRatios::new(ratios),
-            num_cases: specifics.len(),
-            probe_labels: footprints.fit.probe_labels().to_vec(),
-            probe_accuracies,
-            model_health: patterns.health(),
-            cases,
-            subject: scenario.subject(),
-        };
+        let patterns = self.patterns(scenario, instrumented, footprints)?;
+        let report = classify(
+            &trained.faulty,
+            &footprints.faulty,
+            &patterns,
+            scenario.cfg.deepmorph.classifier,
+            instrumented.probe_accuracies(),
+            &scenario.subject(),
+        );
         self.store.put(
             &key,
             &seal_container(REPORT_MAGIC, report.to_json().as_bytes()),
         );
         Ok(report)
+    }
+
+    /// Stage 4's first step, not cached: learns the class execution
+    /// patterns from the stored footprints, for tools that compare single
+    /// footprints against them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeepMorphError::Artifact`] if `footprints` lacks the
+    /// holdout split, and propagates data and pattern-learning errors.
+    pub fn patterns(
+        &self,
+        scenario: &Scenario,
+        instrumented: &InstrumentedArtifact,
+        footprints: &FootprintArtifact,
+    ) -> Result<ClassPatterns> {
+        let (train, _test) = scenario.injected_data()?;
+        FitSplit::new(&train, &scenario.cfg.deepmorph.probe).learn_patterns(
+            &footprints.fit,
+            footprints.holdout.as_ref(),
+            instrumented.probe_accuracies(),
+        )
     }
 
     /// Drives all four stages and assembles the outcome, returning the
@@ -875,8 +820,7 @@ impl StagedEngine {
         Ok((outcome, trained, instrumented))
     }
 
-    /// Runs all four stages and assembles the outcome — the staged
-    /// equivalent of the old monolithic `Scenario::run`, bit for bit.
+    /// Runs all four stages and assembles the outcome.
     ///
     /// # Errors
     ///

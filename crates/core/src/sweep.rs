@@ -242,11 +242,6 @@ impl SweepRunner {
         }
     }
 
-    /// A runner around an existing engine.
-    pub fn with_engine(engine: StagedEngine) -> Self {
-        SweepRunner { engine }
-    }
-
     /// The underlying engine (and through it, the store counters).
     pub fn engine(&self) -> &StagedEngine {
         &self.engine

@@ -1,9 +1,9 @@
 //! Synthetic datasets for the DeepMorph reproduction.
 //!
-//! The paper evaluates on MNIST and CIFAR-10, neither of which is available
-//! offline here. Per the reproduction's substitution rule (see DESIGN.md),
-//! this crate provides *procedural* lookalikes that preserve the properties
-//! the experiments depend on:
+//! The paper evaluates on MNIST and CIFAR-10. The reproduction builds and
+//! runs without downloads, so instead of the real datasets this crate
+//! provides *procedural* lookalikes that preserve the properties the
+//! experiments depend on:
 //!
 //! * [`digits::SynthDigits`] — 16×16×1 grayscale digits rendered from
 //!   stroke skeletons with random affine jitter (MNIST stand-in; easy).

@@ -8,65 +8,40 @@
 //! Trains a LeNet whose training data was starved of classes 0–2, then for
 //! a handful of faulty cases prints the input (ASCII), the probe
 //! trajectory trace from `deepmorph::explain`, and finishes with the
-//! aggregate narrative.
+//! aggregate narrative. The traces and the narrative come from the same
+//! staged-engine artifacts, so they describe the same model.
 
 use deepmorph::explain::{explain_case, explain_report};
-use deepmorph::instrument::{InstrumentedModel, ProbeTrainingConfig};
-use deepmorph::pattern::ClassPatterns;
 use deepmorph_data::generator::render_ascii;
 use deepmorph_repro::prelude::*;
-use deepmorph_tensor::init::stream_rng;
 use deepmorph_tensor::Tensor;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let defect = DefectSpec::insufficient_training_data(vec![0, 1, 2], 0.98);
     let scenario = Scenario::builder(ModelFamily::LeNet, DatasetKind::Digits)
         .seed(5)
         .train_per_class(100)
         .test_per_class(25)
-        .inject(defect.clone())
+        .train_config(TrainConfig {
+            epochs: 8,
+            batch_size: 32,
+            learning_rate: 0.05,
+            lr_decay: 0.9,
+            ..TrainConfig::default()
+        })
+        .inject(DefectSpec::insufficient_training_data(vec![0, 1, 2], 0.98))
         .build()?;
 
-    // Rebuild the pipeline pieces explicitly so we can reach the raw
-    // footprints (Scenario::run would hide them behind the report).
-    let (clean_train, test) = scenario.generate_data();
-    let mut inject_rng = stream_rng(5, "scenario-inject");
-    let train = defect.apply_to_dataset(&clean_train, &mut inject_rng)?;
-
-    let spec = ModelSpec::new(ModelFamily::LeNet, ModelScale::Tiny, [1, 16, 16], 10);
-    let mut model_rng = stream_rng(5, "scenario-model");
-    let mut model = build_model(&spec, &mut model_rng)?;
-    let mut train_rng = stream_rng(5, "scenario-train");
-    Trainer::new(TrainConfig {
-        epochs: 8,
-        batch_size: 32,
-        learning_rate: 0.05,
-        lr_decay: 0.9,
-        ..TrainConfig::default()
-    })
-    .fit(
-        &mut model.graph,
-        train.images(),
-        train.labels(),
-        &mut train_rng,
-    )?;
-
-    let mut faulty = FaultyCases::collect(&mut model, &test)?;
-    faulty.truncate(100)?;
+    // Drive the stages one by one so we can reach the raw footprints and
+    // patterns (Scenario::run would hide them behind the report).
+    let engine = StagedEngine::ephemeral();
+    let trained = engine.trained(&scenario)?;
+    let faulty = &trained.faulty;
     println!("{} faulty cases collected\n", faulty.len());
+    let instrumented = engine.instrumented(&scenario, &trained)?;
+    let footprints = engine.footprints(&scenario, &trained, &instrumented)?;
+    let patterns = engine.patterns(&scenario, &instrumented, &footprints)?;
+    let probe_labels = footprints.fit.probe_labels();
 
-    let mut inst = InstrumentedModel::build(
-        model,
-        train.images(),
-        train.labels(),
-        10,
-        &ProbeTrainingConfig::default(),
-    )?;
-    let train_fps = inst.footprints(train.images())?;
-    let patterns = ClassPatterns::learn(&train_fps, train.labels(), inst.probe_accuracies())?;
-    let probe_labels: Vec<String> = train_fps.probe_labels().to_vec();
-
-    let faulty_fps = inst.footprints(&faulty.images)?;
     for i in 0..faulty.len().min(3) {
         println!("--- faulty case {i} ---");
         let [c, h, w] = [1usize, 16, 16];
@@ -79,17 +54,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "{}",
             explain_case(
-                faulty_fps.footprint(i),
+                footprints.faulty.footprint(i),
                 faulty.true_labels[i],
                 faulty.predicted[i],
                 &patterns,
-                &probe_labels,
+                probe_labels,
             )
         );
     }
 
-    // Aggregate narrative via the normal diagnosis path.
-    let scenario_outcome = scenario.run()?;
-    println!("{}", explain_report(&scenario_outcome.report));
+    // Aggregate narrative over the same artifacts.
+    let report = engine.report(&scenario, &trained, &instrumented, &footprints)?;
+    assert_eq!(report.num_cases, faulty.len());
+    println!("{}", explain_report(&report));
     Ok(())
 }

@@ -118,9 +118,11 @@ fn matmul_family_bitwise_matches_serial_reference() {
     }
 }
 
-fn fixed_scenario() -> Scenario {
+/// The fixed-seed scenario shape: LeNet on digits, 40/12 per class, three
+/// epochs.
+fn scenario_with(seed: u64, defect: DefectSpec) -> Scenario {
     Scenario::builder(ModelFamily::LeNet, DatasetKind::Digits)
-        .seed(1234)
+        .seed(seed)
         .scale(ModelScale::Tiny)
         .train_per_class(40)
         .test_per_class(12)
@@ -129,9 +131,16 @@ fn fixed_scenario() -> Scenario {
             batch_size: 32,
             ..TrainConfig::default()
         })
-        .inject(DefectSpec::insufficient_training_data(vec![0, 1, 2], 0.98))
+        .inject(defect)
         .build()
         .expect("scenario builds")
+}
+
+fn fixed_scenario() -> Scenario {
+    scenario_with(
+        1234,
+        DefectSpec::insufficient_training_data(vec![0, 1, 2], 0.98),
+    )
 }
 
 fn run_fixed_scenario() -> deepmorph::report::DefectReport {
@@ -207,4 +216,47 @@ fn artifact_store_round_trip_leaves_digest_unchanged() {
         fnv64(&plain.to_json()),
         "fixed-seed scenario digest changed across the store round-trip"
     );
+}
+
+#[test]
+fn live_diagnosis_equals_offline_diagnosis_bitwise() {
+    // The server diagnoses through `DeepMorph::prepare` →
+    // `DiagnosisSession::diagnose`; scenarios, sweeps and Table I go
+    // through the staged engine. Fed the same trained model, training set
+    // and faulty cases, the two must produce the same report bit for bit.
+    let cases = [
+        fixed_scenario(),
+        scenario_with(11, DefectSpec::unreliable_training_data(3, 5, 0.5)),
+        scenario_with(7, DefectSpec::structure_defect(6)),
+    ];
+    // The configuration `Scenario::builder` defaults to.
+    let config = DeepMorphConfig {
+        max_faulty_cases: 200,
+        ..DeepMorphConfig::default()
+    };
+    let mut digests = Vec::with_capacity(cases.len());
+    for scenario in &cases {
+        // An in-memory store, so `trained` below loads stage 1 instead
+        // of training the model a second time.
+        let engine = StagedEngine::new(ArtifactStore::in_memory());
+        let offline = engine.run(scenario).expect("staged run").report;
+        let trained = engine.trained(scenario).expect("trained stage");
+        let (train, _test) = scenario.injected_data().expect("injected data");
+        let online = DeepMorph::new(config)
+            .prepare(trained.instantiate().expect("model decodes"), &train)
+            .expect("session prepares")
+            .diagnose(&trained.faulty, &scenario.subject())
+            .expect("session diagnoses");
+        let json = online.to_json();
+        assert_eq!(
+            json,
+            offline.to_json(),
+            "{}: live and offline diagnosis diverged",
+            scenario.subject()
+        );
+        digests.push(format!("{:016x}", fnv64(&json)));
+    }
+    // The ITD case is the fixed-seed scenario; its digest has not moved
+    // since the staged engine replaced the single-pass pipeline.
+    assert_eq!(digests[0], "131ed34786c062c7");
 }
