@@ -43,18 +43,16 @@
 //! `BENCH_serve.json`. Latency percentiles throughout the bench come
 //! from the same crate's log₂ histograms rather than sorted vectors.
 //!
-//! A **chaos** phase (shared with the `chaos_smoke` CI binary) arms a
-//! deterministic fault storm — dropped/truncated/stalled/reset
-//! response frames, worker panics, slow batches — and drives retrying
-//! clients through it, asserting zero requests lost and zero responses
-//! bitwise-wrong; full mode records the storm counters in
-//! `BENCH_serve.json`.
-//!
 //! Last, full mode runs the **connection storm** phase (shared with the
 //! `storm_smoke` CI binary): 10k+ idle sockets attach to the server on
 //! a flat thread count while the active predict load keeps its p50
 //! within 15% of the idle-free baseline, every response verified
 //! bitwise; the numbers land in `BENCH_serve.json`.
+//!
+//! The fault-storm zero-loss bar is not a phase here: it is asserted by
+//! `crates/serve/tests/chaos.rs`. The `chaos` block of the committed
+//! `BENCH_serve.json` was recorded by a since-retired chaos phase, and a
+//! rerun writes no such block.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -63,7 +61,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use deepmorph_bench::{chaos, repair_fixture, storm};
+use deepmorph_bench::{repair_fixture, storm};
 use deepmorph_json::Json;
 use deepmorph_models::{build_model, ModelFamily, ModelScale, ModelSpec};
 use deepmorph_serve::prelude::*;
@@ -597,14 +595,6 @@ fn main() {
             "telemetry overhead smoke: p50 {:.0} µs off -> {:.0} µs armed (ratio {:.3})",
             overhead.p50_off_us, overhead.p50_on_us, overhead.ratio
         );
-        let chaos_config = chaos::ChaosConfig::smoke();
-        let storm = chaos::run(&chaos_config);
-        println!(
-            "chaos: {} requests through {} injected faults ({} panics contained) — \
-             {} lost, {} corrupted",
-            storm.requests, storm.faults_injected, storm.worker_panics, storm.lost, storm.corrupted
-        );
-        storm.assert_zero_loss();
         println!("serve smoke OK");
         return;
     }
@@ -685,25 +675,6 @@ fn main() {
         "telemetry overhead: p50 {:.0} µs off -> {:.0} µs armed (ratio {:.3}, {} attempt(s))",
         overhead.p50_off_us, overhead.p50_on_us, overhead.ratio, overhead.attempts
     );
-
-    let chaos_config = chaos::ChaosConfig::full();
-    let storm = chaos::run(&chaos_config);
-    println!(
-        "chaos: {} requests through {} injected faults ({} worker panics contained, {} wire \
-         requests incl. retries) in {:.0} ms — {} lost, {} corrupted, p50/p95/p99 \
-         {:.0}/{:.0}/{:.0} µs",
-        storm.requests,
-        storm.faults_injected,
-        storm.worker_panics,
-        storm.server_requests,
-        storm.wall.as_secs_f64() * 1e3,
-        storm.lost,
-        storm.corrupted,
-        storm.p50_us,
-        storm.p95_us,
-        storm.p99_us
-    );
-    storm.assert_zero_loss();
 
     // The connection storm: 10k+ idle sockets must neither grow the
     // thread count (asserted inside the harness) nor push the active
@@ -814,7 +785,6 @@ fn main() {
                 ("attempts", Json::usize(overhead.attempts)),
             ]),
         ),
-        ("chaos", storm.to_json(&chaos_config)),
         ("storm", conn_storm.to_json(&storm_config)),
     ]);
     std::fs::write(&out_path, doc.to_string_pretty()).expect("write BENCH_serve.json");

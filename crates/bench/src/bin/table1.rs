@@ -3,12 +3,18 @@
 //! Usage:
 //! ```text
 //! cargo run --release -p deepmorph-bench --bin table1 [-- --scale tiny|small|paper]
-//!     [--seed N] [--train-per-class N] [--test-per-class N] [--epochs N]
-//!     [--json PATH]
+//!     [--seed N] [--seeds N] [--train-per-class N] [--test-per-class N]
+//!     [--epochs N] [--json PATH]
 //! ```
+//!
+//! `--seeds N` runs the table at `N` seeds (`seed`, `seed + 101`, …) and
+//! prints the per-cell mean ratios. With `DEEPMORPH_ARTIFACTS` set, every
+//! stage persists in that directory, so a rerun reloads unchanged cells
+//! instead of retraining them.
 
 use std::time::Instant;
 
+use deepmorph::artifact::{ArtifactStore, ARTIFACTS_ENV};
 use deepmorph::prelude::ModelScale;
 use deepmorph_bench::{render_table, run_table, run_table_seeds, Table1Config};
 
@@ -74,9 +80,9 @@ fn parse_args() -> (Table1Config, Option<String>, usize) {
 }
 
 /// The persistent artifact store, when `DEEPMORPH_ARTIFACTS` opts in.
-fn env_store() -> Option<deepmorph::artifact::ArtifactStore> {
-    std::env::var_os(deepmorph::artifact::ARTIFACTS_ENV)?;
-    Some(deepmorph::artifact::ArtifactStore::from_env().expect("artifact store directory"))
+fn env_store() -> Option<ArtifactStore> {
+    std::env::var_os(ARTIFACTS_ENV)?;
+    Some(ArtifactStore::from_env().expect("artifact store directory"))
 }
 
 fn main() {
@@ -101,26 +107,14 @@ fn main() {
             cell.model_health,
         );
     };
+    let store = env_store().unwrap_or_else(ArtifactStore::disabled);
     let result = if num_seeds <= 1 {
-        // With DEEPMORPH_ARTIFACTS set, stages persist across runs: a
-        // repeated sweep (or one that only tweaks the classifier) reloads
-        // every unchanged stage instead of retraining.
-        match env_store() {
-            Some(store) => deepmorph_bench::run_table_with_store(&config, store, |cell| {
-                print_cell(config.seed, cell)
-            }),
-            None => run_table(&config, |cell| print_cell(config.seed, cell)),
-        }
+        run_table(&config, store, |cell| print_cell(config.seed, cell))
     } else {
         let seeds: Vec<u64> = (0..num_seeds as u64)
             .map(|i| config.seed + i * 101)
             .collect();
-        match env_store() {
-            Some(store) => {
-                deepmorph_bench::run_table_seeds_with_store(&config, &seeds, store, print_cell)
-            }
-            None => run_table_seeds(&config, &seeds, print_cell),
-        }
+        run_table_seeds(&config, &seeds, store, print_cell)
     }
     .unwrap_or_else(|e| {
         eprintln!("table sweep failed: {e}");

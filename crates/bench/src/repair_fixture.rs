@@ -1,5 +1,6 @@
-//! The canonical defect-injected deployment the repair smoke and the
-//! swap-under-load bench phase serve and fix.
+//! The canonical defect-injected deployment that `serve_bench`'s
+//! swap-under-load phase and the benchmark's `serve_repair` workload
+//! serve and fix.
 //!
 //! One seeded scenario (LeNet on synth-digits, ITD starving classes
 //! 0–2 at fraction 0.98 — the configuration `tests/repair.rs` pins as

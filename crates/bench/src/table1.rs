@@ -186,59 +186,24 @@ fn cell_result(family: ModelFamily, defect: &DefectSpec, outcome: &ScenarioOutco
     }
 }
 
-/// Runs one cell: inject `defect` into `family`'s scenario and diagnose.
+/// Runs the full 3×4 sweep (3 defects × 4 models) through the staged
+/// engine: all cells of a retry round execute **concurrently** on the
+/// `deepmorph-parallel` pool, and every stage is persisted in (and
+/// reloaded from) `store` — a rerun against a warm store recomputes
+/// nothing, and [`ArtifactStore::disabled`] computes everything fresh.
 ///
 /// A mild defect occasionally leaves the model perfect on the small test
-/// set; in that case the cell retries with a shifted seed (up to 3 times),
-/// mirroring the paper's implicit requirement that faulty cases exist.
-///
-/// # Errors
-///
-/// Propagates scenario errors.
-pub fn run_cell(
-    family: ModelFamily,
-    defect: &DefectSpec,
-    config: &Table1Config,
-) -> Result<CellResult, DeepMorphError> {
-    for attempt in 0..3 {
-        let scenario = cell_scenario(family, defect, config, attempt)?;
-        match scenario.run() {
-            Ok(o) => return Ok(cell_result(family, defect, &o)),
-            Err(DeepMorphError::NoFaultyCases) => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Err(DeepMorphError::NoFaultyCases)
-}
-
-/// Runs the full 3×4 sweep (3 defects × 4 models) with a disabled
-/// artifact store (compute everything fresh).
+/// set; such cells retry with a shifted seed (up to 3 rounds), mirroring
+/// the paper's implicit requirement that faulty cases exist.
 ///
 /// `progress` is called after each cell with the finished result.
-///
-/// # Errors
-///
-/// Propagates the first cell error.
-pub fn run_table(
-    config: &Table1Config,
-    progress: impl FnMut(&CellResult),
-) -> Result<TableResult, DeepMorphError> {
-    run_table_with_store(config, ArtifactStore::disabled(), progress)
-}
-
-/// Runs the full 3×4 sweep through the staged engine: all cells of a
-/// retry round execute **concurrently** on the `deepmorph-parallel` pool,
-/// and every stage is persisted in (and reloaded from) `store` — a rerun
-/// against a warm store recomputes nothing. Cells whose model was perfect
-/// on the test set retry with a shifted seed (up to 3 rounds), exactly
-/// like [`run_cell`].
 ///
 /// # Errors
 ///
 /// Propagates the first non-retryable cell error;
 /// [`DeepMorphError::NoFaultyCases`] if a cell stayed perfect through
 /// every retry.
-pub fn run_table_with_store(
+pub fn run_table(
     config: &Table1Config,
     store: ArtifactStore,
     progress: impl FnMut(&CellResult),
@@ -246,8 +211,8 @@ pub fn run_table_with_store(
     run_table_on(&SweepRunner::new(store), config, progress)
 }
 
-/// [`run_table_with_store`] against an existing runner, so several table
-/// runs (e.g. the multi-seed sweep) can share one store.
+/// [`run_table`] against an existing runner, so several table runs
+/// (e.g. the multi-seed sweep) can share one store.
 fn run_table_on(
     runner: &SweepRunner,
     config: &Table1Config,
@@ -295,7 +260,9 @@ fn run_table_on(
 }
 
 /// Runs the sweep across several seeds and averages the ratio cells —
-/// the robustness check behind the single-seed table.
+/// the robustness check behind the single-seed table. Every per-seed
+/// table shares `store`, so rerunning the multi-seed sweep (or extending
+/// its seed list) reloads every already-computed cell.
 ///
 /// The aggregated cell's `correct` flag reflects the *mean* ratios (does
 /// the diagonal win on average); accuracy/faulty-count fields are means.
@@ -304,21 +271,6 @@ fn run_table_on(
 ///
 /// Propagates the first cell error.
 pub fn run_table_seeds(
-    config: &Table1Config,
-    seeds: &[u64],
-    progress: impl FnMut(u64, &CellResult),
-) -> Result<TableResult, DeepMorphError> {
-    run_table_seeds_with_store(config, seeds, ArtifactStore::disabled(), progress)
-}
-
-/// [`run_table_seeds`] with every per-seed table sharing one artifact
-/// store, so rerunning the multi-seed sweep (or extending its seed list)
-/// reloads every already-computed cell.
-///
-/// # Errors
-///
-/// Propagates the first cell error.
-pub fn run_table_seeds_with_store(
     config: &Table1Config,
     seeds: &[u64],
     store: ArtifactStore,

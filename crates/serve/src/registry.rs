@@ -630,7 +630,16 @@ impl ModelRegistry {
                     .and_then(|s| s.to_str())
                     .unwrap_or(&base)
                     .to_string();
-                let diagnosis = registry.read_sidecar(dir, &stem, &base);
+                // An unparseable sidecar is quarantined and the version
+                // serves without diagnosis provenance.
+                let diagnosis = match Self::read_sidecar(dir, &stem, &base) {
+                    Some((_, Ok(ctx))) => Some(ctx),
+                    Some((meta_path, Err(_))) => {
+                        registry.quarantine(&meta_path);
+                        None
+                    }
+                    None => None,
+                };
                 match Self::validate_bytes(base.clone(), version, bytes, diagnosis) {
                     Ok(entry) => {
                         serving = Some(entry);
@@ -659,41 +668,33 @@ impl ModelRegistry {
         Ok(registry)
     }
 
-    /// Reads and parses the sidecar for `stem` (falling back to the base
-    /// name's sidecar). A present-but-unparseable sidecar is quarantined
-    /// and the version serves without provenance.
-    fn read_sidecar(&mut self, dir: &Path, stem: &str, base: &str) -> Option<DiagnosisContext> {
-        let mut meta_path = dir.join(format!("{stem}{META_SUFFIX}"));
-        if !meta_path.exists() {
-            meta_path = dir.join(format!("{base}{META_SUFFIX}"));
-        }
-        let text = std::fs::read_to_string(&meta_path).ok()?;
-        match DiagnosisContext::from_json(&text) {
-            Ok(ctx) => Some(ctx),
-            Err(_) => {
-                self.quarantine(&meta_path);
-                None
-            }
-        }
+    /// Reads the sidecar for the version file `stem`: its own
+    /// `<stem>.meta.json`, else the base name's `<base>.meta.json`.
+    /// `None` when neither is readable; otherwise the path read and its
+    /// parse result, so each caller decides what an unparseable sidecar
+    /// means.
+    fn read_sidecar(
+        dir: &Path,
+        stem: &str,
+        base: &str,
+    ) -> Option<(PathBuf, ServeResult<DiagnosisContext>)> {
+        let own = dir.join(format!("{stem}{META_SUFFIX}"));
+        let path = if own.exists() {
+            own
+        } else {
+            dir.join(format!("{base}{META_SUFFIX}"))
+        };
+        let text = std::fs::read_to_string(&path).ok()?;
+        Some((path, DiagnosisContext::from_json(&text)))
     }
 
-    /// Best-effort move of `path` into the registry's `quarantine/`
-    /// subdirectory (collision-proofed with a numeric suffix). Recorded in
+    /// Quarantines `path` in the registry's directory (see
+    /// [`ModelRegistry::quarantine_in`]) and records it in
     /// [`ModelRegistry::quarantined`] even if the move itself fails — the
     /// file is skipped either way.
     fn quarantine(&mut self, path: &Path) {
         if let Some(dir) = &self.dir {
-            let qdir = dir.join("quarantine");
-            let _ = std::fs::create_dir_all(&qdir);
-            if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
-                let mut dest = qdir.join(name);
-                let mut n = 0u32;
-                while dest.exists() {
-                    dest = qdir.join(format!("{name}.{n}"));
-                    n += 1;
-                }
-                let _ = std::fs::rename(path, &dest);
-            }
+            Self::quarantine_in(dir, path);
         }
         self.quarantined.push(path.to_path_buf());
     }
@@ -982,18 +983,15 @@ impl ModelRegistry {
             .and_then(|s| s.to_str())
             .unwrap_or(name)
             .to_string();
-        let mut meta_path = dir.join(format!("{stem}{META_SUFFIX}"));
-        if !meta_path.exists() {
-            meta_path = dir.join(format!("{name}{META_SUFFIX}"));
-        }
-        let diagnosis = std::fs::read_to_string(&meta_path)
-            .ok()
-            .and_then(|text| DiagnosisContext::from_json(&text).ok());
+        // Unlike `open`, a rollback reload leaves an unparseable sidecar
+        // in place and reloads the version without provenance.
+        let diagnosis = Self::read_sidecar(dir, &stem, name).and_then(|(_, parsed)| parsed.ok());
         Self::validate_bytes(name.to_string(), meta.version, bytes, diagnosis)
     }
 
-    /// Best-effort quarantine used outside `open` (rollback, GC paths)
-    /// where `&mut self` is unavailable.
+    /// Best-effort move of `path` into `dir`'s `quarantine/`
+    /// subdirectory (collision-proofed with a numeric suffix). Rollback
+    /// and GC call it directly: they hold no `&mut self`.
     fn quarantine_in(dir: &Path, path: &Path) {
         let qdir = dir.join("quarantine");
         let _ = std::fs::create_dir_all(&qdir);
@@ -1493,10 +1491,14 @@ mod tests {
         let id = reopened.find("m").unwrap();
         let v1_bytes = std::fs::read(dir.join("m.dmmd")).unwrap();
         assert_eq!(reopened.current(id).version, 2);
+        // Unlike `open`, the reload leaves an unparseable sidecar in place.
+        std::fs::write(dir.join("m.meta.json"), "{not json").unwrap();
         let restored = reopened.rollback(id).unwrap();
         assert_eq!(restored.version, 1);
         assert_eq!(restored.fingerprint, content_fingerprint(&v1_bytes));
         assert_eq!(restored.bytes, v1_bytes, "restored bitwise from disk");
+        assert!(restored.diagnosis.is_none());
+        assert!(dir.join("m.meta.json").exists());
 
         // v2's file moved to quarantine, so a restart agrees with memory.
         assert!(!dir.join("m@v2.dmmd").exists());

@@ -171,6 +171,13 @@ fn predict_storm_under_faults_loses_nothing_and_corrupts_nothing() {
         stats.requests.max((clients * per_client) as u64),
         "retries can only add requests beyond the logical count"
     );
+
+    // With the storm over, a fresh connection is served normally.
+    let mut probe = Client::connect(addr).expect("post-storm connect");
+    let response = probe
+        .predict("m", &row(&rows(1, 7), 0))
+        .expect("post-storm predict");
+    assert_eq!(response.predictions.len(), 1);
     server.shutdown();
 }
 

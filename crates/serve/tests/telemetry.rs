@@ -8,13 +8,16 @@
 //! * **per-version live stats are real**: labeled traffic with wrong
 //!   labels shows up as a nonzero misclassification rate in the
 //!   `Telemetry` frame fetched over the wire, keyed by the serving
-//!   version's content fingerprint.
+//!   version's content fingerprint; the same frame's counters and
+//!   exposition cover the load, and a cleared registry reports itself
+//!   disarmed.
 //!
 //! Telemetry arming is process-global, so the tests in this binary
 //! serialize their armed windows behind one mutex (separate test
 //! binaries are separate processes and need no coordination).
 
 use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 use deepmorph_models::{build_model, ModelFamily, ModelHandle, ModelScale, ModelSpec};
 use deepmorph_serve::prelude::*;
@@ -101,7 +104,9 @@ fn armed_responses_are_bitwise_identical_to_disarmed() {
 }
 
 /// Labeled traffic with deliberately wrong labels must surface as a
-/// per-version misclassification rate in the wire `Telemetry` frame.
+/// per-version misclassification rate in the wire `Telemetry` frame,
+/// next to the server counters, the request histogram and a parseable
+/// Prometheus exposition; once cleared, the frame reports disarmed.
 #[test]
 fn telemetry_frame_reports_live_misclassification_rate() {
     let _guard = TELEMETRY_LOCK
@@ -125,11 +130,32 @@ fn telemetry_frame_reports_live_misclassification_rate() {
             .unwrap();
     }
 
-    let report = client.telemetry().unwrap();
+    // A worker records a reply's latency after writing the reply, so the
+    // last predict's sample can trail its response by a moment.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let report = loop {
+        let report = client.telemetry().unwrap();
+        if report.snapshot.request_us.count() >= 5 || Instant::now() > deadline {
+            break report;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    // Disarmed, the frame still answers and reports itself disarmed.
     deepmorph_telemetry::clear();
+    let disarmed = client.telemetry().unwrap();
     server.shutdown();
 
     assert!(report.armed);
+    assert!(
+        report.stats.requests >= 5,
+        "server stats counted {} requests, expected >= 5",
+        report.stats.requests
+    );
+    assert!(
+        report.snapshot.request_us.count() >= 5,
+        "request histogram recorded {} responses, expected >= 5",
+        report.snapshot.request_us.count()
+    );
     let version = report
         .snapshot
         .versions
@@ -144,6 +170,31 @@ fn telemetry_frame_reports_live_misclassification_rate() {
     assert_eq!(version.misclassified, 3);
     assert!((version.misclassification_rate() - 0.75).abs() < 1e-9);
     assert!(version.requests >= 5, "all answered requests counted");
+
+    // Every exposition sample is `name value` with a finite value.
+    let mut samples = 0;
+    for line in report.to_prometheus().lines() {
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let (name, value) = line
+            .rsplit_once(' ')
+            .unwrap_or_else(|| panic!("exposition line without a value: {line:?}"));
+        assert!(!name.is_empty(), "empty metric name: {line:?}");
+        let value: f64 = value
+            .parse()
+            .unwrap_or_else(|_| panic!("unparseable exposition value: {line:?}"));
+        assert!(value.is_finite(), "non-finite exposition value: {line:?}");
+        samples += 1;
+    }
+    assert!(samples > 20, "only {samples} exposition samples");
+
+    assert!(!disarmed.armed, "a cleared registry must report disarmed");
+    assert_eq!(
+        disarmed.snapshot.request_us.count(),
+        0,
+        "a disarmed report carries an empty snapshot"
+    );
 }
 
 /// A request's trace stages are disjoint spans inside its total: queue

@@ -16,9 +16,10 @@
 //!   inner dot runs 32 i16 multiply-accumulates per unrolled iteration,
 //!   all inside one `target_feature` region per product.
 //!
-//! Accuracy is asserted end-to-end on the repair_smoke fixture by the
-//! backend conformance suite, not per-kernel: the tolerances that matter
-//! are model-level.
+//! Accuracy is asserted end to end, not per kernel, by
+//! `crates/serve/tests/quantized_serving.rs`: an i8 replica of a seeded
+//! LeNet must clear the held-out promotion gate. The tolerances that
+//! matter are model-level.
 
 use std::fmt;
 
