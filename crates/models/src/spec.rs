@@ -180,9 +180,10 @@ impl ModelHandle {
         self.graph.bind_compute(ctx);
     }
 
-    /// Re-expresses the model's parameters at a serving precision (see
-    /// [`Graph::apply_precision`]). Lossy — only inference replicas do
-    /// this; training and diagnosis always run f32.
+    /// Prepares the model to serve at `precision` (see
+    /// [`Graph::apply_precision`]): f32 packs the dense and conv weights
+    /// once, i8 quantizes them (lossy). Only inference replicas do this;
+    /// training and diagnosis always run the unprepared f32 graph.
     ///
     /// # Errors
     ///

@@ -1,12 +1,12 @@
 //! 2-D convolution layer (im2col-lowered).
 
-use deepmorph_tensor::backend::quant::{self, Precision, QuantizedMat};
+use deepmorph_tensor::backend::quant::Precision;
 use deepmorph_tensor::backend::ComputeCtx;
 use deepmorph_tensor::conv::{col2im_mapped_into, im2col_mapped_into, Conv2dGeometry, Im2colMap};
 use deepmorph_tensor::{init::Init, workspace, Tensor};
 use rand::Rng;
 
-use crate::dense::single_input;
+use crate::dense::{product_nt, single_input, ServingWeights};
 use crate::layer::{Grads, Layer, Mode, Param};
 use crate::{NnError, Result};
 
@@ -17,7 +17,8 @@ use crate::{NnError, Result};
 /// patch matrix. The geometry and its im2col gather table are computed once
 /// per layer instance; per-batch buffers are drawn from (and recycled to)
 /// the thread's workspace arena, so a warm train step performs no heap
-/// allocations.
+/// allocations. [`Layer::apply_precision`] prepares the weight a serving
+/// replica's eval-mode forward reads, as on [`crate::dense::Dense`].
 #[derive(Debug)]
 pub struct Conv2d {
     name: String,
@@ -28,7 +29,7 @@ pub struct Conv2d {
     cached_cols: Option<Tensor>,
     cached_batch: usize,
     ctx: ComputeCtx,
-    qweight: Option<QuantizedMat>,
+    serving: Option<ServingWeights>,
 }
 
 impl Conv2d {
@@ -84,7 +85,7 @@ impl Conv2d {
             cached_cols: None,
             cached_batch: 0,
             ctx: ComputeCtx::default(),
-            qweight: None,
+            serving: None,
         })
     }
 
@@ -96,6 +97,12 @@ impl Conv2d {
     /// Output shape `[c, h, w]` (excluding batch).
     pub fn out_shape(&self) -> [usize; 3] {
         [self.geo.out_channels, self.geo.out_h, self.geo.out_w]
+    }
+
+    /// The prepared serving weight, if any.
+    #[cfg(test)]
+    pub(crate) fn serving(&self) -> Option<&ServingWeights> {
+        self.serving.as_ref()
     }
 
     /// Permutes `[n*positions, out_c]` to NCHW `[n, out_c, oh, ow]`.
@@ -157,16 +164,13 @@ impl Layer for Conv2d {
         let mut cols = workspace::tensor_raw(&[n * self.geo.out_positions(), self.geo.patch_len()]);
         im2col_mapped_into(x, &self.map, cols.data_mut())?;
         // [n*positions, patch] @ [out_c, patch]^T -> [n*positions, out_c]
-        let quantized = self.qweight.as_ref().filter(|_| mode == Mode::Eval);
-        let mut y = match quantized {
-            Some(q) => {
-                let m = n * self.geo.out_positions();
-                let mut y = workspace::tensor_raw(&[m, self.geo.out_channels]);
-                quant::qgemm_nt(cols.data(), q, y.data_mut(), m);
-                y
-            }
-            None => self.ctx.matmul_nt(&cols, &self.weight.value)?,
-        };
+        let mut y = product_nt(
+            &self.ctx,
+            &cols,
+            &self.weight.value,
+            self.serving.as_ref(),
+            mode,
+        )?;
         y.add_row_broadcast(&self.bias.value)?;
         let out = self.cols_to_nchw(&y, n);
         workspace::recycle_tensor(y);
@@ -207,6 +211,8 @@ impl Layer for Conv2d {
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+        // The visitor may rewrite the weight the serving form was built from.
+        self.serving = None;
         visitor(&mut self.weight);
         visitor(&mut self.bias);
     }
@@ -217,25 +223,16 @@ impl Layer for Conv2d {
 
     fn bind_compute(&mut self, ctx: &ComputeCtx) {
         self.ctx = ctx.clone();
+        self.serving = None;
     }
 
     fn apply_precision(&mut self, precision: Precision) -> Result<()> {
-        match precision {
-            Precision::F32 => self.qweight = None,
-            Precision::F16 => {
-                quant::f16_round_slice(self.weight.value.data_mut());
-                quant::f16_round_slice(self.bias.value.data_mut());
-                self.qweight = None;
-            }
-            Precision::I8 => {
-                self.qweight = Some(QuantizedMat::from_rows(
-                    self.weight.value.data(),
-                    self.geo.out_channels,
-                    self.geo.patch_len(),
-                ));
-                quant::f16_round_slice(self.bias.value.data_mut());
-            }
-        }
+        self.serving = ServingWeights::prepare(
+            &self.weight.value,
+            &mut self.bias.value,
+            precision,
+            &self.ctx,
+        )?;
         Ok(())
     }
 }

@@ -1,7 +1,7 @@
 //! Fully-connected layer.
 
 use deepmorph_tensor::backend::quant::{self, Precision, QuantizedMat};
-use deepmorph_tensor::backend::ComputeCtx;
+use deepmorph_tensor::backend::{ComputeCtx, PackedNt};
 use deepmorph_tensor::{init::Init, workspace, Tensor};
 use rand::Rng;
 
@@ -14,9 +14,9 @@ use crate::{NnError, Result};
 /// `[out_features]`.
 ///
 /// Every product dispatches through the layer's [`ComputeCtx`] (scalar by
-/// default; see [`Layer::bind_compute`]). An [`Layer::apply_precision`]
-/// call with [`Precision::I8`] builds an integer weight path the eval-mode
-/// forward uses instead of the f32 GEMM.
+/// default; see [`Layer::bind_compute`]). [`Layer::apply_precision`]
+/// prepares the weight a serving replica's eval-mode forward reads: packed
+/// once for the f32 GEMM, or quantized for the integer kernel.
 #[derive(Debug)]
 pub struct Dense {
     name: String,
@@ -26,7 +26,7 @@ pub struct Dense {
     bias: Param,
     cached_input: Option<Tensor>,
     ctx: ComputeCtx,
-    qweight: Option<QuantizedMat>,
+    serving: Option<ServingWeights>,
 }
 
 impl Dense {
@@ -57,7 +57,7 @@ impl Dense {
             bias,
             cached_input: None,
             ctx: ComputeCtx::default(),
-            qweight: None,
+            serving: None,
         }
     }
 
@@ -85,19 +85,13 @@ impl Layer for Dense {
     fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Result<Tensor> {
         let x = single_input(inputs, &self.name)?;
         x.expect_rank(2, "dense forward")?;
-        let quantized = self
-            .qweight
-            .as_ref()
-            .filter(|q| mode == Mode::Eval && x.shape()[1] == q.cols());
-        let mut y = match quantized {
-            Some(q) => {
-                let m = x.shape()[0];
-                let mut y = workspace::tensor_raw(&[m, self.out_features]);
-                quant::qgemm_nt(x.data(), q, y.data_mut(), m);
-                y
-            }
-            None => self.ctx.matmul_nt(x, &self.weight.value)?,
-        };
+        let mut y = product_nt(
+            &self.ctx,
+            x,
+            &self.weight.value,
+            self.serving.as_ref(),
+            mode,
+        )?;
         y.add_row_broadcast(&self.bias.value)?;
         if mode == Mode::Train {
             // Pooled copy for the backward pass; the previous batch's copy
@@ -128,6 +122,8 @@ impl Layer for Dense {
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+        // The visitor may rewrite the weight the serving form was built from.
+        self.serving = None;
         visitor(&mut self.weight);
         visitor(&mut self.bias);
     }
@@ -138,26 +134,80 @@ impl Layer for Dense {
 
     fn bind_compute(&mut self, ctx: &ComputeCtx) {
         self.ctx = ctx.clone();
+        self.serving = None;
     }
 
     fn apply_precision(&mut self, precision: Precision) -> Result<()> {
-        match precision {
-            Precision::F32 => self.qweight = None,
-            Precision::F16 => {
-                quant::f16_round_slice(self.weight.value.data_mut());
-                quant::f16_round_slice(self.bias.value.data_mut());
-                self.qweight = None;
-            }
-            Precision::I8 => {
-                self.qweight = Some(QuantizedMat::from_rows(
-                    self.weight.value.data(),
-                    self.out_features,
-                    self.in_features,
-                ));
-                quant::f16_round_slice(self.bias.value.data_mut());
-            }
-        }
+        self.serving = ServingWeights::prepare(
+            &self.weight.value,
+            &mut self.bias.value,
+            precision,
+            &self.ctx,
+        )?;
         Ok(())
+    }
+}
+
+/// A serving replica's prepared `x·Wᵀ` weight, built by
+/// [`Layer::apply_precision`] on a [`Dense`] or [`crate::conv::Conv2d`]
+/// and read by its eval-mode forward ([`product_nt`]).
+#[derive(Debug)]
+pub(crate) enum ServingWeights {
+    /// The f32 weight packed once for the GEMM, so a batch pays only for
+    /// the multiply (bitwise equal to the per-call product).
+    F32(PackedNt),
+    /// The weight quantized to per-row i8 for the integer kernel.
+    I8(QuantizedMat),
+}
+
+impl ServingWeights {
+    /// Prepares a layer's `weight` (`[out, in]`) to serve at `precision`
+    /// on `ctx`; at i8 the `bias` is rounded through binary16 too. `None`
+    /// when `ctx`'s backend packs per call, so there is nothing to keep.
+    pub(crate) fn prepare(
+        weight: &Tensor,
+        bias: &mut Tensor,
+        precision: Precision,
+        ctx: &ComputeCtx,
+    ) -> Result<Option<ServingWeights>> {
+        Ok(match precision {
+            Precision::F32 => ctx.pack_nt(weight)?.map(ServingWeights::F32),
+            Precision::I8 => {
+                quant::f16_round_slice(bias.data_mut());
+                weight.expect_rank(2, "quantize weight")?;
+                let (rows, cols) = (weight.shape()[0], weight.shape()[1]);
+                Some(ServingWeights::I8(QuantizedMat::from_rows(
+                    weight.data(),
+                    rows,
+                    cols,
+                )))
+            }
+        })
+    }
+}
+
+/// `x · Wᵀ` for a dense or im2col-lowered conv forward. An eval-mode
+/// forward runs against the prepared `serving` weight when there is one;
+/// every other forward (training, or a layer never prepared) runs the f32
+/// GEMM on `weight` through `ctx`.
+pub(crate) fn product_nt(
+    ctx: &ComputeCtx,
+    x: &Tensor,
+    weight: &Tensor,
+    serving: Option<&ServingWeights>,
+    mode: Mode,
+) -> Result<Tensor> {
+    match serving.filter(|_| mode == Mode::Eval) {
+        Some(ServingWeights::F32(packed)) => Ok(ctx.matmul_nt_packed(x, packed)?),
+        Some(ServingWeights::I8(q)) if x.shape()[1] == q.cols() => {
+            let m = x.shape()[0];
+            let mut y = workspace::tensor_raw(&[m, q.rows()]);
+            quant::qgemm_nt(x.data(), q, y.data_mut(), m);
+            Ok(y)
+        }
+        // A wrong-width input falls through to the f32 GEMM, which
+        // reports the shape error.
+        _ => Ok(ctx.matmul_nt(x, weight)?),
     }
 }
 
@@ -281,7 +331,9 @@ mod tests {
             Tensor::from_vec((0..10).map(|v| (v as f32 * 0.7).sin()).collect(), &[2, 5]).unwrap();
         let f32_out = layer.forward(&[&x], Mode::Eval).unwrap();
         layer.apply_precision(Precision::I8).unwrap();
-        let q = layer.qweight.as_ref().expect("i8 weight path");
+        let Some(ServingWeights::I8(q)) = &layer.serving else {
+            panic!("i8 weight path");
+        };
         assert_eq!((q.rows(), q.cols()), (4, 5));
         let q_out = layer.forward(&[&x], Mode::Eval).unwrap();
         // Quantized result tracks f32 within the i8 step budget but is a
@@ -291,22 +343,74 @@ mod tests {
             assert!((a - b).abs() < 0.1, "quantized {a} vs f32 {b}");
         }
         let t_out = layer.forward(&[&x], Mode::Train).unwrap();
-        let deq = layer.qweight.as_ref().unwrap().dequantize();
-        assert_ne!(deq, layer.weight.value.data());
+        let Some(ServingWeights::I8(q)) = &layer.serving else {
+            panic!("i8 weight path");
+        };
+        assert_ne!(q.dequantize(), layer.weight.value.data());
         assert_eq!(t_out.shape(), &[2, 4]);
         // Demoting back to f32 drops the integer path (weights stay as-is).
         layer.apply_precision(Precision::F32).unwrap();
-        assert!(layer.qweight.is_none());
+        assert!(matches!(layer.serving, Some(ServingWeights::F32(_))));
+    }
+
+    /// Adds `delta` to the first weight element through `visit_params`
+    /// (the door optimizers and state imports rewrite weights through).
+    fn bump_first_weight(layer: &mut dyn Layer, delta: f32) {
+        let mut first = true;
+        layer.visit_params(&mut |p| {
+            if std::mem::take(&mut first) {
+                p.value.data_mut()[0] += delta;
+            }
+        });
+    }
+
+    /// Asserts `prepared` gives `reference`'s eval output on `x`, bit for
+    /// bit; `reference` is a twin that is never prepared.
+    fn assert_prepared_matches(prepared: &mut dyn Layer, reference: &mut dyn Layer, x: &Tensor) {
+        let got = prepared.forward(&[x], Mode::Eval).unwrap();
+        let want = reference.forward(&[x], Mode::Eval).unwrap();
+        assert_eq!(got.shape(), want.shape());
+        assert_eq!(got.data(), want.data(), "{}", prepared.name());
     }
 
     #[test]
-    fn f16_precision_rounds_parameters() {
-        let mut rng = stream_rng(7, "dense");
-        let mut layer = Dense::new(3, 2, &mut rng);
-        layer.apply_precision(Precision::F16).unwrap();
-        for &w in layer.weight.value.data() {
-            assert_eq!(quant::f16_round(w), w, "weight not f16-representable");
+    fn f32_serving_pack_is_bitwise_and_follows_weight_changes() {
+        use crate::conv::Conv2d;
+        let dense = || Dense::new(70, 600, &mut stream_rng(8, "dense-pack"));
+        let conv = || Conv2d::new(3, 5, 6, 6, 3, 1, 1, &mut stream_rng(8, "conv-pack")).unwrap();
+        let xd = Tensor::from_vec(
+            (0..3 * 70).map(|v| (v as f32 * 0.37).sin()).collect(),
+            &[3, 70],
+        )
+        .unwrap();
+        let xc = Tensor::from_vec(
+            (0..2 * 3 * 36).map(|v| (v as f32 * 0.23).cos()).collect(),
+            &[2, 3, 6, 6],
+        )
+        .unwrap();
+        let (mut d, mut c) = (dense(), conv());
+        d.apply_precision(Precision::F32).unwrap();
+        c.apply_precision(Precision::F32).unwrap();
+        assert!(matches!(d.serving, Some(ServingWeights::F32(_))));
+        assert!(matches!(c.serving(), Some(ServingWeights::F32(_))));
+        let (mut d_ref, mut c_ref) = (dense(), conv());
+        let cases: [(&mut dyn Layer, &mut dyn Layer, &Tensor); 2] =
+            [(&mut d, &mut d_ref, &xd), (&mut c, &mut c_ref, &xc)];
+        for (prepared, reference, x) in cases {
+            for _ in 0..2 {
+                assert_prepared_matches(prepared, reference, x);
+            }
+            // A weight rewritten through `visit_params` must reach the
+            // next eval forward: a stale pack would still multiply by
+            // the old weight.
+            bump_first_weight(prepared, 0.5);
+            bump_first_weight(reference, 0.5);
+            assert_prepared_matches(prepared, reference, x);
+            // Preparing again packs the new weight.
+            prepared.apply_precision(Precision::F32).unwrap();
+            assert_prepared_matches(prepared, reference, x);
         }
-        assert!(layer.qweight.is_none());
+        assert!(matches!(d.serving, Some(ServingWeights::F32(_))));
+        assert!(matches!(c.serving(), Some(ServingWeights::F32(_))));
     }
 }

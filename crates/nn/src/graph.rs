@@ -177,7 +177,7 @@ pub struct Graph {
     /// Compute context every layer kernel dispatches through (scalar by
     /// default; installed into the layers by [`Graph::bind_compute`]).
     ctx: ComputeCtx,
-    /// Serving precision the parameters were last re-expressed at.
+    /// Serving precision the layers were last prepared at.
     precision: Precision,
 }
 
@@ -358,10 +358,12 @@ impl Graph {
         &self.ctx
     }
 
-    /// Re-expresses every layer's parameters at `precision` (see
-    /// [`Layer::apply_precision`]). Lossy and irreversible: serving
-    /// replicas call this once after instantiation; training and diagnosis
-    /// graphs never do.
+    /// Prepares every layer to serve at `precision` (see
+    /// [`Layer::apply_precision`]): at [`Precision::F32`] dense and conv
+    /// weights are packed once for the GEMM and outputs stay bitwise
+    /// equal; at [`Precision::I8`] the change is lossy and irreversible.
+    /// Serving replicas call this once after instantiation (and after
+    /// [`Graph::bind_compute`]); training and diagnosis graphs never do.
     ///
     /// # Errors
     ///
@@ -374,7 +376,7 @@ impl Graph {
         Ok(())
     }
 
-    /// The precision the parameters were last re-expressed at
+    /// The precision the layers were last prepared at
     /// ([`Precision::F32`] for a graph never touched by
     /// [`Graph::apply_precision`]).
     pub fn precision(&self) -> Precision {

@@ -180,21 +180,26 @@ pub trait Layer: Send {
         let _ = ctx;
     }
 
-    /// Re-expresses this layer's parameters at a serving precision.
+    /// Prepares this layer to serve at `precision` — called once on an
+    /// inference replica, never on a training or diagnosis graph.
     ///
-    /// Lossy and irreversible — call it only on inference replicas
-    /// (training and diagnosis stay f32). The default rounds every
-    /// trainable parameter through IEEE binary16 for [`Precision::F16`]
-    /// and [`Precision::I8`] (layers with a hot `x·Wᵀ` product override to
-    /// build an integer weight path for `I8`); [`Precision::F32`] restores
-    /// nothing and is a no-op.
+    /// Layers with an `x·Wᵀ` product (dense, conv) build the form their
+    /// eval-mode forward then reads: at [`Precision::F32`] the weight is
+    /// packed once for the GEMM (on backends that pack ahead; outputs
+    /// stay bitwise equal, one extra weight copy is kept), at
+    /// [`Precision::I8`] it is quantized and the bias rounded through
+    /// IEEE binary16. A later [`Layer::visit_params`] or
+    /// [`Layer::bind_compute`] drops that form, so a rewritten weight or a
+    /// new backend is never served from a stale one. The default rounds
+    /// every trainable parameter through binary16 at `I8` — lossy and
+    /// irreversible — and does nothing at `F32`.
     ///
     /// # Errors
     ///
     /// Implementations may reject precisions they cannot represent; the
     /// provided implementations always succeed.
     fn apply_precision(&mut self, precision: Precision) -> Result<()> {
-        if precision != Precision::F32 {
+        if precision == Precision::I8 {
             self.visit_params(&mut |p| f16_round_slice(p.value.data_mut()));
         }
         Ok(())

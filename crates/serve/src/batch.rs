@@ -774,7 +774,10 @@ fn deliver(stats: &ServeStats, mut job: Job, result: ServeResult<JobOutput>) {
         }
     }
     if let (Some((t, jt)), Some(sent)) = (span, send_started) {
-        let total_us = jt.submitted.elapsed().as_micros() as u64;
+        // One end stamp for both the total and the flush span, so the
+        // spans never sum past the total.
+        let ended = Instant::now();
+        let total_us = ended.duration_since(jt.submitted).as_micros() as u64;
         t.record_request(total_us);
         t.offer_trace(Trace {
             id: trace_id,
@@ -789,7 +792,7 @@ fn deliver(stats: &ServeStats, mut job: Job, result: ServeResult<JobOutput>) {
                 jt.queue_us,
                 jt.coalesce_us,
                 jt.compute_us,
-                sent.elapsed().as_micros() as u64,
+                ended.duration_since(sent).as_micros() as u64,
             ],
         });
     }

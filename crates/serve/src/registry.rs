@@ -412,9 +412,11 @@ impl ModelEntry {
 
     /// Builds a replica prepared for *serving*: instantiates the f32
     /// model, binds the entry's compute backend, and applies its serving
-    /// precision (f16 parameter rounding or i8 weight quantization).
-    /// For the default mode (f32 + scalar) this is exactly
-    /// [`ModelEntry::instantiate`] — bitwise-identical serving.
+    /// precision. In the default mode (f32 + scalar) that packs every
+    /// dense and conv weight once for the GEMM, so batches skip the
+    /// per-call packing while the logits stay bitwise equal to those of
+    /// a model built by [`ModelEntry::instantiate`]; the replica holds
+    /// one extra copy of those weights. At i8 it quantizes them.
     ///
     /// # Errors
     ///
@@ -425,13 +427,11 @@ impl ModelEntry {
         if self.backend != BackendKind::Scalar {
             model.bind_compute(&ComputeCtx::for_kind(self.backend));
         }
-        if self.precision != Precision::F32 {
-            model
-                .apply_precision(self.precision)
-                .map_err(|e| ServeError::Model {
-                    reason: format!("applying {} serving precision: {e}", self.precision),
-                })?;
-        }
+        model
+            .apply_precision(self.precision)
+            .map_err(|e| ServeError::Model {
+                reason: format!("applying {} serving precision: {e}", self.precision),
+            })?;
         Ok(model)
     }
 }

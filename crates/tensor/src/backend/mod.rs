@@ -6,9 +6,17 @@
 //! [`ComputeCtx::matmul_nt`] or [`ComputeCtx::matmul_tn`], which validate
 //! the tensor shapes, build a [`GemmSpec`] and call the context's
 //! [`Backend::gemm`]. The spec carries the dimensions, a per-operand
-//! [`MatLayout`] and a fan-out hint. `Backend::gemm` is the only kernel
-//! hook; elementwise work (ReLU, bias rows) stays in the layers, and
-//! quantized serving replicas run their own integer kernel ([`quant`]).
+//! [`MatLayout`] and a fan-out hint. `Backend::gemm` is the one kernel
+//! every backend implements; elementwise work (ReLU, bias rows) stays in
+//! the layers, and quantized serving replicas run their own integer
+//! kernel ([`quant`]).
+//!
+//! A serving replica's weights never change, so its `x·Wᵀ` products can
+//! skip the per-call rhs packing: [`ComputeCtx::pack_nt`] packs a weight
+//! once into a [`PackedNt`] (through the provided [`Backend::pack_nt`]
+//! hook, which only the scalar backend implements), and
+//! [`ComputeCtx::matmul_nt_packed`] runs the scalar kernel's row loop
+//! against it — bitwise equal to [`ComputeCtx::matmul_nt`].
 //!
 //! Two implementations exist:
 //!
@@ -188,6 +196,34 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     ///
     /// Panics if slice lengths disagree with the spec.
     fn gemm(&self, spec: &GemmSpec, a: &[f32], b: &[f32], out: &mut [f32]);
+
+    /// Packs `b` (`[n, k]` row-major, the rhs of an `x·bᵀ` product) once
+    /// for [`ComputeCtx::matmul_nt_packed`]. `None` — the default — means
+    /// this backend packs per call; only [`ScalarBackend`] packs ahead.
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic if `b.len() != n * k`.
+    fn pack_nt(&self, b: &[f32], n: usize, k: usize) -> Option<PackedNt> {
+        let _ = (b, n, k);
+        None
+    }
+}
+
+/// The rhs of `x·Wᵀ` products, packed once into the scalar kernel's
+/// column panels — the buffer [`ComputeCtx::matmul_nt`] rebuilds from
+/// `W` on every call. Built by [`ComputeCtx::pack_nt`], consumed by
+/// [`ComputeCtx::matmul_nt_packed`]; it holds one extra copy of `W`.
+#[derive(Debug)]
+pub struct PackedNt {
+    /// Output columns (rows of `W`).
+    n: usize,
+    /// Inner dimension (columns of `W`).
+    k: usize,
+    /// `Wᵀ` in the panel layout, `k · n` elements.
+    panels: Vec<f32>,
+    /// [`Backend::name`] of the backend that packed it.
+    packed_by: &'static str,
 }
 
 /// Shared, cheaply clonable handle to a backend.
@@ -209,6 +245,20 @@ impl Backend for ScalarBackend {
         // telemetry is armed and `DEEPMORPH_KERNEL_TIMING=1`.
         let _timer = deepmorph_telemetry::kernel_timer(spec.m, spec.k, spec.n);
         crate::gemm::gemm_into(spec, a, b, out);
+    }
+
+    fn pack_nt(&self, b: &[f32], n: usize, k: usize) -> Option<PackedNt> {
+        assert_eq!(b.len(), n * k, "pack_nt: rhs length");
+        // Owned, not a workspace checkout: the pack lives as long as the
+        // replica that holds it.
+        let mut panels = vec![0.0f32; n * k];
+        crate::gemm::pack_nt_into(b, k, n, &mut panels);
+        Some(PackedNt {
+            n,
+            k,
+            panels,
+            packed_by: self.name(),
+        })
     }
 }
 
@@ -351,6 +401,54 @@ impl ComputeCtx {
         )
     }
 
+    /// Packs `b: [n, k]` once as the rhs of `A @ bᵀ` products, for
+    /// [`ComputeCtx::matmul_nt_packed`]. `Ok(None)` unless this context
+    /// runs the scalar kernel: other backends pack per call, so their
+    /// callers keep using [`ComputeCtx::matmul_nt`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] if `b` is not a matrix.
+    pub fn pack_nt(&self, b: &Tensor) -> Result<Option<PackedNt>, TensorError> {
+        b.expect_rank(2, "pack_nt")?;
+        Ok(self.backend.pack_nt(b.data(), b.shape()[0], b.shape()[1]))
+    }
+
+    /// `A @ Bᵀ` for `a: [m, k]` against a `B` packed by
+    /// [`ComputeCtx::pack_nt`]. Same panels, same row loop, same fan-out
+    /// decision and kernel timing as [`ComputeCtx::matmul_nt`] on the
+    /// unpacked `B`, so the result is bitwise equal; only the per-call
+    /// packing is gone.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`],
+    /// [`TensorError::MatmulDimMismatch`] when `a`'s `k` is not the
+    /// pack's, or [`TensorError::PackedByOtherBackend`] when another
+    /// backend packed `b`.
+    pub fn matmul_nt_packed(&self, a: &Tensor, b: &PackedNt) -> Result<Tensor, TensorError> {
+        a.expect_rank(2, "matmul_nt_packed")?;
+        let (m, k, n) = (a.shape()[0], a.shape()[1], b.n);
+        if k != b.k {
+            return Err(TensorError::MatmulDimMismatch {
+                lhs: [m, k],
+                rhs: [b.k, n],
+            });
+        }
+        let backend = self.backend.name();
+        if b.packed_by != backend {
+            return Err(TensorError::PackedByOtherBackend {
+                packed_by: b.packed_by,
+                backend,
+            });
+        }
+        let spec = GemmSpec::nt(m, k, n).parallel_worthwhile();
+        let mut out = workspace::tensor_zeroed(&[m, n]);
+        let _timer = deepmorph_telemetry::kernel_timer(m, k, n);
+        crate::gemm::panel_rows_into(&spec, a.data(), &b.panels, out.data_mut());
+        Ok(out)
+    }
+
     /// `Aᵀ @ B` for `a: [k, m]` and `b: [k, n]`, without materializing
     /// the transpose; otherwise as [`ComputeCtx::matmul`].
     ///
@@ -464,6 +562,59 @@ mod tests {
             &mut got,
         );
         assert_eq!(expect, got);
+    }
+
+    #[test]
+    fn packed_nt_matches_matmul_nt_bitwise_and_rejects_mismatches() {
+        let ctx = ComputeCtx::scalar();
+        // Wide enough to span two panels; tall enough to fan out.
+        let (m, k, n) = (40usize, 37usize, 600usize);
+        let a = Tensor::from_vec(
+            (0..m * k).map(|v| (v as f32 * 0.31).sin()).collect(),
+            &[m, k],
+        )
+        .unwrap();
+        let w = Tensor::from_vec(
+            (0..n * k).map(|v| (v as f32 * 0.17).cos()).collect(),
+            &[n, k],
+        )
+        .unwrap();
+        let packed = ctx.pack_nt(&w).unwrap().expect("the scalar backend packs");
+        let want = ctx.matmul_nt(&a, &w).unwrap();
+        for _ in 0..2 {
+            let got = ctx.matmul_nt_packed(&a, &packed).unwrap();
+            assert_eq!(got.shape(), want.shape());
+            assert_eq!(got.data(), want.data());
+        }
+
+        let short = Tensor::ones(&[2, k - 1]);
+        assert!(matches!(
+            ctx.matmul_nt_packed(&short, &packed),
+            Err(TensorError::MatmulDimMismatch { .. })
+        ));
+        assert!(ctx.matmul_nt_packed(&Tensor::ones(&[k]), &packed).is_err());
+        assert!(ctx.pack_nt(&Tensor::ones(&[k])).is_err());
+
+        // Other backends pack per call and refuse the scalar pack.
+        let auto = ComputeCtx::auto();
+        if auto.backend_name() != "scalar" {
+            assert!(auto.pack_nt(&w).unwrap().is_none());
+            assert!(matches!(
+                auto.matmul_nt_packed(&a, &packed),
+                Err(TensorError::PackedByOtherBackend { .. })
+            ));
+        }
+        let foreign = PackedNt {
+            packed_by: "other",
+            ..packed
+        };
+        assert_eq!(
+            ctx.matmul_nt_packed(&a, &foreign).unwrap_err(),
+            TensorError::PackedByOtherBackend {
+                packed_by: "other",
+                backend: "scalar",
+            }
+        );
     }
 
     #[test]

@@ -1,20 +1,18 @@
-//! Reduced-precision inference kernels: f16 weight rounding and i8
-//! symmetric quantization with a dynamic-activation integer GEMM.
+//! Reduced-precision inference: i8 symmetric quantization with a
+//! dynamic-activation integer GEMM.
 //!
-//! Serving replicas trade precision for latency/footprint while training
-//! and diagnosis stay f32 (`deepmorph-serve` gates every promotion behind
-//! the held-out swap gate, so a lossy replica never ships silently):
-//!
-//! * **f16** — every parameter is rounded to the nearest IEEE 754
-//!   binary16 value and computed in f32 ([`f16_round`]). Halves the
-//!   stored-weight entropy; the arithmetic pipeline is unchanged.
-//! * **i8** — weight matrices used in `x·Wᵀ` products ([`QuantizedMat`]:
-//!   per-output-row symmetric scales) with activations quantized
-//!   per-row at run time, accumulated in i32 ([`qgemm_nt`]), and
-//!   rescaled to f32. With the `simd` feature on an AVX2 machine both
-//!   halves vectorize: activations quantize 8 lanes at a time and the
-//!   inner dot runs 32 i16 multiply-accumulates per unrolled iteration,
-//!   all inside one `target_feature` region per product.
+//! Serving replicas can trade precision for latency/footprint while
+//! training and diagnosis stay f32 (`deepmorph-serve` gates every
+//! promotion behind the held-out swap gate, so a lossy replica never
+//! ships silently). At [`Precision::I8`], weight matrices used in `x·Wᵀ`
+//! products are stored as [`QuantizedMat`] (per-output-row symmetric
+//! scales), activations are quantized per row at run time, dots
+//! accumulate in i32 ([`qgemm_nt`]) and are rescaled to f32; the
+//! remaining parameters are rounded through IEEE 754 binary16
+//! ([`f16_round`]). With the `simd` feature on an AVX2 machine both
+//! halves of the product vectorize: activations quantize 8 lanes at a
+//! time and the inner dot runs 32 i16 multiply-accumulates per unrolled
+//! iteration, all inside one `target_feature` region per product.
 //!
 //! Accuracy is asserted end to end, not per kernel, by
 //! `crates/serve/tests/quantized_serving.rs`: an i8 replica of a seeded
@@ -29,8 +27,6 @@ pub enum Precision {
     /// Full f32 parameters — bitwise-exact with the trained model.
     #[default]
     F32,
-    /// Parameters rounded through IEEE 754 binary16, compute in f32.
-    F16,
     /// `x·Wᵀ` weights in symmetric per-row i8 with dynamic activation
     /// scales; remaining parameters rounded through f16.
     I8,
@@ -41,18 +37,7 @@ impl Precision {
     pub fn as_str(self) -> &'static str {
         match self {
             Precision::F32 => "f32",
-            Precision::F16 => "f16",
             Precision::I8 => "i8",
-        }
-    }
-
-    /// Parses [`Precision::as_str`] output.
-    pub fn parse(s: &str) -> Option<Precision> {
-        match s.to_ascii_lowercase().as_str() {
-            "f32" => Some(Precision::F32),
-            "f16" => Some(Precision::F16),
-            "i8" => Some(Precision::I8),
-            _ => None,
         }
     }
 }
@@ -426,11 +411,10 @@ mod tests {
 
     #[test]
     fn precision_round_trips_names() {
-        for p in [Precision::F32, Precision::F16, Precision::I8] {
-            assert_eq!(Precision::parse(p.as_str()), Some(p));
-            assert_eq!(format!("{p}"), p.as_str());
+        for (p, name) in [(Precision::F32, "f32"), (Precision::I8, "i8")] {
+            assert_eq!(p.as_str(), name);
+            assert_eq!(format!("{p}"), name);
         }
-        assert_eq!(Precision::parse("bf16"), None);
         assert_eq!(Precision::default(), Precision::F32);
     }
 

@@ -6,7 +6,9 @@
 //! workspace buffers ([`crate::workspace`]): a transposed lhs into
 //! row-major `A`, a transposed rhs into `Bᵀ` column panels, and wide
 //! row-major `B` matrices into cache-sized column panels. After packing,
-//! every layout runs the same inner loop.
+//! every layout runs the same row loop ([`panel_rows_into`]). A rhs that
+//! never changes — a serving replica's weights — can be packed once
+//! ([`crate::backend::PackedNt`]) so each product runs only that loop.
 //!
 //! # Determinism contract
 //!
@@ -53,20 +55,46 @@ pub(crate) fn gemm_into(spec: &GemmSpec, a: &[f32], b: &[f32], out: &mut [f32]) 
     let a_eff: &[f32] = a_packed.as_deref().unwrap_or(a);
 
     let b_packed = match spec.rhs {
-        MatLayout::Transposed => Some(pack_b_panels_transposed(b, k, n)),
+        MatLayout::Transposed => {
+            let mut dst = workspace::take_raw(k * n);
+            pack_nt_into(b, k, n, &mut dst);
+            Some(dst)
+        }
         // Row-major B is already a single contiguous panel when it fits.
         MatLayout::RowMajor if n > PANEL => Some(pack_b_panels(b, k, n)),
         MatLayout::RowMajor => None,
     };
     let b_eff: &[f32] = b_packed.as_deref().unwrap_or(b);
 
+    panel_rows_into(spec, a_eff, b_eff, out);
+
+    if let Some(buf) = a_packed {
+        workspace::recycle(buf);
+    }
+    if let Some(buf) = b_packed {
+        workspace::recycle(buf);
+    }
+}
+
+/// The row loop of [`gemm_into`], after packing: accumulates row-major
+/// `a` (`[m, k]`) times the column `panels` (the layout
+/// [`pack_b_panels`] and [`pack_nt_into`] write) into `out`, fanning out
+/// over output rows when `spec.parallel`. Only `spec`'s dimensions,
+/// zero-skip rule and fan-out hint are read; the operand layouts have
+/// already been packed away.
+pub(crate) fn panel_rows_into(spec: &GemmSpec, a: &[f32], panels: &[f32], out: &mut [f32]) {
+    let (m, k, n) = (spec.m, spec.k, spec.n);
+    debug_assert_eq!((a.len(), panels.len(), out.len()), (m * k, k * n, m * n));
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
     let skip_zero = spec.skips_zero_lhs();
     let row = |i: usize, out_row: &mut [f32]| {
-        let a_row = &a_eff[i * k..(i + 1) * k];
+        let a_row = &a[i * k..(i + 1) * k];
         let mut j0 = 0;
         while j0 < n {
             let w = PANEL.min(n - j0);
-            let panel = &b_eff[(j0 / PANEL) * k * PANEL..][..k * w];
+            let panel = &panels[(j0 / PANEL) * k * PANEL..][..k * w];
             accumulate_panel(a_row, panel, &mut out_row[j0..j0 + w], w, skip_zero);
             j0 += w;
         }
@@ -81,13 +109,6 @@ pub(crate) fn gemm_into(spec: &GemmSpec, a: &[f32], b: &[f32], out: &mut [f32]) 
         for (i, out_row) in out.chunks_mut(n).enumerate() {
             row(i, out_row);
         }
-    }
-
-    if let Some(buf) = a_packed {
-        workspace::recycle(buf);
-    }
-    if let Some(buf) = b_packed {
-        workspace::recycle(buf);
     }
 }
 
@@ -165,11 +186,12 @@ fn pack_b_panels(b: &[f32], k: usize, n: usize) -> Vec<f32> {
     dst
 }
 
-/// Packs `b` (`[n, k]` row-major) as `Bᵀ` in the panel layout of
-/// [`pack_b_panels`]. Source rows stream; writes fan across one panel
-/// column.
-fn pack_b_panels_transposed(b: &[f32], k: usize, n: usize) -> Vec<f32> {
-    let mut dst = workspace::take_raw(k * n);
+/// Packs `b` (`[n, k]` row-major) as `Bᵀ` into `dst` (`k · n`), in the
+/// panel layout of [`pack_b_panels`]. Source rows stream; writes fan
+/// across one panel column. Per call for an NT product, or once per
+/// serving replica through [`crate::backend::PackedNt`].
+pub(crate) fn pack_nt_into(b: &[f32], k: usize, n: usize, dst: &mut [f32]) {
+    debug_assert_eq!((b.len(), dst.len()), (k * n, k * n));
     let mut j0 = 0;
     while j0 < n {
         let w = PANEL.min(n - j0);
@@ -182,7 +204,6 @@ fn pack_b_panels_transposed(b: &[f32], k: usize, n: usize) -> Vec<f32> {
         }
         j0 += w;
     }
-    dst
 }
 
 #[cfg(test)]
@@ -263,6 +284,13 @@ mod tests {
                         b = with_zeros(b);
                     }
                     let expect = naive(&spec, &a, &b);
+                    // The packed NT door: `b` packed once, then only the
+                    // row loop runs per product.
+                    let packed = (lhs, rhs) == (RowMajor, Transposed);
+                    let mut panels = vec![0.0f32; k * n];
+                    if packed {
+                        pack_nt_into(&b, k, n, &mut panels);
+                    }
                     for parallel in [false, true] {
                         let mut out = vec![0.0f32; m * n];
                         gemm_into(&spec.parallel(parallel), &a, &b, &mut out);
@@ -270,6 +298,14 @@ mod tests {
                             out, expect,
                             "{lhs:?}/{rhs:?} {m}x{k}x{n} zeros={zeros} parallel={parallel}"
                         );
+                        if packed {
+                            let mut out = vec![0.0f32; m * n];
+                            panel_rows_into(&spec.parallel(parallel), &a, &panels, &mut out);
+                            assert_eq!(
+                                out, expect,
+                                "packed NT {m}x{k}x{n} zeros={zeros} parallel={parallel}"
+                            );
+                        }
                     }
                 }
             }

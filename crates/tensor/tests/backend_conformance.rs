@@ -1,4 +1,4 @@
-//! Backend conformance suite for `Backend::gemm`, the one kernel hook.
+//! Backend conformance suite for `Backend::gemm`, the kernel every backend implements.
 //!
 //! Three layers of guarantees, in decreasing strictness:
 //!

@@ -4,8 +4,9 @@
 //! zero-allocation steady state: once a hot loop has warmed the
 //! thread-local arena, every kernel draws its buffers from free lists and
 //! recycles them back. This test pins that contract with a counting global
-//! allocator: after warm-up, a full conv forward+backward training step
-//! and a dispatching matmul must perform **zero** heap allocations.
+//! allocator: after warm-up, a full conv forward+backward training step,
+//! a dispatching matmul, and an eval forward through a dense and a conv
+//! layer prepared for serving must perform **zero** heap allocations.
 //!
 //! The whole file is a single `#[test]` so no sibling test can allocate
 //! concurrently; worker-pool threads only ever process borrowed chunks
@@ -83,6 +84,15 @@ fn matmul_step(ctx: &ComputeCtx, a: &Tensor, b: &Tensor) {
     workspace::recycle_tensor(c);
 }
 
+/// One eval forward through a prepared dense and a prepared conv layer —
+/// the products a serving replica runs against its packed weights.
+fn serving_step(dense: &mut Dense, conv: &mut Conv2d, x_dense: &Tensor, x_conv: &Tensor) {
+    let y = dense.forward(&[x_dense], Mode::Eval).unwrap();
+    workspace::recycle_tensor(y);
+    let y = conv.forward(&[x_conv], Mode::Eval).unwrap();
+    workspace::recycle_tensor(y);
+}
+
 #[test]
 fn warm_conv_step_and_matmul_do_not_allocate() {
     // Batch 64 exceeds every parallel grain, so with the `parallel`
@@ -94,6 +104,12 @@ fn warm_conv_step_and_matmul_do_not_allocate() {
     let a = synth_tensor(&[128, 128], 5);
     let b = synth_tensor(&[128, 128], 6);
     let ctx = ComputeCtx::default();
+    // Serving replicas pack their weights once, here, before any window.
+    let mut dense = Dense::new(256, 600, &mut rng);
+    let mut served_conv = Conv2d::new(8, 16, 16, 16, 3, 1, 1, &mut rng).unwrap();
+    dense.apply_precision(Precision::F32).unwrap();
+    served_conv.apply_precision(Precision::F32).unwrap();
+    let x_dense = synth_tensor(&[32, 256], 7);
 
     // Warm-up: spawns the worker pool (parallel builds), sizes the arena's
     // free lists, and settles optimizer-free layer caches. Two rounds so
@@ -101,6 +117,7 @@ fn warm_conv_step_and_matmul_do_not_allocate() {
     for _ in 0..3 {
         conv_step(&mut layer, &x, &grad);
         matmul_step(&ctx, &a, &b);
+        serving_step(&mut dense, &mut served_conv, &x_dense, &x);
     }
 
     // Measured window: a warm conv forward+backward step.
@@ -129,6 +146,16 @@ fn warm_conv_step_and_matmul_do_not_allocate() {
         after_serial - after_matmul,
         0,
         "warm serial matmul allocated"
+    );
+
+    // Measured window: a warm eval forward through the prepared layers,
+    // whose products run against the packs built above.
+    serving_step(&mut dense, &mut served_conv, &x_dense, &x);
+    let after_serving = allocations();
+    assert_eq!(
+        after_serving - after_serial,
+        0,
+        "warm eval forward through prepared layers allocated"
     );
 
     // Telemetry hot path: with the registry armed, recording request
@@ -170,6 +197,6 @@ fn warm_conv_step_and_matmul_do_not_allocate() {
 
     // Sanity: the counter itself works.
     let v: Vec<u8> = Vec::with_capacity(1024);
-    assert!(allocations() > after_serial, "allocation counter is dead");
+    assert!(allocations() > after_serving, "allocation counter is dead");
     drop(v);
 }
