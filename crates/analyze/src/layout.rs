@@ -1,14 +1,14 @@
 //! Checker 4: wire-layout pinning.
 //!
 //! The serving protocol promises bitwise-stable frames: kind bytes,
-//! header constants, and the 20-slot `Stats` body at fixed byte
-//! offsets. This checker parses those facts straight out of
+//! header constants, and the telemetry payload's 20 counter slots at
+//! fixed byte offsets. This checker parses those facts straight out of
 //! `crates/serve/src/protocol.rs` and diffs them against a checked-in
 //! golden spec (`wire_layout.golden`), so an accidental constant edit
 //! or a reordered stats field fails analysis with a field-level message
-//! — naming the slot and byte offset — instead of a cryptic decode-test
-//! assertion. The stats order is spelled out once, in `stats_values`;
-//! both the `Stats` frame and the telemetry payload encode through it.
+//! — naming the slot and payload byte offset — instead of a cryptic
+//! decode-test assertion. The counter order is spelled out once, in
+//! `stats_values`; the telemetry payload encodes through it.
 //!
 //! Changing the wire format deliberately means editing the golden file
 //! in the same PR — which is exactly the reviewable diff we want.
@@ -17,10 +17,10 @@ use crate::lexer::{Tok, Token};
 use crate::report::Finding;
 use crate::source::SourceFile;
 
-/// Byte offset of stats slot `i`: u8 kind + u64 correlation id = 9
-/// bytes of body header, then 8 bytes per slot.
+/// Telemetry-payload byte offset of stats slot `i`: the u64 counter
+/// count, then 8 bytes per slot.
 fn stats_offset(slot: usize) -> usize {
-    9 + 8 * slot
+    8 + 8 * slot
 }
 
 /// True for constants the golden file pins.
@@ -259,7 +259,7 @@ pub fn check(
             if want == got {
                 continue;
             }
-            let at = format!("slot {slot} (byte offset {})", stats_offset(slot));
+            let at = format!("slot {slot} (payload byte offset {})", stats_offset(slot));
             let message = match (want, got) {
                 (Some(w), Some(g)) => {
                     format!("stats field at {at}: golden `{w}`, source `{g}`")
@@ -337,7 +337,7 @@ stats 1 rows
             .collect();
         assert_eq!(stats.len(), 2, "{findings:?}");
         assert!(
-            stats[0].message.contains("slot 0 (byte offset 9)"),
+            stats[0].message.contains("slot 0 (payload byte offset 8)"),
             "{}",
             stats[0].message
         );

@@ -17,8 +17,8 @@
 //! 3. re-runs the identical active load with the idle sockets attached
 //!    (**storm**), again verifying bitwise;
 //! 4. spot-checks that long-idle sockets still get service (a `Ping`
-//!    round trip), and that the event-loop counters published in the
-//!    `Stats` frame saw the storm (gauge ≥ idle count, loop wakeups
+//!    round trip), and that the event-loop counters read from
+//!    `Server::stats()` saw the storm (gauge ≥ idle count, loop wakeups
 //!    nonzero).
 //!
 //! Any lost response, corrupt logit, thread growth, or dead idle socket

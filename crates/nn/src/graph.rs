@@ -412,11 +412,6 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    /// The terminal node id.
-    pub fn output_id(&self) -> NodeId {
-        self.output
-    }
-
     /// Label of a node, if it exists.
     pub fn label(&self, id: NodeId) -> Option<&str> {
         self.nodes.get(id.0).map(|n| n.label.as_str())

@@ -1,6 +1,5 @@
 //! Mini-batch training loop.
 
-use deepmorph_tensor::backend::ComputeCtx;
 use deepmorph_tensor::{workspace, Tensor, MAX_RANK};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -125,24 +124,12 @@ pub fn gather_batch(x: &Tensor, indices: &[usize]) -> Result<Tensor> {
 #[derive(Debug)]
 pub struct Trainer {
     config: TrainConfig,
-    compute: Option<ComputeCtx>,
 }
 
 impl Trainer {
     /// Creates a trainer from a configuration.
     pub fn new(config: TrainConfig) -> Self {
-        Trainer {
-            config,
-            compute: None,
-        }
-    }
-
-    /// Sets the compute context [`Trainer::fit`] binds into the graph
-    /// before training. Without one, the graph keeps whatever context it
-    /// already has (the bitwise-reference scalar backend by default).
-    pub fn with_compute(mut self, ctx: ComputeCtx) -> Self {
-        self.compute = Some(ctx);
-        self
+        Trainer { config }
     }
 
     /// The active configuration.
@@ -180,10 +167,6 @@ impl Trainer {
                 reason: format!("{} labels for {n} samples", labels.len()),
             });
         }
-        if let Some(ctx) = &self.compute {
-            graph.bind_compute(ctx);
-        }
-
         let mut optimizer: Box<dyn Optimizer> = match self.config.optimizer {
             OptimizerKind::Sgd {
                 momentum,

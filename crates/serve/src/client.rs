@@ -20,8 +20,8 @@ use deepmorph_tensor::Tensor;
 use crate::error::{ErrorCode, ServeError, ServeResult};
 use crate::protocol::{
     decode_response, encode_request, DiagnoseResponse, ModelInfo, PredictRequest, PredictResponse,
-    RepairResponse, Request, Response, RollbackResponse, StatsSnapshot, TelemetryReport,
-    VersionInfo, MAX_FRAME_BYTES,
+    RepairResponse, Request, Response, RollbackResponse, TelemetryReport, VersionInfo,
+    MAX_FRAME_BYTES,
 };
 
 /// How long a client waits for one response before giving up, unless
@@ -496,18 +496,6 @@ impl Client {
         )? {
             Response::Versions(v) => Ok(v),
             _ => Self::unexpected("list-versions"),
-        }
-    }
-
-    /// Fetches the serving counters.
-    ///
-    /// # Errors
-    ///
-    /// IO, protocol, and server errors, all typed.
-    pub fn stats(&mut self) -> ServeResult<StatsSnapshot> {
-        match self.call_with(Request::Stats, true, None)? {
-            Response::Stats(s) => Ok(s),
-            _ => Self::unexpected("stats"),
         }
     }
 

@@ -624,7 +624,6 @@ fn handle_request(
             models: shared.registry.len() as u64,
         },
         Request::ListModels => Response::Models(shared.registry.infos()),
-        Request::Stats => Response::Stats(shared.stats.snapshot()),
         Request::Telemetry => {
             let (armed, snapshot) = match deepmorph_telemetry::armed() {
                 Some(t) => (true, t.snapshot()),

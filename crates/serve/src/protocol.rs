@@ -47,7 +47,7 @@ const KIND_PING: u8 = 0;
 const KIND_LIST_MODELS: u8 = 1;
 const KIND_PREDICT: u8 = 2;
 const KIND_DIAGNOSE: u8 = 3;
-const KIND_STATS: u8 = 4;
+// Kind 4 (a retired stats frame) is never reused.
 const KIND_REPAIR: u8 = 5;
 const KIND_LIST_VERSIONS: u8 = 6;
 const KIND_ROLLBACK: u8 = 7;
@@ -58,8 +58,8 @@ const KIND_ERROR: u8 = 0x7F;
 /// Version tag of the telemetry response payload. The payload is
 /// length-prefixed and append-only: a decoder reads the fields it knows
 /// and skips the rest, so old clients tolerate counters and sections
-/// appended by newer servers (unlike the fixed-layout `Stats` frame,
-/// which stays bitwise-intact for existing clients).
+/// appended by newer servers. It is the only wire view of the serving
+/// counters.
 pub const TELEMETRY_PAYLOAD_VERSION: u16 = 1;
 
 /// A client→server message.
@@ -77,8 +77,6 @@ pub enum Request {
         /// Registered model name.
         model: String,
     },
-    /// Serving counters; answered with [`Response::Stats`].
-    Stats,
     /// Close the loop: diagnose the accumulated traffic, derive and
     /// execute the repair, and — if the retrained model holds up on the
     /// held-out set — hot-swap it in as a new version. Answered with
@@ -139,8 +137,6 @@ pub enum Response {
     Predict(PredictResponse),
     /// Answer to [`Request::Diagnose`].
     Diagnose(DiagnoseResponse),
-    /// Answer to [`Request::Stats`].
-    Stats(StatsSnapshot),
     /// Answer to [`Request::Repair`].
     Repair(RepairResponse),
     /// Answer to [`Request::ListVersions`].
@@ -159,9 +155,9 @@ pub enum Response {
 /// counters still report.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetryReport {
-    /// The lifetime serving counters (same values as [`Response::Stats`],
-    /// but carried in the versioned payload so appended counters don't
-    /// break old clients).
+    /// The lifetime serving counters, reported whether or not telemetry
+    /// is armed. The payload opens with them, count-prefixed so appended
+    /// counters don't break old clients.
     pub stats: StatsSnapshot,
     /// Whether a telemetry registry was armed when the snapshot was
     /// taken.
@@ -246,7 +242,7 @@ pub struct DiagnoseResponse {
     pub cases: u64,
 }
 
-/// Serving counters reported by [`Response::Stats`].
+/// Serving counters, carried on the wire by [`TelemetryReport::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
     /// Predict requests accepted into the queue.
@@ -295,17 +291,6 @@ pub struct StatsSnapshot {
     pub loop_wakeups: u64,
     /// Accept backoffs taken after `EMFILE`/`ENFILE` (fd exhaustion).
     pub accept_backoffs: u64,
-}
-
-impl StatsSnapshot {
-    /// Mean rows per dispatched batch (0 when nothing ran yet).
-    pub fn avg_batch_rows(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.rows as f64 / self.batches as f64
-        }
-    }
 }
 
 /// One version of a model's chain as reported by
@@ -397,7 +382,6 @@ pub fn encode_request(id: u64, request: &Request) -> Vec<u8> {
             w.put_str(model);
             KIND_DIAGNOSE
         }
-        Request::Stats => KIND_STATS,
         Request::Repair { model } => {
             w.put_str(model);
             KIND_REPAIR
@@ -415,11 +399,11 @@ pub fn encode_request(id: u64, request: &Request) -> Vec<u8> {
     finish(kind, id, w)
 }
 
-/// Serving-counter values in their canonical wire order: the body of the
-/// `Stats` frame, and the telemetry payload's counter list (prefixed
-/// there with a count so the list can grow). The one spelling of that
-/// order; both frames encode through here and decode through
-/// [`stats_from_values`], and `wire_layout.golden` pins it.
+/// Serving-counter values in their canonical wire order: the telemetry
+/// payload's counter list, prefixed there with a count so the list can
+/// grow. The one spelling of that order; the payload encodes through
+/// here and decodes through [`stats_from_values`], and
+/// `wire_layout.golden` pins it.
 fn stats_values(s: &StatsSnapshot) -> [u64; 20] {
     [
         s.requests,
@@ -491,9 +475,17 @@ fn read_histogram(r: &mut ByteReader<'_>) -> CodecResult<HistogramSnapshot> {
     let _sender_buckets = r.get_u64("histogram buckets")?;
     let nonzero = r.get_len("histogram nonzero")?;
     let mut snapshot = HistogramSnapshot::default();
+    // Bounding the total bounds every bucket, and every later
+    // `count`/`quantile` over the decoded snapshot.
+    let mut total = 0u64;
     for _ in 0..nonzero {
         let index = r.get_len("histogram index")?.min(NUM_BUCKETS - 1);
         let count = r.get_u64("histogram count")?;
+        total = total
+            .checked_add(count)
+            .ok_or_else(|| CodecError::Invalid {
+                context: "histogram counts overflow u64".into(),
+            })?;
         snapshot.buckets[index] += count;
     }
     Ok(snapshot)
@@ -652,12 +644,6 @@ pub fn encode_response(id: u64, response: &Response) -> Vec<u8> {
             w.put_u64(d.cases);
             RESPONSE_BIT | KIND_DIAGNOSE
         }
-        Response::Stats(s) => {
-            for v in stats_values(s) {
-                w.put_u64(v);
-            }
-            RESPONSE_BIT | KIND_STATS
-        }
         Response::Repair(r) => {
             w.put_str(&r.plan);
             w.put_u64(r.cases);
@@ -750,7 +736,6 @@ pub fn decode_request(frame: &[u8]) -> CodecResult<(u64, Request)> {
         KIND_DIAGNOSE => Request::Diagnose {
             model: r.get_str("diagnose model")?,
         },
-        KIND_STATS => Request::Stats,
         KIND_REPAIR => Request::Repair {
             model: r.get_str("repair model")?,
         },
@@ -821,13 +806,6 @@ pub fn decode_response(frame: &[u8]) -> CodecResult<(u64, Response)> {
             report_json: r.get_str("report json")?,
             cases: r.get_u64("report cases")?,
         }),
-        k if k == RESPONSE_BIT | KIND_STATS => {
-            let mut values = [0u64; 20];
-            for value in &mut values {
-                *value = r.get_u64("stats")?;
-            }
-            Response::Stats(stats_from_values(&values))
-        }
         k if k == RESPONSE_BIT | KIND_REPAIR => {
             let plan = r.get_str("repair plan")?;
             let cases = r.get_u64("repair cases")?;
@@ -931,7 +909,6 @@ mod tests {
             Request::Diagnose {
                 model: "lenet".into(),
             },
-            Request::Stats,
             Request::Repair {
                 model: "lenet".into(),
             },
@@ -975,28 +952,6 @@ mod tests {
             Response::Diagnose(DiagnoseResponse {
                 report_json: "{\"ratios\":{}}".into(),
                 cases: 4,
-            }),
-            Response::Stats(StatsSnapshot {
-                requests: 1,
-                rows: 2,
-                batches: 3,
-                coalesced_batches: 1,
-                errors: 0,
-                busy_rejections: 5,
-                diagnoses: 2,
-                probe_trainings: 1,
-                repairs: 1,
-                swaps: 1,
-                expired: 4,
-                worker_panics: 1,
-                rollbacks: 2,
-                conn_rejections: 6,
-                active_connections: 17,
-                conns_accepted: 23,
-                conns_closed: 6,
-                outbound_hwm_bytes: 4096,
-                loop_wakeups: 99,
-                accept_backoffs: 1,
             }),
             Response::Repair(RepairResponse {
                 plan: "collect more training data for classes [0, 1]".into(),
@@ -1083,11 +1038,6 @@ mod tests {
             decode_request(&container).unwrap_err(),
             CodecError::Invalid { .. }
         ));
-    }
-
-    #[test]
-    fn avg_batch_rows_is_safe_on_zero() {
-        assert_eq!(StatsSnapshot::default().avg_batch_rows(), 0.0);
     }
 
     fn populated_report() -> TelemetryReport {
@@ -1202,44 +1152,62 @@ mod tests {
         assert_eq!(t.snapshot.slowest[0].stages, [0, 1, 2, 3, 4, 5]);
     }
 
-    /// The flip side of forward compat: the legacy fixed-layout Stats
-    /// frame must stay bitwise-identical so existing clients never skew.
+    /// The flip side of forward compat: the telemetry payload opens
+    /// with the counter count, then the 20 counters in slot order (slot
+    /// i at payload byte 8 + 8·i), so existing clients never skew.
+    /// `wire_layout.golden` pins each slot's field in `stats_values`;
+    /// building the report through `stats_from_values` pins that
+    /// function to the same order.
     #[test]
-    fn stats_frame_layout_is_pinned() {
-        let snapshot = StatsSnapshot {
-            requests: 1,
-            rows: 2,
-            batches: 3,
-            coalesced_batches: 4,
-            errors: 5,
-            busy_rejections: 6,
-            diagnoses: 7,
-            probe_trainings: 8,
-            repairs: 9,
-            swaps: 10,
-            expired: 11,
-            worker_panics: 12,
-            rollbacks: 13,
-            conn_rejections: 14,
-            active_connections: 15,
-            conns_accepted: 16,
-            conns_closed: 17,
-            outbound_hwm_bytes: 18,
-            loop_wakeups: 19,
-            accept_backoffs: 20,
+    fn telemetry_counter_prefix_is_pinned() {
+        let report = TelemetryReport {
+            stats: stats_from_values(&std::array::from_fn(|slot| slot as u64 + 1)),
+            ..TelemetryReport::default()
         };
-        let wire = encode_response(5, &Response::Stats(snapshot));
+        let wire = encode_response(5, &Response::Telemetry(report.clone()));
         let frame = strip_prefix(&wire);
         let body = open_container(FRAME_MAGIC, frame).unwrap();
-        // kind + id + exactly 20 bare u64s — no prefix, no version tag.
-        assert_eq!(body.len(), 1 + 8 + 20 * 8);
-        assert_eq!(body[0], RESPONSE_BIT | KIND_STATS);
-        for (i, chunk) in body[9..].chunks_exact(8).enumerate() {
+        assert_eq!(body[0], RESPONSE_BIT | KIND_TELEMETRY);
+        // kind + id + payload version u16 + payload length u64.
+        let payload = &body[1 + 8 + 2 + 8..];
+        for (word, chunk) in payload[..8 * 21].chunks_exact(8).enumerate() {
+            let want = if word == 0 { 20 } else { word as u64 };
             assert_eq!(
                 u64::from_le_bytes(chunk.try_into().unwrap()),
-                i as u64 + 1,
-                "counter {i} moved"
+                want,
+                "word {word} moved"
             );
         }
+        assert_eq!(
+            decode_response(frame).unwrap().1,
+            Response::Telemetry(report)
+        );
+    }
+
+    /// Histogram counts come from the peer: whether they pile into one
+    /// bucket or spread over two, a total past `u64::MAX` is a typed
+    /// error, not a debug-build panic or a release-build wrap.
+    #[test]
+    fn overflowing_histogram_counts_are_typed() {
+        let decode = |entries: [(u64, u64); 2]| {
+            let mut w = ByteWriter::new();
+            w.put_u64(NUM_BUCKETS as u64);
+            w.put_u64(entries.len() as u64);
+            for (index, count) in entries {
+                w.put_u64(index);
+                w.put_u64(count);
+            }
+            read_histogram(&mut ByteReader::new(w.as_slice()))
+        };
+        for entries in [[(5, u64::MAX), (5, u64::MAX)], [(5, u64::MAX), (6, 1)]] {
+            let err = decode(entries).unwrap_err();
+            assert!(
+                matches!(&err, CodecError::Invalid { context } if context.contains("overflow")),
+                "{entries:?}: {err:?}"
+            );
+        }
+        // A total of exactly `u64::MAX` still decodes.
+        let at_max = decode([(5, u64::MAX - 1), (6, 1)]).unwrap();
+        assert_eq!(at_max.count(), u64::MAX);
     }
 }

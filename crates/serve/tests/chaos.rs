@@ -203,7 +203,7 @@ fn worker_panic_is_contained_and_the_pool_keeps_serving() {
     // The storm over, the same connection and the same worker pool serve.
     let response = client.predict("m", &input).expect("pool survived");
     assert_eq!(response.predictions.len(), 1);
-    let stats = client.stats().unwrap();
+    let stats = client.telemetry().unwrap().stats;
     assert!(stats.worker_panics >= 1, "panic was counted: {stats:?}");
     server.shutdown();
 }
@@ -248,7 +248,7 @@ fn rollback_over_the_wire_restores_bitwise_previous_serving() {
             ..
         })
     ));
-    let stats = client.stats().unwrap();
+    let stats = client.telemetry().unwrap().stats;
     assert_eq!(stats.rollbacks, 1);
     server.shutdown();
 }
@@ -338,7 +338,7 @@ fn connections_beyond_the_cap_get_a_typed_overloaded_frame() {
     // The admitted connection is unaffected, and once it closes the slot
     // frees for new clients.
     assert_eq!(first.ping().unwrap(), 1);
-    let stats = first.stats().unwrap();
+    let stats = first.telemetry().unwrap().stats;
     assert!(stats.conn_rejections >= 1);
     drop(first);
     for _ in 0..50 {

@@ -61,7 +61,7 @@ fn request_pool() -> Vec<Request> {
     vec![
         Request::Ping,
         Request::ListModels,
-        Request::Stats,
+        Request::Telemetry,
         Request::Diagnose { model: "m".into() },
         Request::ListVersions { model: "m".into() },
         Request::Predict(protocol::PredictRequest {

@@ -118,7 +118,7 @@ fn quantized_promotion_is_gated_and_reversible() {
         quant_bits, f32_bits,
         "i8 serving must actually run the quantized kernel"
     );
-    assert_eq!(client.stats().unwrap().swaps, 1);
+    assert_eq!(client.telemetry().unwrap().stats.swaps, 1);
 
     // Promotion is idempotent in effect: repeating it re-gates against
     // the same entry and serving stays quantized.

@@ -153,7 +153,7 @@ fn served_defect_is_diagnosed_repaired_and_hot_swapped_under_load() {
     // train probes again.
     let diagnosis2 = client.diagnose("digits").unwrap();
     assert_eq!(diagnosis2.cases, diagnosis.cases);
-    let stats = client.stats().unwrap();
+    let stats = client.telemetry().unwrap().stats;
     assert_eq!(stats.diagnoses, 2);
     assert_eq!(
         stats.probe_trainings, 1,
@@ -261,7 +261,7 @@ fn served_defect_is_diagnosed_repaired_and_hot_swapped_under_load() {
     assert!(post.cases > 0);
     let report = DefectReport::from_json(&post.report_json).unwrap();
     assert!(report.subject.contains("digits@v2"));
-    let stats = client.stats().unwrap();
+    let stats = client.telemetry().unwrap().stats;
     assert_eq!(stats.probe_trainings, 2);
     assert_eq!(stats.repairs, 1);
     assert_eq!(stats.swaps, 1);
@@ -321,7 +321,7 @@ fn gate_keeps_the_serving_version_when_the_repair_is_worse() {
     assert_eq!(repair.version, 1, "the serving version must be untouched");
     assert_eq!(repair.swap_micros, 0);
     assert_eq!(client.versions("digits").unwrap().len(), 1);
-    assert_eq!(client.stats().unwrap().swaps, 0);
+    assert_eq!(client.telemetry().unwrap().stats.swaps, 0);
     // The accumulated traffic survives a rejected repair: the next
     // diagnose still has its cases.
     assert!(client.diagnose("digits").unwrap().cases > 0);

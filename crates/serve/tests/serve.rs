@@ -9,9 +9,9 @@
 //!   and the event loop write to one socket without interleaving frames,
 //!   a reader too slow to keep up gets every frame exactly once, and a
 //!   lone reply costs no extra event-loop wakeup;
-//! * **the server never dies on client bytes**: garbage, truncated, and
-//!   oversized frames produce typed error frames (or a clean connection
-//!   drop) and later clients still get service;
+//! * **the server never dies on client bytes**: garbage, truncated,
+//!   oversized and retired-kind frames produce typed error frames (or a
+//!   clean connection drop) and later clients still get service;
 //! * **the diagnose endpoint works live**: labeled misclassified
 //!   traffic accumulates and yields a well-formed `DefectReport`.
 
@@ -27,6 +27,7 @@ use deepmorph_models::{build_model, save_model, ModelFamily, ModelHandle, ModelS
 use deepmorph_serve::prelude::*;
 use deepmorph_serve::protocol;
 use deepmorph_tensor::init::stream_rng;
+use deepmorph_tensor::io::{seal_container, ByteWriter};
 use deepmorph_tensor::Tensor;
 
 fn lenet(seed: u64) -> ModelHandle {
@@ -254,7 +255,7 @@ fn tcp_round_trip_predict_listing_stats() {
         })
     ));
 
-    let stats = client.stats().unwrap();
+    let stats = client.telemetry().unwrap().stats;
     assert_eq!(stats.requests, 1);
     assert_eq!(stats.rows, 4);
     assert!(stats.errors >= 3);
@@ -616,6 +617,34 @@ fn malformed_frames_never_kill_the_server() {
         raw.read_exact(&mut frame).unwrap();
         let (id, response) = protocol::decode_response(&frame).unwrap();
         assert_eq!(id, 9);
+        assert!(matches!(response, protocol::Response::Pong { .. }));
+    }
+
+    // 5. A well-formed frame of the retired kind 0x04 (the old stats
+    //    request) is an unknown kind: a typed protocol error, and the
+    //    same connection still answers a ping.
+    {
+        let mut raw = TcpStream::connect(addr).unwrap();
+        let mut body = ByteWriter::new();
+        body.put_u8(0x04);
+        body.put_u64(11);
+        let container = seal_container(protocol::FRAME_MAGIC, body.as_slice());
+        raw.write_all(&(container.len() as u32).to_le_bytes())
+            .unwrap();
+        raw.write_all(&container).unwrap();
+        let (id, response) = read_response(&mut raw);
+        assert_eq!(id, 0);
+        match response {
+            protocol::Response::Error(e) => {
+                assert_eq!(e.code, ErrorCode::Protocol);
+                assert!(e.message.contains("unknown request kind 0x04"), "{e:?}");
+            }
+            other => panic!("expected error frame, got {other:?}"),
+        }
+        raw.write_all(&protocol::encode_request(12, &protocol::Request::Ping))
+            .unwrap();
+        let (id, response) = read_response(&mut raw);
+        assert_eq!(id, 12);
         assert!(matches!(response, protocol::Response::Pong { .. }));
     }
 

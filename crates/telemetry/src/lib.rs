@@ -164,13 +164,6 @@ impl HistogramSnapshot {
             .rposition(|&n| n > 0)
             .map_or(0, |index| bucket_bounds(index).1)
     }
-
-    /// Adds another snapshot's buckets into this one.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (into, &from) in self.buckets.iter_mut().zip(&other.buckets) {
-            *into += from;
-        }
-    }
 }
 
 /// A relaxed monotonic counter.
@@ -833,20 +826,6 @@ mod tests {
             }
         }
         assert_eq!(snap, serial.snapshot());
-    }
-
-    #[test]
-    fn merge_adds_bucketwise() {
-        let a = LogHistogram::new();
-        let b = LogHistogram::new();
-        a.record(5);
-        a.record(100);
-        b.record(5);
-        b.record(70_000);
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.count(), 4);
-        assert_eq!(merged.buckets[5], 2);
     }
 
     #[test]

@@ -298,29 +298,6 @@ impl Tensor {
         Ok(out)
     }
 
-    /// In-place variant of [`Tensor::reshape`]; avoids the buffer copy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if the element counts differ.
-    pub fn reshape_inplace(&mut self, shape: &[usize]) -> Result<()> {
-        if shape.len() > MAX_RANK {
-            return Err(TensorError::InvalidShape {
-                shape: shape.to_vec(),
-                reason: "rank exceeds MAX_RANK",
-            });
-        }
-        let expected: usize = shape.iter().product();
-        if expected != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                shape: shape.to_vec(),
-                len: self.data.len(),
-            });
-        }
-        self.shape = Shape::from_slice(shape);
-        Ok(())
-    }
-
     /// Transpose of a rank-2 tensor.
     ///
     /// # Errors
@@ -507,15 +484,6 @@ impl Tensor {
         self.zip_map(other, "sub", |a, b| a - b)
     }
 
-    /// Elementwise (Hadamard) product, returning a new tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn mul_tensor(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_map(other, "mul", |a, b| a * b)
-    }
-
     /// Multiplies every element by `s` in place.
     pub fn scale(&mut self, s: f32) {
         for v in &mut self.data {
@@ -528,13 +496,6 @@ impl Tensor {
         let mut out = self.pooled_clone();
         out.scale(s);
         out
-    }
-
-    /// Adds `s` to every element in place.
-    pub fn add_scalar(&mut self, s: f32) {
-        for v in &mut self.data {
-            *v += s;
-        }
     }
 
     /// Applies `f` to every element, returning a new tensor.
