@@ -37,8 +37,8 @@
 //!
 //! A **telemetry-overhead** phase measures the batched server with the
 //! process-global `deepmorph-telemetry` registry disarmed vs fully
-//! armed (request histogram, stage spans, per-version counters, slow
-//! traces); full mode asserts the armed p50 stays within 5% of the
+//! armed (request histogram, stage spans, slow traces; the per-version
+//! counters are always on); full mode asserts the armed p50 stays within 5% of the
 //! disarmed p50 at concurrency 32 and records both in
 //! `BENCH_serve.json`. Latency percentiles throughout the bench come
 //! from the same crate's log₂ histograms rather than sorted vectors.
@@ -92,16 +92,12 @@ fn server(max_batch: usize, workers: usize) -> Server {
 /// Same server, optionally with the model's serving entry switched to a
 /// reduced-precision replica mode before workers spin up (the registry
 /// door the gated `Server::promote_quantized` path also goes through).
-fn server_with_mode(
-    max_batch: usize,
-    workers: usize,
-    mode: Option<(Precision, BackendKind)>,
-) -> Server {
+fn server_with_mode(max_batch: usize, workers: usize, mode: Option<Precision>) -> Server {
     let registry = registry();
-    if let Some((precision, backend)) = mode {
+    if let Some(precision) = mode {
         let id = registry.find(MODEL).expect("registered model");
         registry
-            .set_serving_mode(id, precision, backend)
+            .set_serving_mode(id, precision)
             .expect("serving mode");
     }
     Server::start(
@@ -274,7 +270,7 @@ fn measure_mode(
     workers: usize,
     concurrency: usize,
     total_requests: usize,
-    mode: Option<(Precision, BackendKind)>,
+    mode: Option<Precision>,
 ) -> LoadResult {
     let srv = server_with_mode(max_batch, workers, mode);
     let addr = srv.local_addr();
@@ -457,13 +453,7 @@ fn quantized_serving(concurrency: usize, total_requests: usize) -> QuantResult {
     let _ = std::fs::remove_dir_all(&dir);
 
     let f32_run = measure_mode(32, 1, concurrency, total_requests, None);
-    let quant_run = measure_mode(
-        32,
-        1,
-        concurrency,
-        total_requests,
-        Some((Precision::I8, BackendKind::Auto)),
-    );
+    let quant_run = measure_mode(32, 1, concurrency, total_requests, Some(Precision::I8));
     QuantResult {
         accuracy_f32: promoted.accuracy_f32,
         accuracy_quantized: promoted.accuracy_quantized,
@@ -484,8 +474,8 @@ struct TelemetryOverhead {
 /// The telemetry-overhead phase: the batched server measured twice at
 /// the same concurrency — once with the process-global telemetry
 /// registry disarmed (recording gated off behind one relaxed load) and
-/// once fully armed (stage spans, request histogram, per-version
-/// counters, slow-trace ring all live). The armed p50 must stay within
+/// once fully armed (stage spans, request histogram and slow-trace ring
+/// all live). The armed p50 must stay within
 /// 5% of the disarmed p50. Medians on a shared host swing, so off/on
 /// runs are interleaved back-to-back and the best of up to `attempts`
 /// pairs is kept.

@@ -72,16 +72,16 @@ pub fn healthy_scenario() -> Scenario {
 /// Returns the directory (callers remove it when done) and the
 /// deployment's clean-test accuracy.
 pub fn deploy(tag: &str) -> (PathBuf, f32) {
-    deploy_scenario(tag, &scenario(), Some(defect()))
+    deploy_scenario(tag, &scenario())
 }
 
 /// Deploys the defect-free variant of the fixture (sidecar included, so
 /// quantized promotion can gate on the held-out set).
 pub fn deploy_healthy(tag: &str) -> (PathBuf, f32) {
-    deploy_scenario(tag, &healthy_scenario(), None)
+    deploy_scenario(tag, &healthy_scenario())
 }
 
-fn deploy_scenario(tag: &str, scenario: &Scenario, defect: Option<DefectSpec>) -> (PathBuf, f32) {
+fn deploy_scenario(tag: &str, scenario: &Scenario) -> (PathBuf, f32) {
     let dir = std::env::temp_dir().join(format!("deepmorph-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("fixture dir");
@@ -93,12 +93,7 @@ fn deploy_scenario(tag: &str, scenario: &Scenario, defect: Option<DefectSpec>) -
         &mut trained.instantiate().expect("instantiate"),
     )
     .expect("save model");
-    let mut ctx = DiagnosisContext::new(DatasetKind::Digits, 7, 80)
-        .with_test_per_class(25)
-        .with_train_config(train_config());
-    if let Some(defect) = defect {
-        ctx = ctx.with_defect(defect);
-    }
+    let ctx = DiagnosisContext::from(scenario);
     std::fs::write(dir.join(format!("{MODEL}.meta.json")), ctx.to_json()).expect("save sidecar");
     (dir, trained.test_accuracy)
 }

@@ -216,11 +216,6 @@ impl DefectClassifier {
         DefectClassifier { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &ClassifierConfig {
-        &self.config
-    }
-
     /// Scores every case and returns `(per-case scores, ratios)`, where
     /// `ratios[i]` is the fraction of cases assigned to
     /// `DefectKind::all()[i]`.

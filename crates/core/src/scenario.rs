@@ -167,6 +167,21 @@ impl Scenario {
         self.cfg.seed
     }
 
+    /// Training samples generated per class (before injection).
+    pub fn train_per_class(&self) -> usize {
+        self.cfg.train_per_class
+    }
+
+    /// Test samples generated per class.
+    pub fn test_per_class(&self) -> usize {
+        self.cfg.test_per_class
+    }
+
+    /// The backbone training configuration.
+    pub fn train_config(&self) -> &TrainConfig {
+        &self.cfg.train_config
+    }
+
     /// Human-readable subject line used in reports.
     pub fn subject(&self) -> String {
         let cfg = &self.cfg;

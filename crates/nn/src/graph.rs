@@ -412,11 +412,6 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    /// Label of a node, if it exists.
-    pub fn label(&self, id: NodeId) -> Option<&str> {
-        self.nodes.get(id.0).map(|n| n.label.as_str())
-    }
-
     /// Ids and labels of every node, in topological order.
     pub fn node_labels(&self) -> Vec<(NodeId, &str)> {
         self.nodes

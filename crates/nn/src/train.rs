@@ -132,11 +132,6 @@ impl Trainer {
         Trainer { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &TrainConfig {
-        &self.config
-    }
-
     /// Trains `graph` on `(x, labels)`.
     ///
     /// # Errors

@@ -39,7 +39,7 @@ use deepmorph_telemetry::{Stage, Trace};
 use deepmorph_tensor::{workspace, Tensor};
 
 use crate::error::{ServeError, ServeResult};
-use crate::registry::{ModelId, ModelRegistry};
+use crate::registry::{ModelEntry, ModelId, ModelRegistry};
 use crate::sync::{wait_recover, LockRecover};
 
 /// Queue capacity in requests; submissions beyond it are rejected with a
@@ -334,11 +334,6 @@ impl Scheduler {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &BatchConfig {
-        &self.shared.cfg
-    }
-
     /// Enqueues a job (validated by the caller via [`validate_job`]).
     pub(crate) fn submit(&self, job: Job) -> ServeResult<()> {
         let mut queue = self.shared.queue.lock_recover();
@@ -418,9 +413,9 @@ impl Drop for Scheduler {
 /// epoch it was instantiated at.
 struct Replica {
     epoch: u64,
-    /// Content fingerprint of the instantiated version — the key its
-    /// live traffic is charged to in the telemetry registry.
-    fingerprint: String,
+    /// The version the replica was built from; its live traffic is
+    /// charged to this entry's counters.
+    entry: Arc<ModelEntry>,
     model: ModelHandle,
 }
 
@@ -482,8 +477,8 @@ fn run_jobs(
     picked_up: Option<Instant>,
 ) {
     let stats = &shared.stats;
-    // One registry handle for the whole batch; every per-version counter
-    // below is a relaxed add on a cached Arc.
+    // One telemetry handle for the whole batch: `None` while disarmed,
+    // which skips every clock read and span below.
     let telemetry = deepmorph_telemetry::armed();
     let model_id = jobs[0].model;
 
@@ -498,13 +493,10 @@ fn run_jobs(
             .into_iter()
             .partition(|job| job.deadline.is_none_or(|d| d > now));
         if !dead.is_empty() {
-            if let Some(t) = &telemetry {
-                // Shed jobs never reach a replica; charge them to the
-                // version currently serving.
-                t.version(&shared.registry.current(model_id).fingerprint)
-                    .expired
-                    .add(dead.len() as u64);
-            }
+            // Shed jobs never reach a replica; charge them to the version
+            // currently serving.
+            let expired = &shared.registry.current(model_id).counters.expired;
+            expired.fetch_add(dead.len() as u64, Ordering::Relaxed);
         }
         for job in dead {
             stats.expired.fetch_add(1, Ordering::Relaxed);
@@ -577,7 +569,7 @@ fn run_jobs(
                 model_id,
                 Replica {
                     epoch,
-                    fingerprint: current.fingerprint.clone(),
+                    entry: current,
                     model,
                 },
             );
@@ -614,18 +606,17 @@ fn run_jobs(
         t.record_stage(Stage::Compute, compute_us);
     }
     // Failed batches are charged to the version currently serving (on
-    // the panic/instantiation paths no replica fingerprint survives).
+    // the panic/instantiation paths no replica survives).
     let charge_errors = |jobs: &mut Vec<Job>| {
         for job in jobs.iter_mut() {
             if let Some(jt) = job.telemetry.as_mut() {
                 jt.compute_us = compute_us;
             }
         }
-        if let Some(t) = &telemetry {
-            let v = t.version(&shared.registry.current(model_id).fingerprint);
-            v.requests.add(jobs.len() as u64);
-            v.errors.add(jobs.len() as u64);
-        }
+        let counters = &shared.registry.current(model_id).counters;
+        let failed = jobs.len() as u64;
+        counters.requests.fetch_add(failed, Ordering::Relaxed);
+        counters.errors.fetch_add(failed, Ordering::Relaxed);
     };
 
     let (replica_epoch, logits, predictions) = match outcome {
@@ -658,17 +649,15 @@ fn run_jobs(
         }
     };
 
-    // Per-version live-traffic accounting for the batch that actually
-    // ran, keyed by the fingerprint of the replica that answered it.
-    let version_stats = telemetry.as_ref().map(|t| {
-        let fingerprint = &replicas
-            .get(&model_id)
-            .expect("replica ensured by the batch above")
-            .fingerprint;
-        let v = t.version(fingerprint);
-        v.requests.add(jobs.len() as u64);
-        v
-    });
+    // Live traffic is charged to the version whose replica answered.
+    let counters = &replicas
+        .get(&model_id)
+        .expect("replica ensured by the batch above")
+        .entry
+        .counters;
+    counters
+        .requests
+        .fetch_add(jobs.len() as u64, Ordering::Relaxed);
 
     let classes = logits.shape()[1];
     let mut offset = 0;
@@ -690,15 +679,15 @@ fn run_jobs(
         // Live accuracy per version: `LiveCases::record` below only sees
         // the misses (and may drop stale ones), so the labeled-traffic
         // denominator is counted here, where every row passes.
-        if let (Some(v), false) = (version_stats.as_ref(), job.true_labels.is_empty()) {
+        if !job.true_labels.is_empty() {
             let wrong = job
                 .true_labels
                 .iter()
                 .zip(&job_preds)
                 .filter(|(truth, pred)| truth != pred)
-                .count();
-            v.labeled.add(n as u64);
-            v.misclassified.add(wrong as u64);
+                .count() as u64;
+            counters.labeled.fetch_add(n as u64, Ordering::Relaxed);
+            counters.misclassified.fetch_add(wrong, Ordering::Relaxed);
         }
 
         // Accumulate labeled misses for the diagnose endpoint before the

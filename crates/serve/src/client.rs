@@ -157,11 +157,6 @@ impl Client {
         })
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &ClientConfig {
-        &self.config
-    }
-
     /// The underlying socket, for tuning (buffer sizes, platform socket
     /// options) and tests. Reading or writing bytes through it desyncs
     /// the client's framing; stick to option setters.
@@ -499,11 +494,11 @@ impl Client {
         }
     }
 
-    /// Fetches the full observability report: the serving counters plus
-    /// latency histograms, per-stage spans, the slowest request traces,
-    /// and per-version live-traffic stats. The payload is versioned and
-    /// length-prefixed, so this client keeps working against servers
-    /// that append fields.
+    /// Fetches the full observability report: the serving counters and
+    /// each held version's live-traffic counters, plus, while telemetry
+    /// is armed, latency histograms, per-stage spans and the slowest
+    /// request traces. The payload is versioned and length-prefixed, so
+    /// this client keeps working against servers that append fields.
     ///
     /// # Errors
     ///

@@ -633,6 +633,7 @@ fn handle_request(
                 stats: shared.stats.snapshot(),
                 armed,
                 snapshot,
+                versions: shared.registry.traffic(),
             })
         }
         Request::ListVersions { model } => match shared.registry.find(&model) {

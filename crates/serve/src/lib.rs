@@ -100,7 +100,7 @@ pub mod prelude {
     pub use crate::error::{ErrorCode, ServeError, ServeResult};
     pub use crate::protocol::{
         DiagnoseResponse, ModelInfo, PredictResponse, RepairResponse, RollbackResponse,
-        StatsSnapshot, TelemetryReport, VersionInfo,
+        StatsSnapshot, TelemetryReport, VersionInfo, VersionTraffic,
     };
     pub use crate::registry::{DiagnosisContext, ModelId, ModelRegistry, VersionPin};
     pub use crate::repair::PromoteResponse;
@@ -108,6 +108,5 @@ pub mod prelude {
     pub use deepmorph_nn::prelude::{BackendKind, ComputeCtx, Precision};
     pub use deepmorph_telemetry::{
         HistogramSnapshot, Stage, Telemetry, TelemetryConfig, TelemetrySnapshot, Trace,
-        VersionTraffic,
     };
 }

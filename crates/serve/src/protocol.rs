@@ -25,8 +25,7 @@
 //! kind with the high bit set, and `0x7F` is the error frame.
 
 use deepmorph_telemetry::{
-    HistogramSnapshot, KernelTiming, TelemetrySnapshot, Trace, VersionTraffic, NUM_BUCKETS,
-    STAGE_COUNT,
+    HistogramSnapshot, KernelTiming, TelemetrySnapshot, Trace, NUM_BUCKETS, STAGE_COUNT,
 };
 use deepmorph_tensor::io::{
     open_container, read_tensor, seal_container, write_tensor, ByteReader, ByteWriter, CodecError,
@@ -59,7 +58,7 @@ const KIND_ERROR: u8 = 0x7F;
 /// length-prefixed and append-only: a decoder reads the fields it knows
 /// and skips the rest, so old clients tolerate counters and sections
 /// appended by newer servers. It is the only wire view of the serving
-/// counters.
+/// counters and of each version's live-traffic counters.
 pub const TELEMETRY_PAYLOAD_VERSION: u16 = 1;
 
 /// A client→server message.
@@ -98,9 +97,10 @@ pub enum Request {
         /// Registered model name.
         model: String,
     },
-    /// Full observability dump — counters plus latency histograms,
-    /// per-stage spans, slowest traces, and per-version live-traffic
-    /// stats; answered with [`Response::Telemetry`].
+    /// Full observability dump — the serving counters and each held
+    /// version's live-traffic counters, plus, while telemetry is armed,
+    /// latency histograms, per-stage spans and slowest traces; answered
+    /// with [`Response::Telemetry`].
     Telemetry,
 }
 
@@ -149,10 +149,11 @@ pub enum Response {
     Error(ErrorFrame),
 }
 
-/// Payload of [`Response::Telemetry`]: the flat counters plus everything
-/// the armed [`deepmorph_telemetry`] registry aggregated. When telemetry
-/// is not armed, `armed` is `false` and `snapshot` is empty — the
-/// counters still report.
+/// Payload of [`Response::Telemetry`]: the serving counters, each held
+/// version's live-traffic counters, and everything the armed
+/// [`deepmorph_telemetry`] registry aggregated. When telemetry is not
+/// armed, `armed` is `false` and `snapshot` is empty — both counter
+/// sets still report.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetryReport {
     /// The lifetime serving counters, reported whether or not telemetry
@@ -162,15 +163,50 @@ pub struct TelemetryReport {
     /// Whether a telemetry registry was armed when the snapshot was
     /// taken.
     pub armed: bool,
-    /// Histograms, stage spans, slow traces, per-version traffic, and
-    /// kernel timings.
+    /// Histograms, stage spans, slow traces, and kernel timings.
     pub snapshot: TelemetrySnapshot,
+    /// Live traffic of every version the server's registry holds in
+    /// memory (each model's serving version and its retained superseded
+    /// ones), reported whether or not telemetry is armed.
+    pub versions: Vec<VersionTraffic>,
+}
+
+/// Live-traffic counters of one model version, counted by the server
+/// that serves it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VersionTraffic {
+    /// Content fingerprint of the version.
+    pub fingerprint: String,
+    /// Predict requests answered.
+    pub requests: u64,
+    /// Requests answered with an error.
+    pub errors: u64,
+    /// Requests shed as expired.
+    pub expired: u64,
+    /// Labeled rows predicted.
+    pub labeled: u64,
+    /// Labeled rows predicted wrong.
+    pub misclassified: u64,
+}
+
+impl VersionTraffic {
+    /// Live misclassification rate over labeled traffic (0 when no
+    /// labeled rows were seen) — the drift signal an autonomous repair
+    /// controller watches per version.
+    pub fn misclassification_rate(&self) -> f64 {
+        if self.labeled == 0 {
+            0.0
+        } else {
+            self.misclassified as f64 / self.labeled as f64
+        }
+    }
 }
 
 impl TelemetryReport {
     /// Renders the report as Prometheus text exposition: the lifetime
-    /// counters as `deepmorph_<name>` gauges/counters followed by the
-    /// snapshot's histogram and per-version series.
+    /// counters as `deepmorph_<name>` gauges/counters, the per-version
+    /// `deepmorph_version_*` series, then the snapshot's histogram
+    /// series.
     pub fn to_prometheus(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -200,6 +236,26 @@ impl TelemetryReport {
             let _ = writeln!(out, "deepmorph_{name} {value}");
         }
         let _ = writeln!(out, "deepmorph_telemetry_armed {}", u64::from(self.armed));
+        for v in &self.versions {
+            let fp = &v.fingerprint;
+            for (name, value) in [
+                ("requests_total", v.requests),
+                ("errors_total", v.errors),
+                ("expired_total", v.expired),
+                ("labeled_total", v.labeled),
+                ("misclassified_total", v.misclassified),
+            ] {
+                let _ = writeln!(
+                    out,
+                    "deepmorph_version_{name}{{fingerprint=\"{fp}\"}} {value}"
+                );
+            }
+            let _ = writeln!(
+                out,
+                "deepmorph_version_misclassification_rate{{fingerprint=\"{fp}\"}} {}",
+                v.misclassification_rate()
+            );
+        }
         out.push_str(&self.snapshot.to_prometheus());
         out
     }
@@ -503,8 +559,8 @@ fn write_telemetry_payload(w: &mut ByteWriter, t: &TelemetryReport) {
     for stage in &t.snapshot.stages {
         write_histogram(w, stage);
     }
-    w.put_u64(t.snapshot.versions.len() as u64);
-    for v in &t.snapshot.versions {
+    w.put_u64(t.versions.len() as u64);
+    for v in &t.versions {
         w.put_str(&v.fingerprint);
         for value in [v.requests, v.errors, v.expired, v.labeled, v.misclassified] {
             w.put_u64(value);
@@ -541,16 +597,18 @@ fn read_telemetry_payload(r: &mut ByteReader<'_>) -> CodecResult<TelemetryReport
     }
     let armed = r.get_u8("telemetry armed")? != 0;
     let request_us = read_histogram(r)?;
+    // Consumers index stages by `Stage`: keep our fixed set, read and
+    // drop the rest (an empty histogram is 16 bytes on the wire but a
+    // dense 8 KiB decoded), and pad a short (older) sender.
     let stage_count = r.get_len("telemetry stage count")?;
-    let mut stages = Vec::with_capacity(stage_count.min(64));
-    for _ in 0..stage_count {
-        stages.push(read_histogram(r)?);
+    let mut stages = Vec::with_capacity(STAGE_COUNT);
+    for slot in 0..stage_count {
+        let hist = read_histogram(r)?;
+        if slot < STAGE_COUNT {
+            stages.push(hist);
+        }
     }
-    // `TelemetrySnapshot` consumers index stages by `Stage`; pad a short
-    // (older) sender out to the full set.
-    while stages.len() < STAGE_COUNT {
-        stages.push(HistogramSnapshot::default());
-    }
+    stages.resize_with(STAGE_COUNT, HistogramSnapshot::default);
     let version_count = r.get_len("telemetry version count")?;
     let mut versions = Vec::with_capacity(version_count.min(64));
     for _ in 0..version_count {
@@ -603,9 +661,9 @@ fn read_telemetry_payload(r: &mut ByteReader<'_>) -> CodecResult<TelemetryReport
             request_us,
             stages,
             slowest,
-            versions,
             kernels,
         },
+        versions,
     })
 }
 
@@ -1052,12 +1110,6 @@ mod tests {
             total_us: 90_000,
             stages: [1, 2, 40, 3, 85_000, 9],
         });
-        let v = telemetry.version(&"ef".repeat(16));
-        v.requests.add(11);
-        v.errors.add(1);
-        v.expired.add(2);
-        v.labeled.add(8);
-        v.misclassified.add(3);
         TelemetryReport {
             stats: StatsSnapshot {
                 requests: 13,
@@ -1067,6 +1119,14 @@ mod tests {
             },
             armed: true,
             snapshot: telemetry.snapshot(),
+            versions: vec![VersionTraffic {
+                fingerprint: "ef".repeat(16),
+                requests: 11,
+                errors: 1,
+                expired: 2,
+                labeled: 8,
+                misclassified: 3,
+            }],
         }
     }
 
@@ -1091,12 +1151,31 @@ mod tests {
         let Response::Telemetry(t) = back else {
             panic!("not a telemetry response");
         };
-        assert_eq!(t.snapshot.versions.len(), 1);
-        assert_eq!(t.snapshot.versions[0].fingerprint, "ef".repeat(16));
-        assert_eq!(t.snapshot.versions[0].misclassification_rate(), 0.375);
+        assert_eq!(t.versions.len(), 1);
+        assert_eq!(t.versions[0].fingerprint, "ef".repeat(16));
+        assert_eq!(t.versions[0].misclassification_rate(), 0.375);
         assert!(t.to_prometheus().contains(
             "deepmorph_version_misclassification_rate{fingerprint=\"efefefefefefefefefefefefefefefef\"} 0.375"
         ));
+    }
+
+    /// Seals a hand-built telemetry payload into a response frame (one a
+    /// peer may legally send) and decodes it.
+    fn decode_telemetry_payload(version: u16, payload: &ByteWriter) -> TelemetryReport {
+        let mut body = ByteWriter::new();
+        body.put_u8(RESPONSE_BIT | KIND_TELEMETRY);
+        body.put_u64(77);
+        body.put_u16(version);
+        body.put_u64(payload.as_slice().len() as u64);
+        body.put_bytes(payload.as_slice());
+        let container = seal_container(FRAME_MAGIC, body.as_slice());
+        assert!(container.len() <= MAX_FRAME_BYTES);
+        let (id, back) = decode_response(&container).expect("telemetry payload decodes");
+        assert_eq!(id, 77);
+        let Response::Telemetry(t) = back else {
+            panic!("not a telemetry response");
+        };
+        t
     }
 
     /// A *future* server appends counters and whole sections to the
@@ -1130,26 +1209,38 @@ mod tests {
         payload.put_str("future section");
         payload.put_u64(0xDEAD_BEEF);
 
-        let mut body = ByteWriter::new();
-        body.put_u8(RESPONSE_BIT | KIND_TELEMETRY);
-        body.put_u64(77);
-        body.put_u16(2); // a future payload version
-        body.put_u64(payload.as_slice().len() as u64);
-        body.put_bytes(payload.as_slice());
-        let container = seal_container(FRAME_MAGIC, body.as_slice());
-
-        let (id, back) = decode_response(&container).expect("forward-compatible decode");
-        assert_eq!(id, 77);
-        let Response::Telemetry(t) = back else {
-            panic!("not a telemetry response");
-        };
+        let t = decode_telemetry_payload(2, &payload); // a future payload version
         assert!(t.armed);
         assert_eq!(t.stats.requests, 100);
         assert_eq!(t.stats.accept_backoffs, 2000); // 20th counter
-        assert_eq!(t.snapshot.stages.len(), 8);
+        assert_eq!(t.snapshot.stages.len(), STAGE_COUNT);
         assert_eq!(t.snapshot.slowest.len(), 1);
         assert_eq!(t.snapshot.slowest[0].id, 42);
         assert_eq!(t.snapshot.slowest[0].stages, [0, 1, 2, 3, 4, 5]);
+    }
+
+    /// A peer's stage count costs it 16 bytes per empty histogram but
+    /// would cost the decoder a dense 8 KiB each: only the stages this
+    /// decoder knows are kept, whatever the peer claims.
+    #[test]
+    fn telemetry_stage_list_is_bounded() {
+        const CLAIMED: u64 = 100_000;
+        let mut payload = ByteWriter::new();
+        payload.put_u64(0); // counters
+        payload.put_u8(1); // armed
+        write_histogram(&mut payload, &HistogramSnapshot::default());
+        payload.put_u64(CLAIMED);
+        for _ in 0..CLAIMED {
+            payload.put_u64(NUM_BUCKETS as u64);
+            payload.put_u64(0); // no nonzero buckets
+        }
+        payload.put_u64(0); // versions
+        payload.put_u64(0); // traces
+        payload.put_u64(0); // kernels
+
+        let t = decode_telemetry_payload(TELEMETRY_PAYLOAD_VERSION, &payload);
+        assert_eq!(t.snapshot.stages.len(), STAGE_COUNT);
+        assert!(t.snapshot.stages.iter().all(|h| h.count() == 0));
     }
 
     /// The flip side of forward compat: the telemetry payload opens

@@ -17,7 +17,9 @@
 //! identically to the model that was saved. Every version is stamped with
 //! a 128-bit content fingerprint of its container bytes (the same FNV-1a
 //! construction as the artifact store), reported to clients so they can
-//! pin the exact model revision they are talking to.
+//! pin the exact model revision they are talking to. Each version also
+//! carries its always-on live-traffic counters, which the scheduler
+//! charges and [`ModelRegistry::traffic`] reports.
 //!
 //! Registries load from a directory of `<name>.dmmd` /
 //! `<name>@vN.dmmd` files ([`ModelRegistry::open`]) or take live models
@@ -50,17 +52,17 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use deepmorph::prelude::DefectSpec;
+use deepmorph::prelude::{DefectSpec, Scenario};
 use deepmorph_data::DatasetKind;
 use deepmorph_json::Json;
 use deepmorph_models::{decode_model, encode_model, ModelHandle, ModelSpec};
-use deepmorph_nn::prelude::{BackendKind, ComputeCtx, Precision, TrainConfig};
+use deepmorph_nn::prelude::{ComputeCtx, Precision, TrainConfig};
 use deepmorph_nn::train::OptimizerKind;
 
 pub use deepmorph::artifact::content_fingerprint;
 
 use crate::error::{ServeError, ServeResult};
-use crate::protocol::{ModelInfo, VersionInfo};
+use crate::protocol::{ModelInfo, VersionInfo, VersionTraffic};
 use crate::sync::{LockRecover, RwRecover};
 
 /// File extension of a registry model container.
@@ -111,24 +113,6 @@ impl DiagnosisContext {
                 ..TrainConfig::default()
             },
         }
-    }
-
-    /// Sets the injected defect.
-    pub fn with_defect(mut self, defect: DefectSpec) -> Self {
-        self.defect = defect;
-        self
-    }
-
-    /// Sets the held-out samples per class.
-    pub fn with_test_per_class(mut self, n: usize) -> Self {
-        self.test_per_class = n;
-        self
-    }
-
-    /// Sets the training configuration.
-    pub fn with_train_config(mut self, train: TrainConfig) -> Self {
-        self.train = train;
-        self
     }
 
     fn defect_json(&self) -> Json {
@@ -333,6 +317,21 @@ impl DiagnosisContext {
     }
 }
 
+impl From<&Scenario> for DiagnosisContext {
+    /// The provenance of a model trained under `scenario`: its dataset,
+    /// seed, data sizes, injected defect and training configuration.
+    fn from(scenario: &Scenario) -> Self {
+        DiagnosisContext {
+            dataset: scenario.dataset(),
+            seed: scenario.seed(),
+            train_per_class: scenario.train_per_class(),
+            test_per_class: scenario.test_per_class(),
+            defect: scenario.defect().clone(),
+            train: scenario.train_config().clone(),
+        }
+    }
+}
+
 /// A stable handle to one registered model name. Handles index the
 /// registry's slot table, which only grows before serving starts —
 /// they stay valid across any number of version swaps.
@@ -344,6 +343,19 @@ impl ModelId {
     pub(crate) fn index(self) -> usize {
         self.0
     }
+}
+
+/// Live-traffic counters of one model version, always on: the atomic
+/// counterpart of [`VersionTraffic`], field for field. Every
+/// [`ModelEntry`] clone of the version shares one block, so a
+/// serving-mode swap keeps counting where the version left off.
+#[derive(Debug, Default)]
+pub(crate) struct TrafficCounters {
+    pub(crate) requests: AtomicU64,
+    pub(crate) errors: AtomicU64,
+    pub(crate) expired: AtomicU64,
+    pub(crate) labeled: AtomicU64,
+    pub(crate) misclassified: AtomicU64,
 }
 
 /// One concrete model version.
@@ -367,10 +379,10 @@ pub struct ModelEntry {
     /// serving variants. Diagnosis and repair always work on the f32
     /// parameters ([`ModelEntry::instantiate`]), never the quantized view.
     pub precision: Precision,
-    /// Compute backend serving replicas of this version bind.
-    pub backend: BackendKind,
     /// The encoded model container.
     bytes: Vec<u8>,
+    /// This version's live-traffic counters, charged by the scheduler.
+    pub(crate) counters: Arc<TrafficCounters>,
 }
 
 impl ModelEntry {
@@ -399,24 +411,38 @@ impl ModelEntry {
         Ok(decode_model(&self.bytes)?)
     }
 
-    /// A clone of this version with a different serving mode. Same bytes,
-    /// same fingerprint, same version number — only how serving replicas
-    /// are prepared changes. Constructed here because the container bytes
-    /// are private to the registry.
-    pub fn with_serving_mode(&self, precision: Precision, backend: BackendKind) -> ModelEntry {
+    /// A point-in-time copy of this version's live-traffic counters
+    /// (relaxed loads).
+    pub fn traffic(&self) -> VersionTraffic {
+        let c = &self.counters;
+        VersionTraffic {
+            fingerprint: self.fingerprint.clone(),
+            requests: c.requests.load(Ordering::Relaxed),
+            errors: c.errors.load(Ordering::Relaxed),
+            expired: c.expired.load(Ordering::Relaxed),
+            labeled: c.labeled.load(Ordering::Relaxed),
+            misclassified: c.misclassified.load(Ordering::Relaxed),
+        }
+    }
+
+    /// A clone of this version with a different serving precision. Same
+    /// bytes, same fingerprint, same version number, same traffic
+    /// counters — only how serving replicas are prepared changes.
+    /// Constructed here because the container bytes are private to the
+    /// registry.
+    pub fn with_serving_mode(&self, precision: Precision) -> ModelEntry {
         let mut entry = self.clone();
         entry.precision = precision;
-        entry.backend = backend;
         entry
     }
 
     /// Builds a replica prepared for *serving*: instantiates the f32
-    /// model, binds the entry's compute backend, and applies its serving
-    /// precision. In the default mode (f32 + scalar) that packs every
-    /// dense and conv weight once for the GEMM, so batches skip the
-    /// per-call packing while the logits stay bitwise equal to those of
-    /// a model built by [`ModelEntry::instantiate`]; the replica holds
-    /// one extra copy of those weights. At i8 it quantizes them.
+    /// model and applies the entry's serving precision. At f32 (on the
+    /// scalar reference backend) that packs every dense and conv weight
+    /// once for the GEMM, so batches skip the per-call packing while the
+    /// logits stay bitwise equal to those of a model built by
+    /// [`ModelEntry::instantiate`]; the replica holds one extra copy of
+    /// those weights. At i8 it binds [`ComputeCtx::auto`] and quantizes.
     ///
     /// # Errors
     ///
@@ -424,8 +450,8 @@ impl ModelEntry {
     /// precision cannot be applied.
     pub fn instantiate_for_serving(&self) -> ServeResult<ModelHandle> {
         let mut model = self.instantiate()?;
-        if self.backend != BackendKind::Scalar {
-            model.bind_compute(&ComputeCtx::for_kind(self.backend));
+        if self.precision != Precision::F32 {
+            model.bind_compute(&ComputeCtx::auto());
         }
         model
             .apply_precision(self.precision)
@@ -747,8 +773,8 @@ impl ModelRegistry {
             param_count: probe.param_count(),
             diagnosis,
             precision: Precision::F32,
-            backend: BackendKind::Scalar,
             bytes,
+            counters: Arc::default(),
         })
     }
 
@@ -1120,6 +1146,27 @@ impl ModelRegistry {
             .collect()
     }
 
+    /// Live-traffic counters of every version held in memory — each
+    /// model's serving version and its retained superseded ones — models
+    /// in registration order, each chain oldest first.
+    pub fn traffic(&self) -> Vec<VersionTraffic> {
+        let mut rows = Vec::new();
+        for slot in &self.slots {
+            // History first, then current — the order `versions()` and
+            // publish take the two locks in.
+            let history = slot.history.lock_recover();
+            let current = Arc::clone(&slot.current.read_recover().1);
+            for meta in history.iter() {
+                if meta.version == current.version {
+                    rows.push(current.traffic());
+                } else if let Some(retained) = &meta.retained {
+                    rows.push(retained.traffic());
+                }
+            }
+        }
+        rows
+    }
+
     /// Number of registered model names.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -1140,25 +1187,14 @@ impl ModelRegistry {
         self.ids().map(|id| self.current(id).info()).collect()
     }
 
-    /// Builds an independent replica of the model at `id`'s *current*
-    /// version (see [`ModelEntry::instantiate`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Model`] if the stored bytes no longer decode
-    /// against the current architecture code.
-    pub fn instantiate(&self, id: ModelId) -> ServeResult<ModelHandle> {
-        self.current(id).instantiate()
-    }
-
-    /// Switches the serving mode of the model at `id`: the current
+    /// Switches the serving precision of the model at `id`: the current
     /// version's bytes stay exactly as published, but workers rebuild
-    /// their replicas (the epoch bumps) with the new precision and
-    /// backend. No history entry is appended — the version and
-    /// fingerprint are unchanged, so diagnosis sessions keyed by
-    /// fingerprint stay valid and `versions()` keeps listing the same
-    /// chain. The candidate replica is built once up front, so an
-    /// un-instantiable mode is rejected before anything swaps.
+    /// their replicas (the epoch bumps) at the new precision. No history
+    /// entry is appended — the version and fingerprint are unchanged, so
+    /// diagnosis sessions keyed by fingerprint stay valid, `versions()`
+    /// keeps listing the same chain, and the version's traffic counters
+    /// keep counting. The candidate replica is built once up front, so
+    /// an un-instantiable mode is rejected before anything swaps.
     ///
     /// # Errors
     ///
@@ -1168,7 +1204,6 @@ impl ModelRegistry {
         &self,
         id: ModelId,
         precision: Precision,
-        backend: BackendKind,
     ) -> ServeResult<Arc<ModelEntry>> {
         let slot = &self.slots[id.0];
         // The history lock doubles as the publish lock: mode swaps
@@ -1177,7 +1212,7 @@ impl ModelRegistry {
         let history = slot.history.lock_recover();
         let entry = {
             let guard = slot.current.read_recover();
-            guard.1.with_serving_mode(precision, backend)
+            guard.1.with_serving_mode(precision)
         };
         entry.instantiate_for_serving()?;
         let entry = Arc::new(entry);
@@ -1249,7 +1284,7 @@ mod tests {
         )
         .unwrap();
         let expect = model.graph.forward(&x, Mode::Eval).unwrap();
-        let mut replica = registry.instantiate(id).unwrap();
+        let mut replica = registry.current(id).instantiate().unwrap();
         let got = replica.graph.forward(&x, Mode::Eval).unwrap();
         for (a, b) in expect.data().iter().zip(got.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -1376,10 +1411,10 @@ mod tests {
 
     #[test]
     fn diagnosis_context_round_trips() {
-        let ctx = DiagnosisContext::new(DatasetKind::Objects, 42, 100)
-            .with_defect(DefectSpec::insufficient_training_data(vec![0, 3], 0.75))
-            .with_test_per_class(25)
-            .with_train_config(TrainConfig {
+        let ctx = DiagnosisContext {
+            test_per_class: 25,
+            defect: DefectSpec::insufficient_training_data(vec![0, 3], 0.75),
+            train: TrainConfig {
                 epochs: 6,
                 batch_size: 16,
                 learning_rate: 0.1,
@@ -1390,18 +1425,24 @@ mod tests {
                 },
                 shuffle: false,
                 clip_grad_norm: Some(5.0),
-            });
+            },
+            ..DiagnosisContext::new(DatasetKind::Objects, 42, 100)
+        };
         assert_eq!(DiagnosisContext::from_json(&ctx.to_json()).unwrap(), ctx);
 
-        let utd = DiagnosisContext::new(DatasetKind::Digits, 7, 80)
-            .with_defect(DefectSpec::unreliable_training_data(3, 5, 0.5))
-            .with_train_config(TrainConfig {
+        let utd = DiagnosisContext {
+            defect: DefectSpec::unreliable_training_data(3, 5, 0.5),
+            train: TrainConfig {
                 optimizer: OptimizerKind::Adam,
                 ..TrainConfig::default()
-            });
+            },
+            ..DiagnosisContext::new(DatasetKind::Digits, 7, 80)
+        };
         assert_eq!(DiagnosisContext::from_json(&utd.to_json()).unwrap(), utd);
-        let sd = DiagnosisContext::new(DatasetKind::Digits, 7, 80)
-            .with_defect(DefectSpec::structure_defect(6));
+        let sd = DiagnosisContext {
+            defect: DefectSpec::structure_defect(6),
+            ..DiagnosisContext::new(DatasetKind::Digits, 7, 80)
+        };
         assert_eq!(DiagnosisContext::from_json(&sd.to_json()).unwrap(), sd);
 
         assert!(DiagnosisContext::from_json("{}").is_err());

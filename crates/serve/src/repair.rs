@@ -47,7 +47,7 @@ use std::time::Instant;
 
 use deepmorph::pipeline::{DeepMorph, DeepMorphConfig, DiagnosisSession};
 use deepmorph::prelude::{recommend, ArtifactStore, Scenario, StagedEngine};
-use deepmorph_nn::prelude::{BackendKind, Precision};
+use deepmorph_nn::prelude::Precision;
 use deepmorph_nn::train::evaluate_accuracy;
 
 use crate::error::{ServeError, ServeResult};
@@ -468,9 +468,7 @@ pub(crate) fn promote_quantized(
     if precision == Precision::F32 {
         // Demotion restores the reference mode; it cannot lose accuracy
         // relative to itself, so it is never gated (and needs no sidecar).
-        let restored = shared
-            .registry
-            .set_serving_mode(id, Precision::F32, BackendKind::Scalar)?;
+        let restored = shared.registry.set_serving_mode(id, Precision::F32)?;
         return Ok(PromoteResponse {
             precision,
             accuracy_f32: 0.0,
@@ -491,7 +489,7 @@ pub(crate) fn promote_quantized(
     let mut serving = entry.instantiate()?;
     let accuracy_f32 = evaluate_accuracy(&mut serving.graph, test.images(), test.labels(), 64)?;
 
-    let candidate = entry.with_serving_mode(precision, BackendKind::Auto);
+    let candidate = entry.with_serving_mode(precision);
     let mut replica = candidate.instantiate_for_serving()?;
     let accuracy_quantized =
         evaluate_accuracy(&mut replica.graph, test.images(), test.labels(), 64)?;
@@ -506,9 +504,7 @@ pub(crate) fn promote_quantized(
             fingerprint: entry.fingerprint.clone(),
         });
     }
-    let installed = shared
-        .registry
-        .set_serving_mode(id, precision, BackendKind::Auto)?;
+    let installed = shared.registry.set_serving_mode(id, precision)?;
     shared
         .stats
         .swaps

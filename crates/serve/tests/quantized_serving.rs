@@ -72,9 +72,7 @@ fn quantized_promotion_is_gated_and_reversible() {
     let trained = StagedEngine::ephemeral().trained(&scenario).unwrap();
     let mut model = trained.instantiate().unwrap();
     save_model(dir.join("digits.dmmd"), &mut model).unwrap();
-    let ctx = DiagnosisContext::new(DatasetKind::Digits, 7, 80)
-        .with_test_per_class(25)
-        .with_train_config(train_config());
+    let ctx = DiagnosisContext::from(&scenario);
     std::fs::write(dir.join("digits.meta.json"), ctx.to_json()).unwrap();
 
     let server =

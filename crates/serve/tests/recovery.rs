@@ -56,7 +56,7 @@ fn truncated_head_version_is_quarantined_and_the_chain_falls_back() {
     assert!(!dir.join("m@v2.dmmd").exists());
 
     // The survivor still instantiates.
-    assert!(registry.instantiate(id).is_ok());
+    assert!(registry.current(id).instantiate().is_ok());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -151,7 +151,7 @@ fn torn_publish_under_fault_injection_recovers_on_reopen() {
         .quarantined()
         .iter()
         .any(|p| p.ends_with("m@v2.dmmd")));
-    assert!(reopened.instantiate(id).is_ok());
+    assert!(reopened.current(id).instantiate().is_ok());
 
     // And with the storm over, the same publish now succeeds cleanly.
     let published = reopened.publish(id, &mut lenet(7), Some(ctx)).unwrap();

@@ -84,10 +84,7 @@ fn served_defect_is_diagnosed_repaired_and_hot_swapped_under_load() {
     let trained = StagedEngine::ephemeral().trained(&scenario).unwrap();
     let mut model = trained.instantiate().unwrap();
     save_model(dir.join("digits.dmmd"), &mut model).unwrap();
-    let ctx = DiagnosisContext::new(DatasetKind::Digits, 7, 80)
-        .with_test_per_class(25)
-        .with_defect(itd_defect())
-        .with_train_config(train_config());
+    let ctx = DiagnosisContext::from(&scenario);
     std::fs::write(dir.join("digits.meta.json"), ctx.to_json()).unwrap();
 
     let registry = ModelRegistry::open(&dir).unwrap();
@@ -298,13 +295,13 @@ fn gate_keeps_the_serving_version_when_the_repair_is_worse() {
     let scenario = itd_scenario();
     let trained = StagedEngine::ephemeral().trained(&scenario).unwrap();
     save_model(dir.join("digits.dmmd"), &mut trained.instantiate().unwrap()).unwrap();
-    let ctx = DiagnosisContext::new(DatasetKind::Digits, 7, 80)
-        .with_test_per_class(25)
-        .with_defect(itd_defect())
-        .with_train_config(TrainConfig {
+    let ctx = DiagnosisContext {
+        train: TrainConfig {
             learning_rate: 0.0,
             ..train_config()
-        });
+        },
+        ..DiagnosisContext::from(&scenario)
+    };
     std::fs::write(dir.join("digits.meta.json"), ctx.to_json()).unwrap();
 
     let server =

@@ -10,10 +10,13 @@
 //!   `Telemetry` frame fetched over the wire, keyed by the serving
 //!   version's content fingerprint; the same frame's counters and
 //!   exposition cover the load, and a cleared registry reports itself
-//!   disarmed.
+//!   disarmed with the same per-version counts;
+//! * **each server owns its counts**: two servers in one process serving
+//!   the same model bytes each report only their own traffic, whether or
+//!   not telemetry is armed.
 //!
-//! Telemetry arming is process-global, so the tests in this binary
-//! serialize their armed windows behind one mutex (separate test
+//! Telemetry arming is process-global, so the tests in this binary that
+//! arm it serialize their armed windows behind one mutex (separate test
 //! binaries are separate processes and need no coordination).
 
 use std::sync::{Mutex, PoisonError};
@@ -157,7 +160,6 @@ fn telemetry_frame_reports_live_misclassification_rate() {
         report.snapshot.request_us.count()
     );
     let version = report
-        .snapshot
         .versions
         .iter()
         .find(|v| v.labeled > 0)
@@ -195,6 +197,42 @@ fn telemetry_frame_reports_live_misclassification_rate() {
         0,
         "a disarmed report carries an empty snapshot"
     );
+    assert_eq!(
+        disarmed.versions, report.versions,
+        "per-version counts report whether or not telemetry is armed"
+    );
+}
+
+/// Per-version counts live on each server's own registry entries: two
+/// servers over the same model bytes, in one process, each report
+/// exactly the traffic they answered. The test never arms telemetry and
+/// takes no lock, so it also runs while other tests arm it.
+#[test]
+fn each_server_counts_its_own_version_traffic() {
+    let a = Server::start(registry_with("m", 41), ServerConfig::default()).unwrap();
+    let b = Server::start(registry_with("m", 41), ServerConfig::default()).unwrap();
+    let mut client_a = Client::connect(a.local_addr()).unwrap();
+    let mut client_b = Client::connect(b.local_addr()).unwrap();
+    for i in 0..3 {
+        client_a.predict("m", &input_row(i)).unwrap();
+    }
+    for i in 0..5 {
+        client_b.predict("m", &input_row(i)).unwrap();
+    }
+    let versions_a = client_a.telemetry().unwrap().versions;
+    let versions_b = client_b.telemetry().unwrap().versions;
+    a.shutdown();
+    b.shutdown();
+
+    assert_eq!(versions_a.len(), 1, "server A lists {versions_a:?}");
+    assert_eq!(versions_b.len(), 1, "server B lists {versions_b:?}");
+    assert_eq!(versions_a[0].fingerprint, versions_b[0].fingerprint);
+    assert_eq!(versions_a[0].requests, 3);
+    assert_eq!(versions_b[0].requests, 5);
+    for v in [&versions_a[0], &versions_b[0]] {
+        assert_eq!(v.labeled, 0);
+        assert_eq!(v.misclassification_rate(), 0.0, "no labeled rows: rate 0");
+    }
 }
 
 /// A request's trace stages are disjoint spans inside its total: queue

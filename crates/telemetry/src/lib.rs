@@ -1,11 +1,11 @@
 //! **deepmorph-telemetry** — allocation-free serving observability.
 //!
-//! The serving stack's only runtime window used to be a flat snapshot of
-//! lifetime counters; this crate adds the distributions: fixed-bucket
-//! log₂-scale latency histograms, per-request stage spans, a bounded
-//! ring of the slowest request traces, and per-model-version live-traffic
-//! stats (including the labeled-case misclassification rate the
-//! autonomous-repair controller needs to watch for drift).
+//! The serving stack keeps its lifetime counters, including each model
+//! version's live traffic, always on and owned by the server. This crate
+//! holds only what is worth paying for while armed: fixed-bucket
+//! log₂-scale latency histograms, per-request stage spans, a bounded ring
+//! of the slowest request traces, and (env-gated) per-kernel GEMM
+//! timings.
 //!
 //! The design contract mirrors `deepmorph-faults` exactly:
 //!
@@ -16,9 +16,8 @@
 //!   this crate in the loop.
 //! * **Armed is allocation-free on the hot path.** Recording a histogram
 //!   sample is exactly one relaxed `fetch_add` on a preallocated bucket;
-//!   per-version counters are relaxed adds on a cached handle; the
-//!   slow-trace ring replaces entries in place. Only *discovering* a new
-//!   model version allocates (once per version, off the per-row path).
+//!   the slow-trace ring replaces entries in place. Only *discovering* a
+//!   new GEMM shape allocates (once per shape, off the per-row path).
 //! * **Telemetry observes, never steers.** Nothing in this crate touches
 //!   request or tensor data, so responses stay bitwise-identical with
 //!   telemetry armed or off — pinned by a digest test in the serve crate.
@@ -166,23 +165,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// A relaxed monotonic counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Adds `n` (relaxed).
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value (relaxed).
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// The per-request pipeline stages the serving stack instruments, in
 /// request order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -296,79 +278,6 @@ impl SlowTraces {
     }
 }
 
-/// Live-traffic counters of one model version, keyed by its content
-/// fingerprint. Handles are cached by serving workers, so the per-batch
-/// cost is relaxed adds.
-#[derive(Debug)]
-pub struct VersionStats {
-    /// 128-bit content fingerprint (32 hex chars) of the version.
-    pub fingerprint: String,
-    /// Predict requests answered by this version.
-    pub requests: Counter,
-    /// Requests answered with an error by this version's worker path.
-    pub errors: Counter,
-    /// Requests shed as expired while this version was serving.
-    pub expired: Counter,
-    /// Labeled rows this version predicted.
-    pub labeled: Counter,
-    /// Labeled rows this version got wrong.
-    pub misclassified: Counter,
-}
-
-impl VersionStats {
-    fn new(fingerprint: &str) -> VersionStats {
-        VersionStats {
-            fingerprint: fingerprint.to_string(),
-            requests: Counter::default(),
-            errors: Counter::default(),
-            expired: Counter::default(),
-            labeled: Counter::default(),
-            misclassified: Counter::default(),
-        }
-    }
-
-    fn snapshot(&self) -> VersionTraffic {
-        VersionTraffic {
-            fingerprint: self.fingerprint.clone(),
-            requests: self.requests.get(),
-            errors: self.errors.get(),
-            expired: self.expired.get(),
-            labeled: self.labeled.get(),
-            misclassified: self.misclassified.get(),
-        }
-    }
-}
-
-/// Point-in-time live-traffic stats of one model version.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VersionTraffic {
-    /// Content fingerprint of the version.
-    pub fingerprint: String,
-    /// Predict requests answered.
-    pub requests: u64,
-    /// Requests answered with an error.
-    pub errors: u64,
-    /// Requests shed as expired.
-    pub expired: u64,
-    /// Labeled rows predicted.
-    pub labeled: u64,
-    /// Labeled rows predicted wrong.
-    pub misclassified: u64,
-}
-
-impl VersionTraffic {
-    /// Live misclassification rate over labeled traffic (0 when no
-    /// labeled rows were seen) — the drift signal an autonomous repair
-    /// controller watches per version.
-    pub fn misclassification_rate(&self) -> f64 {
-        if self.labeled == 0 {
-            0.0
-        } else {
-            self.misclassified as f64 / self.labeled as f64
-        }
-    }
-}
-
 /// Per-kernel timing of one GEMM shape (env-gated; see [`kernel_timer`]).
 #[derive(Debug)]
 struct KernelStats {
@@ -405,14 +314,13 @@ impl Default for TelemetryConfig {
 }
 
 /// The armed metrics registry: request/stage latency histograms, the
-/// slow-trace ring, per-version traffic stats, and (env-gated) per-kernel
-/// GEMM timings. Install one process-globally with [`install`].
+/// slow-trace ring, and (env-gated) per-kernel GEMM timings. Install one
+/// process-globally with [`install`].
 #[derive(Debug)]
 pub struct Telemetry {
     request_us: LogHistogram,
     stages: [LogHistogram; STAGE_COUNT],
     slow: SlowTraces,
-    versions: RwLock<Vec<Arc<VersionStats>>>,
     kernels: RwLock<Vec<Arc<KernelStats>>>,
 }
 
@@ -423,7 +331,6 @@ impl Telemetry {
             request_us: LogHistogram::new(),
             stages: std::array::from_fn(|_| LogHistogram::new()),
             slow: SlowTraces::new(config.slow_traces),
-            versions: RwLock::new(Vec::new()),
             kernels: RwLock::new(Vec::new()),
         }
     }
@@ -443,28 +350,6 @@ impl Telemetry {
     /// Offers a completed request trace to the slowest-N ring.
     pub fn offer_trace(&self, trace: Trace) {
         self.slow.offer(trace);
-    }
-
-    /// The traffic-stats handle of the version with this content
-    /// fingerprint, created on first sight. Callers cache the `Arc` (per
-    /// replica) so steady-state recording is pure relaxed adds.
-    pub fn version(&self, fingerprint: &str) -> Arc<VersionStats> {
-        {
-            let versions = self.versions.read().unwrap_or_else(PoisonError::into_inner);
-            if let Some(v) = versions.iter().find(|v| v.fingerprint == fingerprint) {
-                return Arc::clone(v);
-            }
-        }
-        let mut versions = self
-            .versions
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(v) = versions.iter().find(|v| v.fingerprint == fingerprint) {
-            return Arc::clone(v);
-        }
-        let v = Arc::new(VersionStats::new(fingerprint));
-        versions.push(Arc::clone(&v));
-        v
     }
 
     fn kernel(&self, m: u64, k: u64, n: u64) -> Arc<KernelStats> {
@@ -494,13 +379,6 @@ impl Telemetry {
             request_us: self.request_us.snapshot(),
             stages: self.stages.iter().map(LogHistogram::snapshot).collect(),
             slowest: self.slow.snapshot(),
-            versions: self
-                .versions
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-                .map(|v| v.snapshot())
-                .collect(),
             kernels: self
                 .kernels
                 .read()
@@ -529,8 +407,6 @@ pub struct TelemetrySnapshot {
     pub stages: Vec<HistogramSnapshot>,
     /// The slowest retained request traces, slowest first.
     pub slowest: Vec<Trace>,
-    /// Per-model-version live-traffic stats.
-    pub versions: Vec<VersionTraffic>,
     /// Env-gated per-GEMM-shape timings (empty unless
     /// `DEEPMORPH_KERNEL_TIMING` was set while armed).
     pub kernels: Vec<KernelTiming>,
@@ -544,7 +420,6 @@ impl Default for TelemetrySnapshot {
                 .map(|_| HistogramSnapshot::default())
                 .collect(),
             slowest: Vec::new(),
-            versions: Vec::new(),
             kernels: Vec::new(),
         }
     }
@@ -593,40 +468,6 @@ impl TelemetrySnapshot {
                 "deepmorph_stage_latency_us_count{{stage=\"{}\"}} {}",
                 stage.name(),
                 hist.count()
-            );
-        }
-
-        for v in &self.versions {
-            let fp = &v.fingerprint;
-            let _ = writeln!(
-                out,
-                "deepmorph_version_requests_total{{fingerprint=\"{fp}\"}} {}",
-                v.requests
-            );
-            let _ = writeln!(
-                out,
-                "deepmorph_version_errors_total{{fingerprint=\"{fp}\"}} {}",
-                v.errors
-            );
-            let _ = writeln!(
-                out,
-                "deepmorph_version_expired_total{{fingerprint=\"{fp}\"}} {}",
-                v.expired
-            );
-            let _ = writeln!(
-                out,
-                "deepmorph_version_labeled_total{{fingerprint=\"{fp}\"}} {}",
-                v.labeled
-            );
-            let _ = writeln!(
-                out,
-                "deepmorph_version_misclassified_total{{fingerprint=\"{fp}\"}} {}",
-                v.misclassified
-            );
-            let _ = writeln!(
-                out,
-                "deepmorph_version_misclassification_rate{{fingerprint=\"{fp}\"}} {}",
-                v.misclassification_rate()
             );
         }
 
@@ -847,30 +688,10 @@ mod tests {
     }
 
     #[test]
-    fn version_stats_key_by_fingerprint_and_rate_is_safe() {
-        let telemetry = Telemetry::new(TelemetryConfig::default());
-        let v1 = telemetry.version("aa".repeat(16).as_str());
-        let again = telemetry.version("aa".repeat(16).as_str());
-        assert!(Arc::ptr_eq(&v1, &again));
-        v1.requests.add(4);
-        v1.labeled.add(2);
-        v1.misclassified.add(1);
-        telemetry.version("bb".repeat(16).as_str()).requests.add(1);
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.versions.len(), 2);
-        assert_eq!(snap.versions[0].misclassification_rate(), 0.5);
-        assert_eq!(snap.versions[1].misclassification_rate(), 0.0);
-    }
-
-    #[test]
     fn exposition_renders_parseable_lines() {
         let telemetry = Telemetry::new(TelemetryConfig::default());
         telemetry.record_request(1234);
         telemetry.record_stage(Stage::Compute, 900);
-        let v = telemetry.version("cd".repeat(16).as_str());
-        v.requests.add(3);
-        v.labeled.add(3);
-        v.misclassified.add(1);
         let text = telemetry.snapshot().to_prometheus();
         let mut samples = 0;
         for line in text.lines() {
@@ -883,7 +704,6 @@ mod tests {
             samples += 1;
         }
         assert!(samples > 20, "only {samples} samples rendered");
-        assert!(text.contains("deepmorph_version_misclassification_rate"));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! and is threaded explicitly through `Graph`/`Trainer`/the serve
 //! scheduler. [`ComputeCtx::default`] is the scalar backend, so a build
 //! with `--features simd` is still bitwise-unchanged until a caller opts a
-//! context in via [`ComputeCtx::auto`] or [`ComputeCtx::for_kind`].
+//! context in via [`ComputeCtx::auto`].
 
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -350,13 +350,6 @@ impl ComputeCtx {
     pub fn auto() -> Self {
         ComputeCtx {
             backend: select(BackendKind::Auto),
-        }
-    }
-
-    /// A context resolved from a [`BackendKind`].
-    pub fn for_kind(kind: BackendKind) -> Self {
-        ComputeCtx {
-            backend: select(kind),
         }
     }
 

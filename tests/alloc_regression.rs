@@ -159,12 +159,10 @@ fn warm_conv_step_and_matmul_do_not_allocate() {
     );
 
     // Telemetry hot path: with the registry armed, recording request
-    // latencies, stage spans, cached per-version counters, and trace
-    // offers must stay allocation-free — these run inside the serving
-    // data path. First-touch costs (the `version()` stats slot, the
-    // trace ring filling to capacity) are paid before the window.
+    // latencies, stage spans, and trace offers must stay allocation-free
+    // — these run inside the serving data path. The first-touch cost
+    // (the trace ring filling to capacity) is paid before the window.
     let telemetry = deepmorph_telemetry::install(TelemetryConfig { slow_traces: 4 });
-    let version = telemetry.version("alloc-regression-v1");
     for id in 0..4 {
         telemetry.offer_trace(Trace {
             id,
@@ -177,8 +175,6 @@ fn warm_conv_step_and_matmul_do_not_allocate() {
         telemetry.record_request(i);
         telemetry.record_stage(Stage::Compute, i);
         telemetry.record_stage(Stage::QueueWait, i);
-        version.requests.add(1);
-        version.labeled.add(1);
         // The ring is at capacity, so winning offers replace the
         // fastest incumbent in place and losing offers are dropped —
         // both paths must be allocation-free.
