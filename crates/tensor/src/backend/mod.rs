@@ -15,8 +15,10 @@
 //! skip the per-call rhs packing: [`ComputeCtx::pack_nt`] packs a weight
 //! once into a [`PackedNt`] (through the provided [`Backend::pack_nt`]
 //! hook, which only the scalar backend implements), and
-//! [`ComputeCtx::matmul_nt_packed`] runs the scalar kernel's row loop
-//! against it — bitwise equal to [`ComputeCtx::matmul_nt`].
+//! [`ComputeCtx::matmul_nt_packed`] runs the scalar kernel's block loop
+//! against it — the register tile four output rows at a time, the last
+//! `m mod 4` rows one at a time — bitwise equal to
+//! [`ComputeCtx::matmul_nt`].
 //!
 //! Two implementations exist:
 //!
@@ -408,10 +410,10 @@ impl ComputeCtx {
     }
 
     /// `A @ Bᵀ` for `a: [m, k]` against a `B` packed by
-    /// [`ComputeCtx::pack_nt`]. Same panels, same row loop, same fan-out
-    /// decision and kernel timing as [`ComputeCtx::matmul_nt`] on the
-    /// unpacked `B`, so the result is bitwise equal; only the per-call
-    /// packing is gone.
+    /// [`ComputeCtx::pack_nt`]. Same panels, same register tile and
+    /// remainder rows, same fan-out decision and kernel timing as
+    /// [`ComputeCtx::matmul_nt`] on the unpacked `B`, so the result is
+    /// bitwise equal; only the per-call packing is gone.
     ///
     /// # Errors
     ///

@@ -6,8 +6,12 @@
 //! workspace buffers ([`crate::workspace`]): a transposed lhs into
 //! row-major `A`, a transposed rhs into `Bᵀ` column panels, and wide
 //! row-major `B` matrices into cache-sized column panels. After packing,
-//! every layout runs the same row loop ([`panel_rows_into`]). A rhs that
-//! never changes — a serving replica's weights — can be packed once
+//! every layout runs the same loop over 4-row output blocks
+//! ([`panel_rows_into`]): a product with a transposed rhs — every `x·Wᵀ`
+//! — runs each full block through a register tile that shares every
+//! loaded panel value across the four rows; the zero-skipping products
+//! and the last `m mod 4` rows run the one-row loop. A rhs that never
+//! changes — a serving replica's weights — can be packed once
 //! ([`crate::backend::PackedNt`]) so each product runs only that loop.
 //!
 //! # Determinism contract
@@ -23,8 +27,12 @@
 //!   products with a transposed rhs never skip;
 //! * the 4-step unrolled chain `(((o + a₀x₀) + a₁x₁) + a₂x₂) + a₃x₃`
 //!   performs the same adds in the same order as four single steps;
-//! * parallelism only changes which thread computes an output row, never
-//!   the order of operations within one.
+//! * the register tile runs the same chain: each accumulator starts from
+//!   its `out` element and adds one term per `k` step, `p` ascending; it
+//!   round-trips through `out` between depth slabs, an exact store and
+//!   load;
+//! * parallelism only changes which thread computes a whole 4-row output
+//!   block, never the order of operations within one.
 
 use crate::backend::{GemmSpec, MatLayout};
 use crate::workspace;
@@ -36,9 +44,9 @@ const PANEL: usize = 512;
 /// Accumulates the product `spec` describes into `out` (`m · n`,
 /// caller-zeroed for a plain product).
 ///
-/// `spec.parallel` requests fan-out over output rows (honored only when
-/// the `parallel` feature is active and enough threads exist — otherwise
-/// the rows run inline).
+/// `spec.parallel` requests fan-out over 4-row output blocks (honored
+/// only when the `parallel` feature is active and enough threads exist —
+/// otherwise the blocks run inline).
 ///
 /// # Panics
 ///
@@ -76,12 +84,17 @@ pub(crate) fn gemm_into(spec: &GemmSpec, a: &[f32], b: &[f32], out: &mut [f32]) 
     }
 }
 
-/// The row loop of [`gemm_into`], after packing: accumulates row-major
+/// The block loop of [`gemm_into`], after packing: accumulates row-major
 /// `a` (`[m, k]`) times the column `panels` (the layout
 /// [`pack_b_panels`] and [`pack_nt_into`] write) into `out`, fanning out
-/// over output rows when `spec.parallel`. Only `spec`'s dimensions,
-/// zero-skip rule and fan-out hint are read; the operand layouts have
-/// already been packed away.
+/// over blocks of [`TILE_ROWS`] output rows when `spec.parallel`. Only
+/// `spec`'s dimensions, zero-skip rule and fan-out hint are read; the
+/// operand layouts have already been packed away.
+///
+/// A full block of a product that never skips zeros (a transposed rhs:
+/// every `x·Wᵀ`) runs the register tile ([`tile_panel`]); the last
+/// `m mod 4` rows and every zero-skipping product run one row at a time
+/// ([`accumulate_panel`]). Both give each element the same add chain.
 pub(crate) fn panel_rows_into(spec: &GemmSpec, a: &[f32], panels: &[f32], out: &mut [f32]) {
     let (m, k, n) = (spec.m, spec.k, spec.n);
     debug_assert_eq!((a.len(), panels.len(), out.len()), (m * k, k * n, m * n));
@@ -89,13 +102,20 @@ pub(crate) fn panel_rows_into(spec: &GemmSpec, a: &[f32], panels: &[f32], out: &
         return;
     }
     let skip_zero = spec.skips_zero_lhs();
-    let row = |i: usize, out_row: &mut [f32]| {
-        let a_row = &a[i * k..(i + 1) * k];
+    let block = |bi: usize, out_rows: &mut [f32]| {
+        let rows = out_rows.len() / n;
+        let a_rows = &a[bi * TILE_ROWS * k..][..rows * k];
         let mut j0 = 0;
         while j0 < n {
             let w = PANEL.min(n - j0);
             let panel = &panels[(j0 / PANEL) * k * PANEL..][..k * w];
-            accumulate_panel(a_row, panel, &mut out_row[j0..j0 + w], w, skip_zero);
+            if rows == TILE_ROWS && !skip_zero {
+                tile_panel(a_rows, panel, w, &mut out_rows[j0..], n);
+            } else {
+                for (a_row, out_row) in a_rows.chunks_exact(k).zip(out_rows.chunks_mut(n)) {
+                    accumulate_panel(a_row, panel, &mut out_row[j0..j0 + w], w, skip_zero);
+                }
+            }
             j0 += w;
         }
     };
@@ -104,11 +124,81 @@ pub(crate) fn panel_rows_into(spec: &GemmSpec, a: &[f32], panels: &[f32], out: &
         // Grain 0: the caller already decided this product is worth
         // fanning out; `for_chunks_mut` still falls back to the serial
         // loop when the feature is off or no extra threads exist.
-        crate::chunks::for_chunks_mut(out, n, 0, |i, out_row| row(i, out_row));
+        crate::chunks::for_chunks_mut(out, TILE_ROWS * n, 0, block);
     } else {
-        for (i, out_row) in out.chunks_mut(n).enumerate() {
-            row(i, out_row);
+        for (bi, out_rows) in out.chunks_mut(TILE_ROWS * n).enumerate() {
+            block(bi, out_rows);
         }
+    }
+}
+
+/// Output rows one register tile covers, and the fan-out unit of
+/// [`panel_rows_into`].
+const TILE_ROWS: usize = 4;
+
+/// `k` steps per pass of the register tile: the strips of one pass
+/// re-read a `TILE_DEPTH × w` slab of the panel, which stays cache-hot
+/// however deep the product is.
+const TILE_DEPTH: usize = 64;
+
+/// The register tile: accumulates the four rows of `a4` (`[4, k]`
+/// row-major) against one `panel` of width `w` into `out4`, whose row
+/// `r` starts at `r · n`. Each pass covers [`TILE_DEPTH`] `k` steps in
+/// column strips of 8, then 4, then 1, so each loaded panel value serves
+/// all four rows.
+fn tile_panel(a4: &[f32], panel: &[f32], w: usize, out4: &mut [f32], n: usize) {
+    let k = a4.len() / TILE_ROWS;
+    let mut p0 = 0;
+    while p0 < k {
+        let p1 = k.min(p0 + TILE_DEPTH);
+        let a = std::array::from_fn(|r| &a4[r * k + p0..r * k + p1]);
+        let slab = &panel[p0 * w..p1 * w];
+        let mut c = 0;
+        while c + 8 <= w {
+            tile_strip::<8>(a, slab, w, c, out4, n);
+            c += 8;
+        }
+        if c + 4 <= w {
+            tile_strip::<4>(a, slab, w, c, out4, n);
+            c += 4;
+        }
+        while c < w {
+            tile_strip::<1>(a, slab, w, c, out4, n);
+            c += 1;
+        }
+        p0 = p1;
+    }
+}
+
+/// One `4 × W` strip of [`tile_panel`]: columns `c..c + W` of `slab`,
+/// accumulated into the same columns of `out4`'s four rows. The
+/// accumulators load from `out4`, live in a stack array, and store back
+/// after the slab: each adds its terms with `p` ascending in one
+/// dependent chain and never skips a zero coefficient, as
+/// [`accumulate_panel`] does for a transposed rhs.
+fn tile_strip<const W: usize>(
+    a: [&[f32]; TILE_ROWS],
+    slab: &[f32],
+    w: usize,
+    c: usize,
+    out4: &mut [f32],
+    n: usize,
+) {
+    let mut acc = [[0.0f32; W]; TILE_ROWS];
+    for (r, acc_r) in acc.iter_mut().enumerate() {
+        acc_r.copy_from_slice(&out4[r * n + c..][..W]);
+    }
+    let [r0, r1, r2, r3] = a;
+    for ((((b_row, &a0), &a1), &a2), &a3) in slab.chunks_exact(w).zip(r0).zip(r1).zip(r2).zip(r3) {
+        let b = &b_row[c..c + W];
+        for (acc_r, a) in acc.iter_mut().zip([a0, a1, a2, a3]) {
+            for (o, &x) in acc_r.iter_mut().zip(b) {
+                *o += a * x;
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        out4[r * n + c..][..W].copy_from_slice(acc_r);
     }
 }
 
@@ -268,6 +358,12 @@ mod tests {
             (33, 9, 130),
             (4, 6, PANEL + 3), // exercises the panel split
             (2, 70, 2 * PANEL + 1),
+            (4, 3, 4),   // one exact tile
+            (5, 1, 8),   // k < 4: no full quad
+            (7, 9, 13),  // a tile plus 3 remainder rows
+            (8, 36, 4),  // two tiles
+            (9, 27, 12), // 8-, 4- and 1-wide strips
+            (4, 150, 9), // three tile depths
         ] {
             for (lhs, rhs) in [
                 (RowMajor, RowMajor),
@@ -285,7 +381,7 @@ mod tests {
                     }
                     let expect = naive(&spec, &a, &b);
                     // The packed NT door: `b` packed once, then only the
-                    // row loop runs per product.
+                    // block loop runs per product.
                     let packed = (lhs, rhs) == (RowMajor, Transposed);
                     let mut panels = vec![0.0f32; k * n];
                     if packed {
@@ -306,6 +402,64 @@ mod tests {
                                 "packed NT {m}x{k}x{n} zeros={zeros} parallel={parallel}"
                             );
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `0 · inf` is NaN, so a zero lhs coefficient against an infinite
+    /// rhs value shows whether a layout skips it: products with a
+    /// transposed rhs never skip, products with a row-major rhs do.
+    #[test]
+    fn zero_skip_contract_with_non_finite_operands() {
+        use MatLayout::{RowMajor, Transposed};
+        // Row 1 sits in the register tile, row 4 in the remainder row.
+        let (m, k, n) = (5, 6, 5);
+        let transpose = |v: &[f32], rows: usize, cols: usize| -> Vec<f32> {
+            (0..rows * cols)
+                .map(|t| v[(t % rows) * cols + t / rows])
+                .collect()
+        };
+        // Logical A is 0 at p = 2 in rows 1 and 4; logical B is +inf at
+        // (p = 2, column 3).
+        let mut a = synth(m * k, 3);
+        for i in [1, 4] {
+            a[i * k + 2] = 0.0;
+        }
+        let mut b = synth(k * n, 4);
+        b[2 * n + 3] = f32::INFINITY;
+        let (a_t, b_t) = (transpose(&a, m, k), transpose(&b, k, n));
+        for (lhs, rhs) in [
+            (RowMajor, RowMajor),
+            (RowMajor, Transposed),
+            (Transposed, RowMajor),
+            (Transposed, Transposed),
+        ] {
+            let spec = GemmSpec::with_layouts(m, k, n, lhs, rhs);
+            assert_eq!(spec.skips_zero_lhs(), rhs == RowMajor);
+            let a_s = if lhs == Transposed { &a_t } else { &a };
+            let b_s = if rhs == Transposed { &b_t } else { &b };
+            for parallel in [false, true] {
+                let spec = spec.parallel(parallel);
+                let mut outs = vec![vec![0.0f32; m * n]];
+                gemm_into(&spec, a_s, b_s, &mut outs[0]);
+                if (lhs, rhs) == (RowMajor, Transposed) {
+                    let mut panels = vec![0.0f32; k * n];
+                    pack_nt_into(b_s, k, n, &mut panels);
+                    let mut out = vec![0.0f32; m * n];
+                    panel_rows_into(&spec, a_s, &panels, &mut out);
+                    outs.push(out);
+                }
+                for out in &outs {
+                    for i in [1, 4] {
+                        let v = out[i * n + 3];
+                        let ok = if spec.skips_zero_lhs() {
+                            v.is_finite()
+                        } else {
+                            v.is_nan()
+                        };
+                        assert!(ok, "{lhs:?}/{rhs:?} row {i} parallel={parallel}: {v}");
                     }
                 }
             }

@@ -92,8 +92,9 @@ fn matmul_family_bitwise_matches_serial_reference() {
         (33, 65, 17),
         (64, 72, 16), // the batch-64 conv GEMM shape class
         (128, 128, 128),
-        (130, 70, 9), // odd sizes exercise every unroll tail
-        (3, 20, 600), // wider than one GEMM cache panel
+        (130, 70, 9),  // odd sizes exercise every unroll tail
+        (3, 20, 600),  // wider than one GEMM cache panel
+        (8192, 36, 4), // the ResNet-Tiny conv-forward class at batch 32
     ] {
         for salt in [1u64, 2] {
             let a0 = synth(&[m, k], salt);
