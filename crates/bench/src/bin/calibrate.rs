@@ -1,18 +1,10 @@
 //! Calibration diagnostics.
 //!
-//! Default mode: prints the mean footprint-specifics features per
-//! injected defect so the signature weights in
+//! Prints the mean footprint-specifics features per injected defect so the signature weights in
 //! `deepmorph::classify::SignatureWeights` can be grounded in data: the
 //! staged engine's footprints and patterns, averaged per feature instead
 //! of classified. Not part of the paper's artifacts; it documents the
 //! feature values the default weights were derived from.
-//!
-//! `calibrate gemm [--force]`: measures SIMD GEMM block-size candidates
-//! on this machine and persists the winner keyed by CPU features (see
-//! `deepmorph_tensor::backend::tune`), so the measurement runs **once**
-//! and every later process loads the stored tuning instead of
-//! re-measuring. Without `--force`, an existing tuning is reported and
-//! kept.
 
 use deepmorph::classify::PopulationEvidence;
 use deepmorph::prelude::*;
@@ -21,10 +13,6 @@ use deepmorph_bench::table1::{dataset_for, default_defects};
 
 fn main() -> Result<(), DeepMorphError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("gemm") {
-        calibrate_gemm(args.iter().any(|a| a == "--force"));
-        return Ok(());
-    }
     let families = if args.is_empty() {
         vec![ModelFamily::LeNet, ModelFamily::ResNet]
     } else {
@@ -39,98 +27,6 @@ fn main() -> Result<(), DeepMorphError> {
         }
     }
     Ok(())
-}
-
-/// The `gemm` subcommand: load-if-present (block sizes are a property of
-/// the CPU, not the run), measure only when missing or `--force`d.
-fn calibrate_gemm(force: bool) {
-    use deepmorph_tensor::backend::tune;
-    let key = tune::cpu_key();
-    let dir = tune::tune_dir();
-    if !force {
-        if let Some(existing) = tune::load_from(&dir, &key) {
-            println!(
-                "existing tuning for {key}: {existing} ({}; rerun with --force to re-measure)",
-                tune::tuning_path(&dir, &key).display()
-            );
-            return;
-        }
-    }
-    measure_and_store(&dir, &key);
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-fn measure_and_store(dir: &std::path::Path, key: &str) {
-    use deepmorph_tensor::backend::{simd_with_tuning, tune, GemmSpec};
-    use std::time::Instant;
-
-    // The workspace GEMM shapes the SIMD bench tracks (conv2/conv3
-    // lowerings and the dense head at serving batch sizes): a tuning that
-    // wins across all four wins where it matters.
-    const SHAPES: [(usize, usize, usize); 4] = [
-        (2048, 216, 48),
-        (512, 432, 64),
-        (256, 192, 256),
-        (256, 256, 128),
-    ];
-
-    let fill = |len: usize, salt: u64| -> Vec<f32> {
-        (0..len)
-            .map(|i| {
-                let h = (i as u64)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(salt);
-                ((h >> 40) as f32 / (1u64 << 24) as f32) - 0.5
-            })
-            .collect()
-    };
-
-    let mut best: Option<(f64, tune::GemmTuning)> = None;
-    for &mc in &[48, 96, 192] {
-        for &kc in &[128, 256, 512] {
-            for &nc in &[256, 1024, 4096] {
-                let t = tune::GemmTuning { mc, kc, nc };
-                let Some(backend) = simd_with_tuning(t) else {
-                    println!("cpu lacks AVX2+FMA; nothing to calibrate");
-                    return;
-                };
-                let mut total = 0.0f64;
-                for &(m, k, n) in &SHAPES {
-                    let a = fill(m * k, 3);
-                    let b = fill(n * k, 17);
-                    let mut out = vec![0.0f32; m * n];
-                    let spec = GemmSpec::nt(m, k, n);
-                    // One warm-up rep, then best-of-3: the minimum is the
-                    // least noise-contaminated estimate.
-                    let mut fastest = f64::INFINITY;
-                    for rep in 0..4 {
-                        out.fill(0.0);
-                        let start = Instant::now();
-                        backend.gemm(&spec, &a, &b, &mut out);
-                        let dt = start.elapsed().as_secs_f64();
-                        if rep > 0 {
-                            fastest = fastest.min(dt);
-                        }
-                    }
-                    total += fastest;
-                }
-                println!("{t}  {:8.3} ms", total * 1e3);
-                if best.is_none_or(|(bt, _)| total < bt) {
-                    best = Some((total, t));
-                }
-            }
-        }
-    }
-    let (_, winner) = best.expect("grid is non-empty");
-    match tune::store_to(dir, key, &winner) {
-        Ok(path) => println!("winner {winner} -> {}", path.display()),
-        Err(e) => eprintln!("cannot persist tuning: {e}"),
-    }
-}
-
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-fn measure_and_store(_dir: &std::path::Path, _key: &str) {
-    println!("this build has no SIMD backend; rebuild with `--features simd` to calibrate");
 }
 
 fn analyze(family: ModelFamily, defect: &DefectSpec) -> Result<(), DeepMorphError> {

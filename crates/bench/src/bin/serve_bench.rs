@@ -32,8 +32,8 @@
 //! (`Server::promote_quantized` must clear the held-out accuracy gate),
 //! then measures the paper-scale AlexNet server at f32 vs the i8
 //! replica mode; full mode records the p50 cut in `BENCH_serve.json`
-//! (and asserts it is positive when the SIMD backend is active — build
-//! with `--features simd` for the representative numbers).
+//! (and asserts it is positive when the integer kernel runs its AVX2
+//! path — build with `--features simd` for the representative numbers).
 //!
 //! A **telemetry-overhead** phase measures the batched server with the
 //! process-global `deepmorph-telemetry` registry disarmed vs fully
@@ -749,7 +749,7 @@ fn main() {
                 ("precision", Json::str("i8")),
                 (
                     "backend",
-                    Json::str(if deepmorph_tensor::backend::simd_available() {
+                    Json::str(if deepmorph_tensor::backend::quant::qgemm_vectorized() {
                         "simd"
                     } else {
                         "scalar"
@@ -803,10 +803,11 @@ fn main() {
         overhead.p50_off_us,
         overhead.attempts
     );
-    // The i8 replica only has hardware to win on when the SIMD backend
-    // is compiled in and the CPU supports it; on a scalar build the
-    // phase still runs (and records), but the cut is not asserted.
-    if deepmorph_tensor::backend::simd_available() {
+    // The i8 replica only has hardware to win on when the integer
+    // kernel's AVX2 path is compiled in and the CPU supports it; on a
+    // scalar build the phase still runs (and records), but the cut is not
+    // asserted.
+    if deepmorph_tensor::backend::quant::qgemm_vectorized() {
         assert!(
             quant.p50_cut > 0.0,
             "quantized serving did not cut p50 ({:.0} µs f32 vs {:.0} µs i8)",

@@ -384,8 +384,6 @@ fn fit_probe(
     // thread's workspace arena, so after the first epoch warms it the
     // probe-training loop performs no heap allocations.
     let mut by: Vec<usize> = Vec::with_capacity(config.batch_size.max(1));
-    // The scalar reference backend: probe weights feed the pinned
-    // report digests, so they never ride an opt-in SIMD context.
     let ctx = ComputeCtx::default();
     for _ in 0..config.epochs {
         order.shuffle(&mut rng);

@@ -123,21 +123,8 @@ impl ClassPatterns {
         }
 
         // Label/footprint disagreement on the training set (final probe).
-        let mut class_counts = vec![0usize; k];
-        let mut probe_pred_counts = vec![0usize; k];
-        let mut disagreement = vec![vec![0.0f32; k]; k];
-        for (fp, &label) in train_footprints.iter().zip(train_labels) {
-            class_counts[label] += 1;
-            let probe_class = stats::argmax(fp.last());
-            probe_pred_counts[probe_class] += 1;
-            disagreement[label][probe_class] += 1.0;
-        }
-        for (label, row) in disagreement.iter_mut().enumerate() {
-            let total = class_counts[label].max(1) as f32;
-            for v in row.iter_mut() {
-                *v /= total;
-            }
-        }
+        let (class_counts, probe_pred_counts, disagreement) =
+            label_flow(train_footprints, train_labels, k);
 
         // Inter-class pattern separation per layer.
         let mut separation = vec![0.0f32; depth];
@@ -199,25 +186,11 @@ impl ClassPatterns {
                 reason: "holdout footprints disagree with fit footprints".into(),
             });
         }
-        let k = patterns.num_classes;
-        let mut class_counts = vec![0usize; k];
-        let mut probe_pred_counts = vec![0usize; k];
-        let mut disagreement = vec![vec![0.0f32; k]; k];
-        for (fp, &label) in holdout_footprints.iter().zip(holdout_labels) {
-            class_counts[label] += 1;
-            let probe_class = stats::argmax(fp.last());
-            probe_pred_counts[probe_class] += 1;
-            disagreement[label][probe_class] += 1.0;
-        }
-        for (label, row) in disagreement.iter_mut().enumerate() {
-            let total = class_counts[label].max(1) as f32;
-            for v in row.iter_mut() {
-                *v /= total;
-            }
-        }
-        patterns.class_counts = class_counts;
-        patterns.probe_pred_counts = probe_pred_counts;
-        patterns.disagreement = disagreement;
+        (
+            patterns.class_counts,
+            patterns.probe_pred_counts,
+            patterns.disagreement,
+        ) = label_flow(holdout_footprints, holdout_labels, patterns.num_classes);
         Ok(patterns)
     }
 
@@ -369,6 +342,33 @@ impl ClassPatterns {
         let chance = 1.0 / self.num_classes as f32;
         ((last - chance) / (1.0 - chance)).clamp(0.0, 1.0)
     }
+}
+
+/// The label-flow statistics of `footprints` under `labels`, read at the
+/// final probe: the class histogram, the histogram of probe-predicted
+/// classes, and the row-normalized `disagreement[label][probe_class]`
+/// matrix.
+fn label_flow(
+    footprints: &FootprintSet,
+    labels: &[usize],
+    k: usize,
+) -> (Vec<usize>, Vec<usize>, Vec<Vec<f32>>) {
+    let mut class_counts = vec![0usize; k];
+    let mut probe_pred_counts = vec![0usize; k];
+    let mut disagreement = vec![vec![0.0f32; k]; k];
+    for (fp, &label) in footprints.iter().zip(labels) {
+        class_counts[label] += 1;
+        let probe_class = stats::argmax(fp.last());
+        probe_pred_counts[probe_class] += 1;
+        disagreement[label][probe_class] += 1.0;
+    }
+    for (label, row) in disagreement.iter_mut().enumerate() {
+        let total = class_counts[label].max(1) as f32;
+        for v in row.iter_mut() {
+            *v /= total;
+        }
+    }
+    (class_counts, probe_pred_counts, disagreement)
 }
 
 #[cfg(test)]

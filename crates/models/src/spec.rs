@@ -173,13 +173,6 @@ impl ModelHandle {
         self.graph.param_count()
     }
 
-    /// Installs `ctx` as the compute context of the underlying graph (see
-    /// [`Graph::bind_compute`]): serving replicas select their backend
-    /// here, per model version.
-    pub fn bind_compute(&mut self, ctx: &ComputeCtx) {
-        self.graph.bind_compute(ctx);
-    }
-
     /// Prepares the model to serve at `precision` (see
     /// [`Graph::apply_precision`]): f32 packs the dense and conv weights
     /// once, i8 quantizes them (lossy). Only inference replicas do this;

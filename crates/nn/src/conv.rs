@@ -221,18 +221,13 @@ impl Layer for Conv2d {
         workspace::recycle_opt(self.cached_cols.take());
     }
 
-    fn bind_compute(&mut self, ctx: &ComputeCtx) {
-        self.ctx = ctx.clone();
-        self.serving = None;
-    }
-
     fn apply_precision(&mut self, precision: Precision) -> Result<()> {
-        self.serving = ServingWeights::prepare(
+        self.serving = Some(ServingWeights::prepare(
             &self.weight.value,
             &mut self.bias.value,
             precision,
             &self.ctx,
-        )?;
+        )?);
         Ok(())
     }
 }

@@ -13,10 +13,10 @@ use crate::{NnError, Result};
 /// `x` is `[n, in_features]`, `W` is `[out_features, in_features]`, `b` is
 /// `[out_features]`.
 ///
-/// Every product dispatches through the layer's [`ComputeCtx`] (scalar by
-/// default; see [`Layer::bind_compute`]). [`Layer::apply_precision`]
-/// prepares the weight a serving replica's eval-mode forward reads: packed
-/// once for the f32 GEMM, or quantized for the integer kernel.
+/// Every f32 product dispatches through the layer's [`ComputeCtx`].
+/// [`Layer::apply_precision`] prepares the weight a serving replica's
+/// eval-mode forward reads: packed once for the f32 GEMM, or quantized
+/// for the integer kernel.
 #[derive(Debug)]
 pub struct Dense {
     name: String,
@@ -132,18 +132,13 @@ impl Layer for Dense {
         workspace::recycle_opt(self.cached_input.take());
     }
 
-    fn bind_compute(&mut self, ctx: &ComputeCtx) {
-        self.ctx = ctx.clone();
-        self.serving = None;
-    }
-
     fn apply_precision(&mut self, precision: Precision) -> Result<()> {
-        self.serving = ServingWeights::prepare(
+        self.serving = Some(ServingWeights::prepare(
             &self.weight.value,
             &mut self.bias.value,
             precision,
             &self.ctx,
-        )?;
+        )?);
         Ok(())
     }
 }
@@ -162,25 +157,20 @@ pub(crate) enum ServingWeights {
 
 impl ServingWeights {
     /// Prepares a layer's `weight` (`[out, in]`) to serve at `precision`
-    /// on `ctx`; at i8 the `bias` is rounded through binary16 too. `None`
-    /// when `ctx`'s backend packs per call, so there is nothing to keep.
+    /// on `ctx`; at i8 the `bias` is rounded through binary16 too.
     pub(crate) fn prepare(
         weight: &Tensor,
         bias: &mut Tensor,
         precision: Precision,
         ctx: &ComputeCtx,
-    ) -> Result<Option<ServingWeights>> {
+    ) -> Result<ServingWeights> {
         Ok(match precision {
-            Precision::F32 => ctx.pack_nt(weight)?.map(ServingWeights::F32),
+            Precision::F32 => ServingWeights::F32(ctx.pack_nt(weight)?),
             Precision::I8 => {
                 quant::f16_round_slice(bias.data_mut());
                 weight.expect_rank(2, "quantize weight")?;
                 let (rows, cols) = (weight.shape()[0], weight.shape()[1]);
-                Some(ServingWeights::I8(QuantizedMat::from_rows(
-                    weight.data(),
-                    rows,
-                    cols,
-                )))
+                ServingWeights::I8(QuantizedMat::from_rows(weight.data(), rows, cols))
             }
         })
     }
@@ -310,17 +300,6 @@ mod tests {
         let mut rng = stream_rng(4, "dense");
         let mut layer = Dense::new(10, 5, &mut rng);
         assert_eq!(layer.param_count(), 10 * 5 + 5);
-    }
-
-    #[test]
-    fn bound_context_is_bitwise_identical() {
-        let mut rng = stream_rng(5, "dense");
-        let mut layer = Dense::new(4, 3, &mut rng);
-        let x = Tensor::from_vec((0..8).map(|v| v as f32 * 0.3 - 1.0).collect(), &[2, 4]).unwrap();
-        let before = layer.forward(&[&x], Mode::Eval).unwrap();
-        layer.bind_compute(&ComputeCtx::scalar());
-        let after = layer.forward(&[&x], Mode::Eval).unwrap();
-        assert_eq!(before.data(), after.data());
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! hidden layers) that the paper's analysis is built on.
 
 use deepmorph_tensor::backend::quant::Precision;
-use deepmorph_tensor::backend::ComputeCtx;
 use deepmorph_tensor::{workspace, Tensor};
 
 use crate::layer::{Layer, Mode, Param};
@@ -151,7 +150,6 @@ impl GraphBuilder {
             slots: Vec::new(),
             grad_slots: Vec::new(),
             ready: false,
-            ctx: ComputeCtx::default(),
             precision: Precision::F32,
         })
     }
@@ -174,9 +172,6 @@ pub struct Graph {
     grad_slots: Vec<Option<Tensor>>,
     /// Set by a training-mode forward; gates [`Graph::backward`].
     ready: bool,
-    /// Compute context every layer kernel dispatches through (scalar by
-    /// default; installed into the layers by [`Graph::bind_compute`]).
-    ctx: ComputeCtx,
     /// Serving precision the layers were last prepared at.
     precision: Precision,
 }
@@ -341,29 +336,12 @@ impl Graph {
         Ok(())
     }
 
-    /// Installs `ctx` as the compute context of this graph and every layer
-    /// in it — the explicit seam a caller (trainer, serving scheduler)
-    /// uses to pick a backend instead of kernels consulting globals. A
-    /// freshly built graph runs on the scalar (bitwise-reference) context.
-    pub fn bind_compute(&mut self, ctx: &ComputeCtx) {
-        self.ctx = ctx.clone();
-        for node in &mut self.nodes {
-            node.layer.bind_compute(ctx);
-        }
-    }
-
-    /// The compute context installed by [`Graph::bind_compute`] (the
-    /// default scalar context otherwise).
-    pub fn compute_ctx(&self) -> &ComputeCtx {
-        &self.ctx
-    }
-
     /// Prepares every layer to serve at `precision` (see
     /// [`Layer::apply_precision`]): at [`Precision::F32`] dense and conv
     /// weights are packed once for the GEMM and outputs stay bitwise
     /// equal; at [`Precision::I8`] the change is lossy and irreversible.
-    /// Serving replicas call this once after instantiation (and after
-    /// [`Graph::bind_compute`]); training and diagnosis graphs never do.
+    /// Serving replicas call this once after instantiation; training and
+    /// diagnosis graphs never do.
     ///
     /// # Errors
     ///
@@ -889,27 +867,6 @@ mod tests {
         twin.import_state(&dict).unwrap();
         let y_after = twin.forward(&input, Mode::Eval).unwrap();
         assert_eq!(y_before.data(), y_after.data());
-    }
-
-    #[test]
-    fn bind_compute_propagates_and_stays_bitwise() {
-        let mut g = linear_graph();
-        let x = Tensor::from_vec(vec![0.4, -0.8, 0.2, 0.9, -0.1, 0.5], &[2, 3]).unwrap();
-        let before = g.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(g.compute_ctx().backend_name(), "scalar");
-        // Auto resolves to scalar on default builds and to the SIMD
-        // backend under --features simd; either way the graph must accept
-        // the context and keep producing valid outputs. The scalar-vs-
-        // scalar case (default build) is additionally bitwise.
-        g.bind_compute(&ComputeCtx::auto());
-        let after = g.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(after.shape(), before.shape());
-        if g.compute_ctx().backend_name() == "scalar" {
-            assert_eq!(before.data(), after.data());
-        }
-        g.bind_compute(&ComputeCtx::scalar());
-        let back = g.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(before.data(), back.data());
     }
 
     #[test]

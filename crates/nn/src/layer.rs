@@ -2,7 +2,6 @@
 //! container backward passes return.
 
 use deepmorph_tensor::backend::quant::{f16_round_slice, Precision};
-use deepmorph_tensor::backend::ComputeCtx;
 use deepmorph_tensor::Tensor;
 
 use crate::Result;
@@ -170,29 +169,18 @@ pub trait Layer: Send {
     /// large sweeps). Layers with no cache need not override.
     fn clear_cache(&mut self) {}
 
-    /// Installs the compute context this layer runs its kernels on.
-    ///
-    /// [`Graph::bind_compute`](crate::graph::Graph::bind_compute) calls
-    /// this on every node; layers with no dense products (activations,
-    /// pooling, reshapes) need not override — their elementwise work is
-    /// backend-independent by construction.
-    fn bind_compute(&mut self, ctx: &ComputeCtx) {
-        let _ = ctx;
-    }
-
     /// Prepares this layer to serve at `precision` — called once on an
     /// inference replica, never on a training or diagnosis graph.
     ///
     /// Layers with an `x·Wᵀ` product (dense, conv) build the form their
     /// eval-mode forward then reads: at [`Precision::F32`] the weight is
-    /// packed once for the GEMM (on backends that pack ahead; outputs
-    /// stay bitwise equal, one extra weight copy is kept), at
-    /// [`Precision::I8`] it is quantized and the bias rounded through
-    /// IEEE binary16. A later [`Layer::visit_params`] or
-    /// [`Layer::bind_compute`] drops that form, so a rewritten weight or a
-    /// new backend is never served from a stale one. The default rounds
-    /// every trainable parameter through binary16 at `I8` — lossy and
-    /// irreversible — and does nothing at `F32`.
+    /// packed once for the f32 GEMM (outputs stay bitwise equal, one
+    /// extra weight copy is kept), at [`Precision::I8`] it is quantized
+    /// for the integer kernel and the bias rounded through IEEE
+    /// binary16. A later [`Layer::visit_params`] drops that form, so a
+    /// rewritten weight is never served from a stale one. The default
+    /// rounds every trainable parameter through binary16 at `I8` — lossy
+    /// and irreversible — and does nothing at `F32`.
     ///
     /// # Errors
     ///

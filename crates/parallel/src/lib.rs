@@ -9,8 +9,7 @@
 //!   `im2col`, pooling, and batch kernels),
 //! * [`par_chunks2_mut`] — the two-buffer lockstep variant,
 //! * [`par_map`] — an **order-preserving** parallel map of `0..n`
-//!   (per-probe training),
-//! * [`par_ranges`] / [`join`] — range fan-out and two-way concurrency.
+//!   (per-probe training).
 //!
 //! Work is always split into *contiguous* index blocks; which thread runs a
 //! block never affects the data it touches, so any kernel whose per-element
@@ -353,15 +352,9 @@ pub fn max_threads() -> usize {
     })
 }
 
-/// Splits `0..n` into at most `parts` contiguous ranges of near-equal size.
-pub fn split_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
-    let parts = parts.clamp(1, n.max(1));
-    (0..parts).filter_map(|i| nth_range(n, parts, i)).collect()
-}
-
-/// The `i`-th range of the [`split_ranges`] partition, computed without
-/// allocating (`None` for an empty slot). The dispatch hot paths use this
-/// directly so submitting a batch performs no heap allocation — a
+/// The `i`-th of `parts` contiguous, near-equal ranges that split `0..n`,
+/// computed without allocating (`None` for an empty slot). The dispatch
+/// paths use this so submitting a batch performs no heap allocation — a
 /// requirement of the zero-allocation steady state the tensor workspace
 /// provides (`tests/alloc_regression.rs`).
 fn nth_range(n: usize, parts: usize, i: usize) -> Option<Range<usize>> {
@@ -382,7 +375,7 @@ fn block_count(n_items: usize) -> usize {
 
 /// Raw pointer wrapper so disjoint sub-slices can be re-materialized inside
 /// `Sync` block closures. Soundness relies on blocks covering disjoint
-/// index ranges, which `split_ranges` guarantees.
+/// index ranges, which `nth_range` guarantees.
 struct SendPtr<T>(*mut T);
 
 // SAFETY: the wrapper is only constructed over slices whose blocks are
@@ -392,41 +385,6 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 // SAFETY: shared references to the wrapper only yield the raw pointer;
 // dereferencing stays confined to each block's disjoint range.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-/// Runs `a` and `b` concurrently, returning both results.
-pub fn join<RA: Send, RB: Send>(
-    a: impl FnOnce() -> RA + Send,
-    b: impl FnOnce() -> RB + Send,
-) -> (RA, RB) {
-    if max_threads() < 2 {
-        return (a(), b());
-    }
-    let slot_a: Mutex<Option<RA>> = Mutex::new(None);
-    let slot_b: Mutex<Option<RB>> = Mutex::new(None);
-    let cell_a = Mutex::new(Some(a));
-    let cell_b = Mutex::new(Some(b));
-    Pool::global().run_batch(2, &|i| {
-        if i == 0 {
-            let f = cell_a
-                .lock()
-                .expect("join slot")
-                .take()
-                .expect("join runs once");
-            *slot_a.lock().expect("join result") = Some(f());
-        } else {
-            let f = cell_b
-                .lock()
-                .expect("join slot")
-                .take()
-                .expect("join runs once");
-            *slot_b.lock().expect("join result") = Some(f());
-        }
-    });
-    (
-        slot_a.into_inner().expect("join result").expect("join ran"),
-        slot_b.into_inner().expect("join result").expect("join ran"),
-    )
-}
 
 /// Splits `data` into contiguous chunks of `chunk_len` elements and calls
 /// `f(chunk_index, chunk)` for each, distributing chunks over the pool.
@@ -543,29 +501,6 @@ where
         .collect()
 }
 
-/// Runs `f` over each range of a contiguous split of `0..n` in parallel.
-///
-/// Useful when the work writes through interior mutability or only reads:
-/// each invocation receives a disjoint range, assigned in order.
-pub fn par_ranges<F>(n: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    if max_threads() <= 1 {
-        f(0..n);
-        return;
-    }
-    let parts = block_count(n);
-    Pool::global().run_batch(parts, &|bi| {
-        if let Some(range) = nth_range(n, parts, bi) {
-            f(range);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -574,7 +509,8 @@ mod tests {
     fn split_ranges_covers_exactly() {
         for n in [0usize, 1, 2, 7, 64, 65] {
             for parts in [1usize, 2, 3, 8] {
-                let ranges = split_ranges(n, parts);
+                let ranges: Vec<Range<usize>> =
+                    (0..parts).filter_map(|i| nth_range(n, parts, i)).collect();
                 let total: usize = ranges.iter().map(|r| r.end - r.start).sum();
                 assert_eq!(total, n, "n={n} parts={parts}");
                 let mut expect = 0;
@@ -625,31 +561,12 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 21 * 2, || "ok");
-        assert_eq!(a, 42);
-        assert_eq!(b, "ok");
-    }
-
-    #[test]
-    fn par_ranges_disjoint_cover() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let hits: Vec<AtomicUsize> = (0..57).map(|_| AtomicUsize::new(0)).collect();
-        par_ranges(57, |r| {
-            for i in r {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn nested_parallel_regions_run_serially() {
-        // Inside a par_ranges block, max_threads() must report 1 so nested
+        // Inside a par_map item, max_threads() must report 1 so nested
         // kernels don't try to re-enter the pool.
         use std::sync::atomic::{AtomicBool, Ordering};
         let saw_nested_parallel = AtomicBool::new(false);
-        par_ranges(8, |_r| {
+        par_map(8, |_i| {
             if max_threads() != 1 {
                 saw_nested_parallel.store(true, Ordering::Relaxed);
             }

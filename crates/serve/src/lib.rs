@@ -105,7 +105,7 @@ pub mod prelude {
     pub use crate::registry::{DiagnosisContext, ModelId, ModelRegistry, VersionPin};
     pub use crate::repair::PromoteResponse;
     pub use crate::server::{Server, ServerConfig};
-    pub use deepmorph_nn::prelude::{BackendKind, ComputeCtx, Precision};
+    pub use deepmorph_nn::prelude::{ComputeCtx, Precision};
     pub use deepmorph_telemetry::{
         HistogramSnapshot, Stage, Telemetry, TelemetryConfig, TelemetrySnapshot, Trace,
     };

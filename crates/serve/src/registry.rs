@@ -56,7 +56,7 @@ use deepmorph::prelude::{DefectSpec, Scenario};
 use deepmorph_data::DatasetKind;
 use deepmorph_json::Json;
 use deepmorph_models::{decode_model, encode_model, ModelHandle, ModelSpec};
-use deepmorph_nn::prelude::{ComputeCtx, Precision, TrainConfig};
+use deepmorph_nn::prelude::{Precision, TrainConfig};
 use deepmorph_nn::train::OptimizerKind;
 
 pub use deepmorph::artifact::content_fingerprint;
@@ -437,12 +437,12 @@ impl ModelEntry {
     }
 
     /// Builds a replica prepared for *serving*: instantiates the f32
-    /// model and applies the entry's serving precision. At f32 (on the
-    /// scalar reference backend) that packs every dense and conv weight
-    /// once for the GEMM, so batches skip the per-call packing while the
-    /// logits stay bitwise equal to those of a model built by
-    /// [`ModelEntry::instantiate`]; the replica holds one extra copy of
-    /// those weights. At i8 it binds [`ComputeCtx::auto`] and quantizes.
+    /// model and applies the entry's serving precision. At f32 that packs
+    /// every dense and conv weight once for the GEMM, so batches skip the
+    /// per-call packing while the logits stay bitwise equal to those of a
+    /// model built by [`ModelEntry::instantiate`]; the replica holds one
+    /// extra copy of those weights. At i8 it quantizes them for the
+    /// integer kernel.
     ///
     /// # Errors
     ///
@@ -450,9 +450,6 @@ impl ModelEntry {
     /// precision cannot be applied.
     pub fn instantiate_for_serving(&self) -> ServeResult<ModelHandle> {
         let mut model = self.instantiate()?;
-        if self.precision != Precision::F32 {
-            model.bind_compute(&ComputeCtx::auto());
-        }
         model
             .apply_precision(self.precision)
             .map_err(|e| ServeError::Model {

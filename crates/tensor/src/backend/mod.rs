@@ -1,4 +1,4 @@
-//! Pluggable compute backends behind one typed kernel API.
+//! The f32 GEMM behind one typed kernel API.
 //!
 //! Every f32 dense product in the workspace — the dense and convolution
 //! layers' forward and backward GEMMs, and the DeepMorph probes' softmax
@@ -6,41 +6,22 @@
 //! [`ComputeCtx::matmul_nt`] or [`ComputeCtx::matmul_tn`], which validate
 //! the tensor shapes, build a [`GemmSpec`] and call the context's
 //! [`Backend::gemm`]. The spec carries the dimensions, a per-operand
-//! [`MatLayout`] and a fan-out hint. `Backend::gemm` is the one kernel
-//! every backend implements; elementwise work (ReLU, bias rows) stays in
-//! the layers, and quantized serving replicas run their own integer
-//! kernel ([`quant`]).
+//! [`MatLayout`] and a fan-out hint. Elementwise work (ReLU, bias rows)
+//! stays in the layers, and quantized serving replicas run their own
+//! integer kernel ([`quant`]).
+//!
+//! One kernel implements `Backend::gemm`: [`ScalarBackend`], the
+//! cache-blocked, B-panel-packed kernel with the pinned per-element
+//! accumulation order. Every determinism digest in `tests/determinism.rs`
+//! and every golden in `crates/tensor/tests/backend_conformance.rs` is
+//! defined against it, and every [`ComputeCtx`] runs on it.
 //!
 //! A serving replica's weights never change, so its `x·Wᵀ` products can
 //! skip the per-call rhs packing: [`ComputeCtx::pack_nt`] packs a weight
-//! once into a [`PackedNt`] (through the provided [`Backend::pack_nt`]
-//! hook, which only the scalar backend implements), and
-//! [`ComputeCtx::matmul_nt_packed`] runs the scalar kernel's block loop
-//! against it — the register tile four output rows at a time, the last
-//! `m mod 4` rows one at a time — bitwise equal to
-//! [`ComputeCtx::matmul_nt`].
-//!
-//! Two implementations exist:
-//!
-//! * [`ScalarBackend`] — the default and the **bitwise reference**. It is
-//!   the cache-blocked, B-panel-packed kernel with the pinned
-//!   per-element accumulation order; every determinism digest in
-//!   `tests/determinism.rs` is defined against it, and it is selected
-//!   everywhere unless a caller explicitly asks for something else.
-//! * `SimdBackend` (feature `simd`, x86_64 only) — an AVX2/FMA
-//!   register-blocked microkernel with runtime CPU-feature detection and
-//!   scalar fallback. Same inputs, *different accumulation order* (8-lane
-//!   FMA with per-tile partial sums), so results match the scalar backend
-//!   to documented ULP bounds, not bitwise — see
-//!   `crates/tensor/tests/backend_conformance.rs`.
-//!
-//! # Selection
-//!
-//! Nothing is implicit: [`ComputeCtx`] carries the chosen backend handle
-//! and is threaded explicitly through `Graph`/`Trainer`/the serve
-//! scheduler. [`ComputeCtx::default`] is the scalar backend, so a build
-//! with `--features simd` is still bitwise-unchanged until a caller opts a
-//! context in via [`ComputeCtx::auto`].
+//! once into a [`PackedNt`], and [`ComputeCtx::matmul_nt_packed`] runs
+//! the scalar kernel's block loop against it — the register tile four
+//! output rows at a time, the last `m mod 4` rows one at a time —
+//! bitwise equal to [`ComputeCtx::matmul_nt`].
 
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -49,8 +30,6 @@ use crate::workspace;
 use crate::{Tensor, TensorError};
 
 pub mod quant;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub mod simd;
 pub mod tune;
 
 /// Storage layout of one GEMM operand, relative to the logical matrix the
@@ -187,9 +166,9 @@ impl GemmSpec {
 ///
 /// Implementations must be `Send + Sync` — one handle is shared across
 /// serving workers and training threads. See the module docs for the
-/// determinism contract each implementation offers.
+/// determinism contract of [`ScalarBackend`], the one implementation.
 pub trait Backend: Send + Sync + std::fmt::Debug {
-    /// Stable identifier (used in logs, benches, and tuning-file keys).
+    /// Stable identifier (used in logs and benches).
     fn name(&self) -> &'static str;
 
     /// Accumulates the product described by `spec` into `out`.
@@ -198,18 +177,6 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     ///
     /// Panics if slice lengths disagree with the spec.
     fn gemm(&self, spec: &GemmSpec, a: &[f32], b: &[f32], out: &mut [f32]);
-
-    /// Packs `b` (`[n, k]` row-major, the rhs of an `x·bᵀ` product) once
-    /// for [`ComputeCtx::matmul_nt_packed`]. `None` — the default — means
-    /// this backend packs per call; only [`ScalarBackend`] packs ahead.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `b.len() != n * k`.
-    fn pack_nt(&self, b: &[f32], n: usize, k: usize) -> Option<PackedNt> {
-        let _ = (b, n, k);
-        None
-    }
 }
 
 /// The rhs of `x·Wᵀ` products, packed once into the scalar kernel's
@@ -224,14 +191,12 @@ pub struct PackedNt {
     k: usize,
     /// `Wᵀ` in the panel layout, `k · n` elements.
     panels: Vec<f32>,
-    /// [`Backend::name`] of the backend that packed it.
-    packed_by: &'static str,
 }
 
 /// Shared, cheaply clonable handle to a backend.
 pub type BackendHandle = Arc<dyn Backend>;
 
-/// The default backend: the cache-blocked scalar kernel with the pinned
+/// The one backend: the cache-blocked scalar kernel with the pinned
 /// per-element accumulation order. This is the bitwise reference
 /// every digest and cross-build test is defined against.
 #[derive(Debug, Default, Clone, Copy)]
@@ -248,20 +213,6 @@ impl Backend for ScalarBackend {
         let _timer = deepmorph_telemetry::kernel_timer(spec.m, spec.k, spec.n);
         crate::gemm::gemm_into(spec, a, b, out);
     }
-
-    fn pack_nt(&self, b: &[f32], n: usize, k: usize) -> Option<PackedNt> {
-        assert_eq!(b.len(), n * k, "pack_nt: rhs length");
-        // Owned, not a workspace checkout: the pack lives as long as the
-        // replica that holds it.
-        let mut panels = vec![0.0f32; n * k];
-        crate::gemm::pack_nt_into(b, k, n, &mut panels);
-        Some(PackedNt {
-            n,
-            k,
-            panels,
-            packed_by: self.name(),
-        })
-    }
 }
 
 static SCALAR: OnceLock<BackendHandle> = OnceLock::new();
@@ -271,66 +222,18 @@ pub fn scalar() -> BackendHandle {
     Arc::clone(SCALAR.get_or_init(|| Arc::new(ScalarBackend)))
 }
 
-/// Which backend a caller asks for; resolved by [`select`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BackendKind {
-    /// The bitwise-reference scalar kernel (the default everywhere).
-    #[default]
-    Scalar,
-    /// The SIMD microkernel if this build carries it *and* the CPU
-    /// supports it; the scalar backend otherwise.
-    Simd,
-    /// The fastest backend available: SIMD when compiled + detected,
-    /// scalar otherwise.
-    Auto,
-}
-
-/// Resolves a [`BackendKind`] to a concrete handle. `Simd`/`Auto` fall
-/// back to the scalar backend when the `simd` feature is off or the CPU
-/// lacks AVX2+FMA — callers can always ask and always get a valid kernel.
-pub fn select(kind: BackendKind) -> BackendHandle {
-    match kind {
-        BackendKind::Scalar => scalar(),
-        BackendKind::Simd | BackendKind::Auto => simd_or_scalar(),
-    }
-}
-
-/// The SIMD backend when compiled in and runtime-supported, otherwise the
-/// scalar backend. The detection result (and the tuning-file load) is
-/// cached after the first call.
-pub fn simd_or_scalar() -> BackendHandle {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        static SIMD: OnceLock<Option<BackendHandle>> = OnceLock::new();
-        if let Some(h) =
-            SIMD.get_or_init(|| simd::SimdBackend::detect().map(|b| Arc::new(b) as BackendHandle))
-        {
-            return Arc::clone(h);
-        }
-    }
-    scalar()
-}
-
-/// `true` when [`simd_or_scalar`] resolves to a real SIMD backend.
+/// Always `false`: no vector f32 backend exists. Kept only because the
+/// benchmark still reads it (`perfbench/src/layers.rs`'s `peak_gflops`
+/// and `perfbench/src/provenance.rs`).
 pub fn simd_available() -> bool {
-    simd_or_scalar().name() != "scalar"
+    false
 }
 
-/// The SIMD backend with an explicit block-size tuning — the autotuner's
-/// door for measuring candidates before persisting a winner. `None` when
-/// the CPU lacks AVX2+FMA.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub fn simd_with_tuning(t: tune::GemmTuning) -> Option<BackendHandle> {
-    simd::SimdBackend::new(t).map(|b| Arc::new(b) as BackendHandle)
-}
-
-/// Explicit compute context: the backend handle a graph, trainer, probe
-/// or scheduler runs its dense products on.
+/// The handle an f32 product runs through: a dense or conv layer, a
+/// probe or a bench holds one and calls its `matmul*` methods.
 ///
-/// Contexts are cheap to clone (one `Arc` bump) and are threaded
-/// explicitly — a `Graph` owns one, the serve scheduler hands one to each
-/// replica it builds — instead of kernels consulting process-global
-/// state. The default context is the scalar (bitwise-reference) backend.
+/// Contexts are cheap to clone (one `Arc` bump). Every context runs on
+/// the scalar (bitwise-reference) backend.
 #[derive(Debug, Clone)]
 pub struct ComputeCtx {
     backend: BackendHandle,
@@ -348,11 +251,11 @@ impl ComputeCtx {
         ComputeCtx { backend: scalar() }
     }
 
-    /// A context on the fastest backend this build + CPU offers.
+    /// The scalar context, as [`ComputeCtx::scalar`]. Kept only because
+    /// the benchmark still names it (`perfbench/src/layers.rs`'s
+    /// `peak_gflops`).
     pub fn auto() -> Self {
-        ComputeCtx {
-            backend: select(BackendKind::Auto),
-        }
+        ComputeCtx::scalar()
     }
 
     /// The backend handle.
@@ -397,16 +300,19 @@ impl ComputeCtx {
     }
 
     /// Packs `b: [n, k]` once as the rhs of `A @ bᵀ` products, for
-    /// [`ComputeCtx::matmul_nt_packed`]. `Ok(None)` unless this context
-    /// runs the scalar kernel: other backends pack per call, so their
-    /// callers keep using [`ComputeCtx::matmul_nt`].
+    /// [`ComputeCtx::matmul_nt_packed`].
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`] if `b` is not a matrix.
-    pub fn pack_nt(&self, b: &Tensor) -> Result<Option<PackedNt>, TensorError> {
+    pub fn pack_nt(&self, b: &Tensor) -> Result<PackedNt, TensorError> {
         b.expect_rank(2, "pack_nt")?;
-        Ok(self.backend.pack_nt(b.data(), b.shape()[0], b.shape()[1]))
+        let (n, k) = (b.shape()[0], b.shape()[1]);
+        // Owned, not a workspace checkout: the pack lives as long as the
+        // replica that holds it.
+        let mut panels = vec![0.0f32; n * k];
+        crate::gemm::pack_nt_into(b.data(), k, n, &mut panels);
+        Ok(PackedNt { n, k, panels })
     }
 
     /// `A @ Bᵀ` for `a: [m, k]` against a `B` packed by
@@ -417,10 +323,9 @@ impl ComputeCtx {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::RankMismatch`],
+    /// Returns [`TensorError::RankMismatch`], or
     /// [`TensorError::MatmulDimMismatch`] when `a`'s `k` is not the
-    /// pack's, or [`TensorError::PackedByOtherBackend`] when another
-    /// backend packed `b`.
+    /// pack's.
     pub fn matmul_nt_packed(&self, a: &Tensor, b: &PackedNt) -> Result<Tensor, TensorError> {
         a.expect_rank(2, "matmul_nt_packed")?;
         let (m, k, n) = (a.shape()[0], a.shape()[1], b.n);
@@ -428,13 +333,6 @@ impl ComputeCtx {
             return Err(TensorError::MatmulDimMismatch {
                 lhs: [m, k],
                 rhs: [b.k, n],
-            });
-        }
-        let backend = self.backend.name();
-        if b.packed_by != backend {
-            return Err(TensorError::PackedByOtherBackend {
-                packed_by: b.packed_by,
-                backend,
             });
         }
         let spec = GemmSpec::nt(m, k, n).parallel_worthwhile();
@@ -574,7 +472,7 @@ mod tests {
             &[n, k],
         )
         .unwrap();
-        let packed = ctx.pack_nt(&w).unwrap().expect("the scalar backend packs");
+        let packed = ctx.pack_nt(&w).unwrap();
         let want = ctx.matmul_nt(&a, &w).unwrap();
         for _ in 0..2 {
             let got = ctx.matmul_nt_packed(&a, &packed).unwrap();
@@ -589,35 +487,6 @@ mod tests {
         ));
         assert!(ctx.matmul_nt_packed(&Tensor::ones(&[k]), &packed).is_err());
         assert!(ctx.pack_nt(&Tensor::ones(&[k])).is_err());
-
-        // Other backends pack per call and refuse the scalar pack.
-        let auto = ComputeCtx::auto();
-        if auto.backend_name() != "scalar" {
-            assert!(auto.pack_nt(&w).unwrap().is_none());
-            assert!(matches!(
-                auto.matmul_nt_packed(&a, &packed),
-                Err(TensorError::PackedByOtherBackend { .. })
-            ));
-        }
-        let foreign = PackedNt {
-            packed_by: "other",
-            ..packed
-        };
-        assert_eq!(
-            ctx.matmul_nt_packed(&a, &foreign).unwrap_err(),
-            TensorError::PackedByOtherBackend {
-                packed_by: "other",
-                backend: "scalar",
-            }
-        );
-    }
-
-    #[test]
-    fn kind_selection_falls_back_to_scalar() {
-        assert_eq!(select(BackendKind::Scalar).name(), "scalar");
-        // Simd/Auto resolve to *something* valid on every build.
-        let name = select(BackendKind::Auto).name();
-        assert!(name == "scalar" || name.starts_with("simd"));
     }
 
     #[test]

@@ -228,7 +228,7 @@ pub fn qgemm_nt(x: &[f32], w: &QuantizedMat, out: &mut [f32], m: usize) {
     // dots inline into it (per-call dispatch would dominate the small-k
     // products conv lowering emits).
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2_available() {
+    if qgemm_vectorized() {
         // SAFETY: AVX2 verified; slice lengths checked above.
         unsafe { qgemm_avx2(x, &mut qx, &mut x_scales, w, out, m) };
         return;
@@ -269,11 +269,20 @@ fn quant_params(max: f32) -> (f32, f32) {
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-fn avx2_available() -> bool {
-    use std::sync::OnceLock;
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+/// `true` when [`qgemm_nt`] runs its AVX2 path: the `simd` feature is
+/// compiled in and the CPU reports AVX2. Always `false` without the
+/// feature.
+pub fn qgemm_vectorized() -> bool {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    {
+        use std::sync::OnceLock;
+        static AVX2: OnceLock<bool> = OnceLock::new();
+        *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+    }
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    {
+        false
+    }
 }
 
 /// The whole quantize + integer-GEMM product under one AVX2 region:

@@ -1,72 +1,13 @@
-//! Persisted GEMM block-size tuning.
+//! The CPU-feature key benchmark records carry.
 //!
-//! The SIMD microkernel blocks its loops as `mc × kc` packed-A strips
-//! against `kc × nc` packed-B panels; the best sizes depend on the cache
-//! hierarchy, so `deepmorph-bench`'s `calibrate gemm` subcommand measures
-//! them once and persists the winner here. Backend init then *loads* the
-//! tuned sizes instead of re-measuring on every invocation (the historical
-//! behaviour this module fixes).
-//!
-//! Files are plain `key=value` text under [`tune_dir`] (override with
-//! `DEEPMORPH_TUNE_DIR`), one file per CPU-feature key ([`cpu_key`]), so a
-//! tuning measured on an AVX-512 box is never applied to a plain-AVX2 one.
-//! A missing or malformed file is never an error — callers fall back to
-//! [`GemmTuning::default`], which is sized for the common 32 KiB L1d /
-//! 1 MiB L2 case.
+//! [`cpu_key`] names the coarse vector capability of the host, so two
+//! bench records taken on differently capable machines are never
+//! compared as like with like. The benchmark's provenance
+//! (`perfbench/src/provenance.rs`) reads it by this path.
 
-use std::fmt;
-use std::io::Write;
-use std::path::{Path, PathBuf};
-
-/// Cache block sizes for the register-blocked SIMD GEMM: the kernel packs
-/// `mc × kc` strips of the lhs and `kc × nc` panels of the rhs, then runs
-/// the microkernel over `MR × NR` output tiles inside one strip×panel
-/// pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GemmTuning {
-    /// Rows of the lhs packed per strip (L2-resident together with the
-    /// active panel).
-    pub mc: usize,
-    /// Contraction-dimension block (one packed lhs strip row and one
-    /// packed rhs panel column of this depth stay L1-resident).
-    pub kc: usize,
-    /// Columns of the rhs packed per panel.
-    pub nc: usize,
-}
-
-impl Default for GemmTuning {
-    fn default() -> Self {
-        GemmTuning {
-            mc: 96,
-            kc: 256,
-            nc: 1024,
-        }
-    }
-}
-
-impl fmt::Display for GemmTuning {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "mc={} kc={} nc={}", self.mc, self.kc, self.nc)
-    }
-}
-
-impl GemmTuning {
-    /// Clamps each block size into a sane range (non-zero, bounded), so a
-    /// hand-edited or corrupted file cannot drive the kernel into
-    /// degenerate blocking.
-    pub fn sanitized(self) -> Self {
-        GemmTuning {
-            mc: self.mc.clamp(8, 4096),
-            kc: self.kc.clamp(8, 4096),
-            nc: self.nc.clamp(16, 1 << 16),
-        }
-    }
-}
-
-/// The CPU-feature key tuning files are stored under: the coarse vector
-/// capability actually dispatched on, not the full CPUID dump — a tuning
-/// travels between machines with the same vector width and cache-friendly
-/// block sizes are re-measured when the capability differs.
+/// The coarse vector capability of this CPU — the widest x86 vector
+/// extension it reports, not the full CPUID dump — as a stable key such
+/// as `x86_64-avx2-fma`.
 pub fn cpu_key() -> String {
     #[cfg(target_arch = "x86_64")]
     {
@@ -85,129 +26,9 @@ pub fn cpu_key() -> String {
     }
 }
 
-/// Directory tuning files live in: `DEEPMORPH_TUNE_DIR` when set,
-/// `artifacts/tune` under the current directory otherwise.
-pub fn tune_dir() -> PathBuf {
-    match std::env::var_os("DEEPMORPH_TUNE_DIR") {
-        Some(d) if !d.is_empty() => PathBuf::from(d),
-        _ => PathBuf::from("artifacts").join("tune"),
-    }
-}
-
-/// Path of the tuning file for a CPU key inside `dir`.
-pub fn tuning_path(dir: &Path, key: &str) -> PathBuf {
-    dir.join(format!("gemm-{key}.tune"))
-}
-
-/// Loads the tuning for `key` from `dir`. `None` when the file is absent
-/// or unreadable; a present file missing some keys fills them from the
-/// default (files are forward-compatible by construction).
-pub fn load_from(dir: &Path, key: &str) -> Option<GemmTuning> {
-    let text = std::fs::read_to_string(tuning_path(dir, key)).ok()?;
-    let mut t = GemmTuning::default();
-    let mut any = false;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let Some((k, v)) = line.split_once('=') else {
-            continue;
-        };
-        let Ok(v) = v.trim().parse::<usize>() else {
-            continue;
-        };
-        any = true;
-        match k.trim() {
-            "mc" => t.mc = v,
-            "kc" => t.kc = v,
-            "nc" => t.nc = v,
-            _ => {}
-        }
-    }
-    any.then(|| t.sanitized())
-}
-
-/// Loads the tuning for this machine from the default [`tune_dir`].
-pub fn load() -> Option<GemmTuning> {
-    load_from(&tune_dir(), &cpu_key())
-}
-
-/// Persists `t` for `key` under `dir` (creating it), atomically via a
-/// temp file + rename so a concurrent loader never sees a torn write.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error when the directory or file cannot be
-/// written.
-pub fn store_to(dir: &Path, key: &str, t: &GemmTuning) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = tuning_path(dir, key);
-    let tmp = path.with_extension("tune.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        writeln!(f, "# deepmorph gemm block-size tuning (cpu: {key})")?;
-        writeln!(f, "mc={}", t.mc)?;
-        writeln!(f, "kc={}", t.kc)?;
-        writeln!(f, "nc={}", t.nc)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, &path)?;
-    Ok(path)
-}
-
-/// Persists `t` for this machine under the default [`tune_dir`].
-///
-/// # Errors
-///
-/// Returns the underlying I/O error when the directory or file cannot be
-/// written.
-pub fn store(t: &GemmTuning) -> std::io::Result<PathBuf> {
-    store_to(&tune_dir(), &cpu_key(), t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("dm-tune-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    }
-
-    #[test]
-    fn round_trips_through_disk() {
-        let dir = temp_dir("rt");
-        let t = GemmTuning {
-            mc: 64,
-            kc: 192,
-            nc: 2048,
-        };
-        let path = store_to(&dir, "testcpu", &t).unwrap();
-        assert!(path.ends_with("gemm-testcpu.tune"));
-        assert_eq!(load_from(&dir, "testcpu"), Some(t));
-        // Other keys stay independent.
-        assert_eq!(load_from(&dir, "othercpu"), None);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn missing_and_malformed_files_fall_back() {
-        let dir = temp_dir("bad");
-        assert_eq!(load_from(&dir, "nope"), None);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(tuning_path(&dir, "junk"), "not a tuning\n").unwrap();
-        assert_eq!(load_from(&dir, "junk"), None);
-        // Partial files fill missing keys from the default, and absurd
-        // values are clamped.
-        std::fs::write(tuning_path(&dir, "part"), "mc=1000000\n# comment\n").unwrap();
-        let t = load_from(&dir, "part").unwrap();
-        assert_eq!(t.mc, 4096);
-        assert_eq!(t.kc, GemmTuning::default().kc);
-        assert_eq!(t.nc, GemmTuning::default().nc);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
     #[test]
     fn cpu_key_is_stable_and_nonempty() {

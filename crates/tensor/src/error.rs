@@ -42,13 +42,6 @@ pub enum TensorError {
         /// `[k', n]` of the right operand.
         rhs: [usize; 2],
     },
-    /// A packed rhs reached a context whose backend did not pack it.
-    PackedByOtherBackend {
-        /// The backend that packed the operand.
-        packed_by: &'static str,
-        /// The backend of the context it was handed to.
-        backend: &'static str,
-    },
     /// An index was out of bounds for the tensor shape.
     IndexOutOfBounds {
         /// The offending index.
@@ -92,10 +85,6 @@ impl fmt::Display for TensorError {
                 f,
                 "matmul inner dimensions disagree: [{}, {}] x [{}, {}]",
                 lhs[0], lhs[1], rhs[0], rhs[1]
-            ),
-            TensorError::PackedByOtherBackend { packed_by, backend } => write!(
-                f,
-                "operand packed by the `{packed_by}` backend cannot run on `{backend}`"
             ),
             TensorError::IndexOutOfBounds { index, shape } => {
                 write!(f, "index {index:?} out of bounds for shape {shape:?}")

@@ -11,10 +11,10 @@
 //! * [`backend`] — matrix products. [`backend::ComputeCtx`] is the one
 //!   door into a dense product: its `matmul`/`matmul_nt`/`matmul_tn`
 //!   validate shapes and call [`backend::Backend::gemm`], the one kernel
-//!   hook. The cache-blocked scalar kernel is the bitwise reference and
-//!   the default; a feature-gated AVX2/FMA microkernel (`--features
-//!   simd`) is opt-in per context. Contexts are threaded explicitly
-//!   through graphs, probes and servers.
+//!   hook. The cache-blocked scalar kernel is the one f32 GEMM and the
+//!   bitwise reference. Quantized serving replicas run the integer
+//!   kernel in [`backend::quant`], whose AVX2 path `--features simd`
+//!   compiles.
 //! * [`workspace`] — the thread-local scratch arena that keeps the
 //!   conv/matmul hot loop allocation-free after warm-up.
 //! * [`init`] — deterministic weight initialization (uniform, normal,
@@ -60,9 +60,7 @@ pub use tensor::Tensor;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::backend::{
-        Backend, BackendHandle, BackendKind, ComputeCtx, GemmSpec, MatLayout,
-    };
+    pub use crate::backend::{Backend, BackendHandle, ComputeCtx, GemmSpec, MatLayout};
     pub use crate::conv::{self, Conv2dGeometry, Im2colMap, PoolGeometry};
     pub use crate::init::{self, Init};
     pub use crate::io::{self, CodecError};

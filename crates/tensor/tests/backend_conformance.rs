@@ -1,4 +1,4 @@
-//! Backend conformance suite for `Backend::gemm`, the kernel every backend implements.
+//! Conformance suite for `Backend::gemm`, the one f32 kernel hook.
 //!
 //! Three layers of guarantees, in decreasing strictness:
 //!
@@ -11,11 +11,10 @@
 //! 2. **The double-transposed product is the materialized one.** The
 //!    product no layer emits still equals transposing the lhs by hand and
 //!    running the `nt` product, bit for bit.
-//! 3. **Every other backend tracks an f64 reference within an error
-//!    bound.** The SIMD microkernel (when compiled and the CPU supports
-//!    it) may re-associate the contraction, so it is held to the
-//!    standard forward error bound of a length-`k` dot product rather
-//!    than bitwise equality.
+//! 3. **The kernel tracks an f64 reference within an error bound.** Its
+//!    outputs stay within the standard forward error bound of a
+//!    length-`k` dot product — the bar a kernel that re-associated the
+//!    contraction would be held to, since it could not be bitwise.
 //!
 //! The serial == dispatched == naive contract for the `nn`/`nt`/`tn`
 //! products lives in the workspace's `tests/determinism.rs`.
@@ -68,8 +67,7 @@ const LAYOUTS: [(MatLayout, MatLayout); 4] = [
 
 /// Layer 1: the reference kernel's exact outputs, pinned by digest. The
 /// constants were recorded from the scalar backend when the seam landed;
-/// they must never change — a new backend goes behind its own
-/// `BackendKind`, it does not move the reference.
+/// they must never change — a faster kernel does not move the reference.
 #[test]
 fn scalar_backend_is_bitwise_pinned() {
     const PINNED: [u64; 4] = [
@@ -120,8 +118,8 @@ fn scalar_backend_accumulates_into_out() {
     );
 }
 
-/// The default context is the scalar reference: a build that never opts
-/// into another backend is bitwise-unchanged by construction.
+/// Every context is the scalar reference, so every build is
+/// bitwise-unchanged by construction.
 #[test]
 fn default_context_is_the_scalar_reference() {
     assert_eq!(ComputeCtx::default().backend_name(), "scalar");
@@ -155,15 +153,14 @@ proptest! {
         }
     }
 
-    /// Layer 3: whatever backend `Auto` resolves to (the SIMD microkernel
-    /// on capable builds, the scalar reference otherwise) stays within
-    /// the standard forward error bound of a length-`k` f32 dot product
-    /// against an f64 reference: `|got − ref| ≤ 2k·ε·Σ|aᵢₚ·bₚⱼ|`.
+    /// Layer 3: the scalar kernel stays within the standard forward error
+    /// bound of a length-`k` f32 dot product against an f64 reference:
+    /// `|got − ref| ≤ 2k·ε·Σ|aᵢₚ·bₚⱼ|`.
     #[test]
     fn resolved_backend_within_dot_product_error_bound(
         m in 1usize..24, k in 1usize..48, n in 1usize..24, salt in 0u64..1000,
     ) {
-        let backend = backend::simd_or_scalar();
+        let backend = backend::scalar();
         let a = fill(m * k, salt);
         let bt = fill(n * k, salt.wrapping_add(11));
         let spec = GemmSpec::nt(m, k, n);
