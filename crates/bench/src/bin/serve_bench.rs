@@ -27,14 +27,6 @@
 //! repair wall time and the swap latency (publish + buffer reset), and
 //! asserts that not a single concurrent request errored or was dropped.
 //!
-//! Finally a **quantized-serving** phase promotes the healthy fixture
-//! deployment to i8 through the gated production path
-//! (`Server::promote_quantized` must clear the held-out accuracy gate),
-//! then measures the paper-scale AlexNet server at f32 vs the i8
-//! replica mode; full mode records the p50 cut in `BENCH_serve.json`
-//! (and asserts it is positive when the integer kernel runs its AVX2
-//! path — build with `--features simd` for the representative numbers).
-//!
 //! A **telemetry-overhead** phase measures the batched server with the
 //! process-global `deepmorph-telemetry` registry disarmed vs fully
 //! armed (request histogram, stage spans, slow traces; the per-version
@@ -52,7 +44,9 @@
 //! The fault-storm zero-loss bar is not a phase here: it is asserted by
 //! `crates/serve/tests/chaos.rs`. The `chaos` block of the committed
 //! `BENCH_serve.json` was recorded by a since-retired chaos phase, and a
-//! rerun writes no such block.
+//! rerun writes no such block. Its `quantized` block was likewise
+//! recorded by a since-retired i8 serving phase: serving replicas now
+//! have one form, their packed f32 weights.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -86,22 +80,8 @@ fn registry() -> ModelRegistry {
 }
 
 fn server(max_batch: usize, workers: usize) -> Server {
-    server_with_mode(max_batch, workers, None)
-}
-
-/// Same server, optionally with the model's serving entry switched to a
-/// reduced-precision replica mode before workers spin up (the registry
-/// door the gated `Server::promote_quantized` path also goes through).
-fn server_with_mode(max_batch: usize, workers: usize, mode: Option<Precision>) -> Server {
-    let registry = registry();
-    if let Some(precision) = mode {
-        let id = registry.find(MODEL).expect("registered model");
-        registry
-            .set_serving_mode(id, precision)
-            .expect("serving mode");
-    }
     Server::start(
-        registry,
+        registry(),
         ServerConfig {
             batch: BatchConfig { max_batch, workers },
             ..ServerConfig::default()
@@ -261,18 +241,7 @@ fn measure(
     concurrency: usize,
     total_requests: usize,
 ) -> LoadResult {
-    measure_mode(max_batch, workers, concurrency, total_requests, None)
-}
-
-/// [`measure`] with an explicit serving mode for the model entry.
-fn measure_mode(
-    max_batch: usize,
-    workers: usize,
-    concurrency: usize,
-    total_requests: usize,
-    mode: Option<Precision>,
-) -> LoadResult {
-    let srv = server_with_mode(max_batch, workers, mode);
+    let srv = server(max_batch, workers);
     let addr = srv.local_addr();
     // Warm up: replica construction, pool spin-up, page faults.
     {
@@ -415,54 +384,6 @@ fn swap_under_load(loaders: usize) -> SwapResult {
     }
 }
 
-struct QuantResult {
-    accuracy_f32: f32,
-    accuracy_quantized: f32,
-    f32_run: LoadResult,
-    quant_run: LoadResult,
-    /// Fractional p50 latency cut: `1 − p50_i8 / p50_f32`.
-    p50_cut: f64,
-}
-
-/// The quantized-serving phase, in two parts.
-///
-/// **Gate** — the healthy fixture deployment (provenance sidecar
-/// included) is promoted to i8 through the production path
-/// (`Server::promote_quantized`): the quantized replica must not lose
-/// held-out accuracy against its f32 serving model, and the bench
-/// asserts it cleared.
-///
-/// **Measure** — the paper-scale AlexNet server every other level uses,
-/// measured twice at the same concurrency: default (bitwise f32) serving
-/// vs the same registry switched to the i8 replica mode. The dense tail
-/// dominates this model — the regime the integer kernel targets; the
-/// tiny fixture LeNet would mostly measure per-row activation
-/// quantization overhead instead.
-fn quantized_serving(concurrency: usize, total_requests: usize) -> QuantResult {
-    let (dir, _) = repair_fixture::deploy_healthy("serve-quant");
-    let srv = repair_fixture::serve(&dir);
-    let promoted = srv
-        .promote_quantized(repair_fixture::MODEL, Precision::I8)
-        .expect("promote to i8");
-    assert!(
-        promoted.promoted,
-        "i8 must clear the held-out gate on the healthy fixture: f32 {:.3} vs quantized {:.3}",
-        promoted.accuracy_f32, promoted.accuracy_quantized
-    );
-    srv.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let f32_run = measure_mode(32, 1, concurrency, total_requests, None);
-    let quant_run = measure_mode(32, 1, concurrency, total_requests, Some(Precision::I8));
-    QuantResult {
-        accuracy_f32: promoted.accuracy_f32,
-        accuracy_quantized: promoted.accuracy_quantized,
-        p50_cut: 1.0 - quant_run.p50_us / f32_run.p50_us,
-        f32_run,
-        quant_run,
-    }
-}
-
 struct TelemetryOverhead {
     p50_off_us: f64,
     p50_on_us: f64,
@@ -565,18 +486,6 @@ fn main() {
             swap.accuracy_before,
             swap.accuracy_after
         );
-        let quant = quantized_serving(4, 40);
-        println!(
-            "quantized smoke: gate {:.3} -> {:.3}, p50 {:.0} µs (f32) -> {:.0} µs (i8)",
-            quant.accuracy_f32,
-            quant.accuracy_quantized,
-            quant.f32_run.p50_us,
-            quant.quant_run.p50_us
-        );
-        assert!(
-            quant.quant_run.throughput_rows_per_s > 0.0,
-            "quantized serving produced no throughput"
-        );
         // Smoke exercises the armed path end to end but does not assert
         // the 5% bar — CI machines are too noisy for a latency-ratio
         // gate at this request count (the full run asserts it at c=32).
@@ -643,18 +552,6 @@ fn main() {
         swap.responses_during_repair,
         swap.accuracy_before,
         swap.accuracy_after
-    );
-
-    let quant = quantized_serving(8, 400);
-    println!(
-        "quantized serving: gate {:.3} -> {:.3} | f32 p50 {:.0} µs, i8 p50 {:.0} µs \
-         ({:.1}% p50 cut, {:.2}x throughput)",
-        quant.accuracy_f32,
-        quant.accuracy_quantized,
-        quant.f32_run.p50_us,
-        quant.quant_run.p50_us,
-        quant.p50_cut * 100.0,
-        quant.quant_run.throughput_rows_per_s / quant.f32_run.throughput_rows_per_s,
     );
 
     // Telemetry must be free when disarmed *and* cheap when armed: the
@@ -742,30 +639,6 @@ fn main() {
             ]),
         ),
         (
-            "quantized",
-            Json::obj([
-                ("model", Json::str(MODEL)),
-                ("gate_model", Json::str(repair_fixture::MODEL)),
-                ("precision", Json::str("i8")),
-                (
-                    "backend",
-                    Json::str(if deepmorph_tensor::backend::quant::qgemm_vectorized() {
-                        "simd"
-                    } else {
-                        "scalar"
-                    }),
-                ),
-                ("accuracy_f32", Json::num(f64::from(quant.accuracy_f32))),
-                (
-                    "accuracy_quantized",
-                    Json::num(f64::from(quant.accuracy_quantized)),
-                ),
-                ("f32", result_json(&quant.f32_run)),
-                ("i8", result_json(&quant.quant_run)),
-                ("p50_cut_fraction", Json::num(quant.p50_cut)),
-            ]),
-        ),
-        (
             "telemetry",
             Json::obj([
                 ("concurrency", Json::usize(32)),
@@ -803,17 +676,5 @@ fn main() {
         overhead.p50_off_us,
         overhead.attempts
     );
-    // The i8 replica only has hardware to win on when the integer
-    // kernel's AVX2 path is compiled in and the CPU supports it; on a
-    // scalar build the phase still runs (and records), but the cut is not
-    // asserted.
-    if deepmorph_tensor::backend::quant::qgemm_vectorized() {
-        assert!(
-            quant.p50_cut > 0.0,
-            "quantized serving did not cut p50 ({:.0} µs f32 vs {:.0} µs i8)",
-            quant.f32_run.p50_us,
-            quant.quant_run.p50_us
-        );
-    }
     println!("acceptance OK: {speedup_c32:.2}x at concurrency 32");
 }

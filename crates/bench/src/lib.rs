@@ -7,9 +7,9 @@
 //!   `--seeds`) and `figure1` (runs one scenario and prints the
 //!   stage-by-stage pipeline trace matching the paper's Figure 1
 //!   schematic).
-//! * [`repair_fixture`] — the seeded LeNet deployments, defect-injected
-//!   and healthy, that `serve_bench`'s swap-under-load and quantized
-//!   phases serve.
+//! * [`repair_fixture`] — the seeded, defect-injected LeNet deployment
+//!   that `serve_bench`'s swap-under-load phase and the benchmark's
+//!   `serve_repair` workload serve.
 //! * [`storm`] — the connection-storm harness behind `storm_smoke` and
 //!   the storm phase of `serve_bench`: thousands of idle sockets on a
 //!   flat thread count while an active, bitwise-verified predict load

@@ -53,47 +53,24 @@ pub fn scenario() -> Scenario {
         .expect("repair fixture scenario")
 }
 
-/// The same deployment without the defect: a healthy, accurate model.
-/// The quantized-serving bench phase promotes this one — its i8 replica
-/// deterministically clears the held-out promotion gate, which the
-/// starved model cannot be relied on for.
-pub fn healthy_scenario() -> Scenario {
-    Scenario::builder(ModelFamily::LeNet, DatasetKind::Digits)
-        .seed(7)
-        .train_per_class(80)
-        .test_per_class(25)
-        .train_config(train_config())
-        .build()
-        .expect("healthy fixture scenario")
-}
-
 /// Trains the defective model and deploys it — `digits.dmmd` plus its
 /// provenance sidecar — into a fresh temp directory tagged `tag`.
 /// Returns the directory (callers remove it when done) and the
 /// deployment's clean-test accuracy.
 pub fn deploy(tag: &str) -> (PathBuf, f32) {
-    deploy_scenario(tag, &scenario())
-}
-
-/// Deploys the defect-free variant of the fixture (sidecar included, so
-/// quantized promotion can gate on the held-out set).
-pub fn deploy_healthy(tag: &str) -> (PathBuf, f32) {
-    deploy_scenario(tag, &healthy_scenario())
-}
-
-fn deploy_scenario(tag: &str, scenario: &Scenario) -> (PathBuf, f32) {
+    let scenario = scenario();
     let dir = std::env::temp_dir().join(format!("deepmorph-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("fixture dir");
     let trained = StagedEngine::ephemeral()
-        .trained(scenario)
+        .trained(&scenario)
         .expect("train the fixture model");
     save_model(
         dir.join(format!("{MODEL}.dmmd")),
         &mut trained.instantiate().expect("instantiate"),
     )
     .expect("save model");
-    let ctx = DiagnosisContext::from(scenario);
+    let ctx = DiagnosisContext::from(&scenario);
     std::fs::write(dir.join(format!("{MODEL}.meta.json")), ctx.to_json()).expect("save sidecar");
     (dir, trained.test_accuracy)
 }

@@ -173,16 +173,16 @@ impl ModelHandle {
         self.graph.param_count()
     }
 
-    /// Prepares the model to serve at `precision` (see
-    /// [`Graph::apply_precision`]): f32 packs the dense and conv weights
-    /// once, i8 quantizes them (lossy). Only inference replicas do this;
-    /// training and diagnosis always run the unprepared f32 graph.
+    /// Prepares the model to serve (see [`Graph::prepare_serving`]): the
+    /// dense and conv weights are packed once, and outputs stay bitwise
+    /// equal. Only inference replicas do this; training and diagnosis
+    /// always run the unprepared graph.
     ///
     /// # Errors
     ///
-    /// Propagates layer rejections (no provided layer rejects).
-    pub fn apply_precision(&mut self, precision: Precision) -> Result<(), NnError> {
-        self.graph.apply_precision(precision)
+    /// Propagates layer failures (no provided layer fails).
+    pub fn prepare_serving(&mut self) -> Result<(), NnError> {
+        self.graph.prepare_serving()
     }
 
     /// Builds an independent replica: same architecture (rebuilt from the
@@ -281,23 +281,34 @@ mod tests {
     #[test]
     fn replicas_predict_bitwise_identically() {
         use deepmorph_tensor::Tensor;
-        let spec = ModelSpec::new(ModelFamily::LeNet, ModelScale::Tiny, [1, 16, 16], 10);
-        let mut rng = stream_rng(11, "spec");
-        let mut original = build_model(&spec, &mut rng).unwrap();
-        let mut replica = original.replicate().unwrap();
-        assert_eq!(replica.spec, original.spec);
-        assert_eq!(replica.probes, original.probes);
-        let x = Tensor::from_vec(
-            (0..2 * 256)
-                .map(|i| ((i * 37) % 97) as f32 / 97.0)
-                .collect(),
-            &[2, 1, 16, 16],
-        )
-        .unwrap();
-        let a = original.graph.forward(&x, Mode::Eval).unwrap();
-        let b = replica.graph.forward(&x, Mode::Eval).unwrap();
-        for (va, vb) in a.data().iter().zip(b.data()) {
-            assert_eq!(va.to_bits(), vb.to_bits());
+        for family in ModelFamily::all() {
+            let [c, h, w] = dataset_shape(family);
+            let spec = ModelSpec::new(family, ModelScale::Tiny, [c, h, w], 10);
+            let mut rng = stream_rng(11, "spec");
+            let mut original = build_model(&spec, &mut rng).unwrap();
+            let mut replica = original.replicate().unwrap();
+            assert_eq!(replica.spec, original.spec);
+            assert_eq!(replica.probes, original.probes);
+            let mut prepared = original.replicate().unwrap();
+            prepared.prepare_serving().unwrap();
+            // Five rows: the packed dense products run one 4-row register
+            // tile and one remainder row.
+            let rows = 5;
+            let x = Tensor::from_vec(
+                (0..rows * c * h * w)
+                    .map(|i| ((i * 37) % 97) as f32 / 97.0)
+                    .collect(),
+                &[rows, c, h, w],
+            )
+            .unwrap();
+            let want = original.graph.forward(&x, Mode::Eval).unwrap();
+            for copy in [&mut replica, &mut prepared] {
+                let got = copy.graph.forward(&x, Mode::Eval).unwrap();
+                assert_eq!(got.shape(), want.shape(), "{family}");
+                for (va, vb) in want.data().iter().zip(got.data()) {
+                    assert_eq!(va.to_bits(), vb.to_bits(), "{family}");
+                }
+            }
         }
     }
 

@@ -1,12 +1,11 @@
 //! 2-D convolution layer (im2col-lowered).
 
-use deepmorph_tensor::backend::quant::Precision;
-use deepmorph_tensor::backend::ComputeCtx;
+use deepmorph_tensor::backend::{ComputeCtx, PackedNt};
 use deepmorph_tensor::conv::{col2im_mapped_into, im2col_mapped_into, Conv2dGeometry, Im2colMap};
 use deepmorph_tensor::{init::Init, workspace, Tensor};
 use rand::Rng;
 
-use crate::dense::{product_nt, single_input, ServingWeights};
+use crate::dense::{product_nt, single_input};
 use crate::layer::{Grads, Layer, Mode, Param};
 use crate::{NnError, Result};
 
@@ -17,7 +16,7 @@ use crate::{NnError, Result};
 /// patch matrix. The geometry and its im2col gather table are computed once
 /// per layer instance; per-batch buffers are drawn from (and recycled to)
 /// the thread's workspace arena, so a warm train step performs no heap
-/// allocations. [`Layer::apply_precision`] prepares the weight a serving
+/// allocations. [`Layer::prepare_serving`] packs the weight a serving
 /// replica's eval-mode forward reads, as on [`crate::dense::Dense`].
 #[derive(Debug)]
 pub struct Conv2d {
@@ -29,7 +28,7 @@ pub struct Conv2d {
     cached_cols: Option<Tensor>,
     cached_batch: usize,
     ctx: ComputeCtx,
-    serving: Option<ServingWeights>,
+    serving: Option<PackedNt>,
 }
 
 impl Conv2d {
@@ -99,9 +98,9 @@ impl Conv2d {
         [self.geo.out_channels, self.geo.out_h, self.geo.out_w]
     }
 
-    /// The prepared serving weight, if any.
+    /// The packed serving weight, if any.
     #[cfg(test)]
-    pub(crate) fn serving(&self) -> Option<&ServingWeights> {
+    pub(crate) fn serving(&self) -> Option<&PackedNt> {
         self.serving.as_ref()
     }
 
@@ -221,13 +220,8 @@ impl Layer for Conv2d {
         workspace::recycle_opt(self.cached_cols.take());
     }
 
-    fn apply_precision(&mut self, precision: Precision) -> Result<()> {
-        self.serving = Some(ServingWeights::prepare(
-            &self.weight.value,
-            &mut self.bias.value,
-            precision,
-            &self.ctx,
-        )?);
+    fn prepare_serving(&mut self) -> Result<()> {
+        self.serving = Some(self.ctx.pack_nt(&self.weight.value)?);
         Ok(())
     }
 }

@@ -1,6 +1,5 @@
 //! Fully-connected layer.
 
-use deepmorph_tensor::backend::quant::{self, Precision, QuantizedMat};
 use deepmorph_tensor::backend::{ComputeCtx, PackedNt};
 use deepmorph_tensor::{init::Init, workspace, Tensor};
 use rand::Rng;
@@ -14,9 +13,8 @@ use crate::{NnError, Result};
 /// `[out_features]`.
 ///
 /// Every f32 product dispatches through the layer's [`ComputeCtx`].
-/// [`Layer::apply_precision`] prepares the weight a serving replica's
-/// eval-mode forward reads: packed once for the f32 GEMM, or quantized
-/// for the integer kernel.
+/// [`Layer::prepare_serving`] packs the weight a serving replica's
+/// eval-mode forward reads once for the GEMM.
 #[derive(Debug)]
 pub struct Dense {
     name: String,
@@ -26,7 +24,7 @@ pub struct Dense {
     bias: Param,
     cached_input: Option<Tensor>,
     ctx: ComputeCtx,
-    serving: Option<ServingWeights>,
+    serving: Option<PackedNt>,
 }
 
 impl Dense {
@@ -132,72 +130,27 @@ impl Layer for Dense {
         workspace::recycle_opt(self.cached_input.take());
     }
 
-    fn apply_precision(&mut self, precision: Precision) -> Result<()> {
-        self.serving = Some(ServingWeights::prepare(
-            &self.weight.value,
-            &mut self.bias.value,
-            precision,
-            &self.ctx,
-        )?);
+    fn prepare_serving(&mut self) -> Result<()> {
+        self.serving = Some(self.ctx.pack_nt(&self.weight.value)?);
         Ok(())
     }
 }
 
-/// A serving replica's prepared `x·Wᵀ` weight, built by
-/// [`Layer::apply_precision`] on a [`Dense`] or [`crate::conv::Conv2d`]
-/// and read by its eval-mode forward ([`product_nt`]).
-#[derive(Debug)]
-pub(crate) enum ServingWeights {
-    /// The f32 weight packed once for the GEMM, so a batch pays only for
-    /// the multiply (bitwise equal to the per-call product).
-    F32(PackedNt),
-    /// The weight quantized to per-row i8 for the integer kernel.
-    I8(QuantizedMat),
-}
-
-impl ServingWeights {
-    /// Prepares a layer's `weight` (`[out, in]`) to serve at `precision`
-    /// on `ctx`; at i8 the `bias` is rounded through binary16 too.
-    pub(crate) fn prepare(
-        weight: &Tensor,
-        bias: &mut Tensor,
-        precision: Precision,
-        ctx: &ComputeCtx,
-    ) -> Result<ServingWeights> {
-        Ok(match precision {
-            Precision::F32 => ServingWeights::F32(ctx.pack_nt(weight)?),
-            Precision::I8 => {
-                quant::f16_round_slice(bias.data_mut());
-                weight.expect_rank(2, "quantize weight")?;
-                let (rows, cols) = (weight.shape()[0], weight.shape()[1]);
-                ServingWeights::I8(QuantizedMat::from_rows(weight.data(), rows, cols))
-            }
-        })
-    }
-}
-
 /// `x · Wᵀ` for a dense or im2col-lowered conv forward. An eval-mode
-/// forward runs against the prepared `serving` weight when there is one;
-/// every other forward (training, or a layer never prepared) runs the f32
-/// GEMM on `weight` through `ctx`.
+/// forward multiplies by the `serving` weight packed by
+/// [`Layer::prepare_serving`] when there is one (bitwise equal to the
+/// per-call product); every other forward (training, or a layer never
+/// prepared) runs the GEMM on `weight` through `ctx`.
 pub(crate) fn product_nt(
     ctx: &ComputeCtx,
     x: &Tensor,
     weight: &Tensor,
-    serving: Option<&ServingWeights>,
+    serving: Option<&PackedNt>,
     mode: Mode,
 ) -> Result<Tensor> {
     match serving.filter(|_| mode == Mode::Eval) {
-        Some(ServingWeights::F32(packed)) => Ok(ctx.matmul_nt_packed(x, packed)?),
-        Some(ServingWeights::I8(q)) if x.shape()[1] == q.cols() => {
-            let m = x.shape()[0];
-            let mut y = workspace::tensor_raw(&[m, q.rows()]);
-            quant::qgemm_nt(x.data(), q, y.data_mut(), m);
-            Ok(y)
-        }
-        // A wrong-width input falls through to the f32 GEMM, which
-        // reports the shape error.
-        _ => Ok(ctx.matmul_nt(x, weight)?),
+        Some(packed) => Ok(ctx.matmul_nt_packed(x, packed)?),
+        None => Ok(ctx.matmul_nt(x, weight)?),
     }
 }
 
@@ -302,36 +255,6 @@ mod tests {
         assert_eq!(layer.param_count(), 10 * 5 + 5);
     }
 
-    #[test]
-    fn i8_precision_quantizes_eval_forward_only() {
-        let mut rng = stream_rng(6, "dense");
-        let mut layer = Dense::new(5, 4, &mut rng);
-        let x =
-            Tensor::from_vec((0..10).map(|v| (v as f32 * 0.7).sin()).collect(), &[2, 5]).unwrap();
-        let f32_out = layer.forward(&[&x], Mode::Eval).unwrap();
-        layer.apply_precision(Precision::I8).unwrap();
-        let Some(ServingWeights::I8(q)) = &layer.serving else {
-            panic!("i8 weight path");
-        };
-        assert_eq!((q.rows(), q.cols()), (4, 5));
-        let q_out = layer.forward(&[&x], Mode::Eval).unwrap();
-        // Quantized result tracks f32 within the i8 step budget but is a
-        // genuinely different kernel, while the train-mode forward keeps
-        // running the f32 path against the stored weights.
-        for (a, b) in q_out.data().iter().zip(f32_out.data()) {
-            assert!((a - b).abs() < 0.1, "quantized {a} vs f32 {b}");
-        }
-        let t_out = layer.forward(&[&x], Mode::Train).unwrap();
-        let Some(ServingWeights::I8(q)) = &layer.serving else {
-            panic!("i8 weight path");
-        };
-        assert_ne!(q.dequantize(), layer.weight.value.data());
-        assert_eq!(t_out.shape(), &[2, 4]);
-        // Demoting back to f32 drops the integer path (weights stay as-is).
-        layer.apply_precision(Precision::F32).unwrap();
-        assert!(matches!(layer.serving, Some(ServingWeights::F32(_))));
-    }
-
     /// Adds `delta` to the first weight element through `visit_params`
     /// (the door optimizers and state imports rewrite weights through).
     fn bump_first_weight(layer: &mut dyn Layer, delta: f32) {
@@ -368,10 +291,10 @@ mod tests {
         )
         .unwrap();
         let (mut d, mut c) = (dense(), conv());
-        d.apply_precision(Precision::F32).unwrap();
-        c.apply_precision(Precision::F32).unwrap();
-        assert!(matches!(d.serving, Some(ServingWeights::F32(_))));
-        assert!(matches!(c.serving(), Some(ServingWeights::F32(_))));
+        d.prepare_serving().unwrap();
+        c.prepare_serving().unwrap();
+        assert!(d.serving.is_some());
+        assert!(c.serving().is_some());
         let (mut d_ref, mut c_ref) = (dense(), conv());
         let cases: [(&mut dyn Layer, &mut dyn Layer, &Tensor); 2] =
             [(&mut d, &mut d_ref, &xd), (&mut c, &mut c_ref, &xc)];
@@ -386,10 +309,10 @@ mod tests {
             bump_first_weight(reference, 0.5);
             assert_prepared_matches(prepared, reference, x);
             // Preparing again packs the new weight.
-            prepared.apply_precision(Precision::F32).unwrap();
+            prepared.prepare_serving().unwrap();
             assert_prepared_matches(prepared, reference, x);
         }
-        assert!(matches!(d.serving, Some(ServingWeights::F32(_))));
-        assert!(matches!(c.serving(), Some(ServingWeights::F32(_))));
+        assert!(d.serving.is_some());
+        assert!(c.serving().is_some());
     }
 }

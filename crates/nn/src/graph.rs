@@ -10,7 +10,6 @@
 //! uses this to extract the *data flow footprints* (intermediate outputs of
 //! hidden layers) that the paper's analysis is built on.
 
-use deepmorph_tensor::backend::quant::Precision;
 use deepmorph_tensor::{workspace, Tensor};
 
 use crate::layer::{Layer, Mode, Param};
@@ -150,7 +149,6 @@ impl GraphBuilder {
             slots: Vec::new(),
             grad_slots: Vec::new(),
             ready: false,
-            precision: Precision::F32,
         })
     }
 }
@@ -172,8 +170,6 @@ pub struct Graph {
     grad_slots: Vec<Option<Tensor>>,
     /// Set by a training-mode forward; gates [`Graph::backward`].
     ready: bool,
-    /// Serving precision the layers were last prepared at.
-    precision: Precision,
 }
 
 impl Graph {
@@ -336,29 +332,19 @@ impl Graph {
         Ok(())
     }
 
-    /// Prepares every layer to serve at `precision` (see
-    /// [`Layer::apply_precision`]): at [`Precision::F32`] dense and conv
-    /// weights are packed once for the GEMM and outputs stay bitwise
-    /// equal; at [`Precision::I8`] the change is lossy and irreversible.
-    /// Serving replicas call this once after instantiation; training and
-    /// diagnosis graphs never do.
+    /// Prepares every layer to serve (see [`Layer::prepare_serving`]):
+    /// dense and conv weights are packed once for the GEMM and outputs
+    /// stay bitwise equal. Serving replicas call this once after
+    /// instantiation; training and diagnosis graphs never do.
     ///
     /// # Errors
     ///
-    /// Propagates the first layer rejection (no provided layer rejects).
-    pub fn apply_precision(&mut self, precision: Precision) -> Result<()> {
+    /// Propagates the first layer failure (no provided layer fails).
+    pub fn prepare_serving(&mut self) -> Result<()> {
         for node in &mut self.nodes {
-            node.layer.apply_precision(precision)?;
+            node.layer.prepare_serving()?;
         }
-        self.precision = precision;
         Ok(())
-    }
-
-    /// The precision the layers were last prepared at
-    /// ([`Precision::F32`] for a graph never touched by
-    /// [`Graph::apply_precision`]).
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Visits every trainable parameter in a stable order.
@@ -867,21 +853,6 @@ mod tests {
         twin.import_state(&dict).unwrap();
         let y_after = twin.forward(&input, Mode::Eval).unwrap();
         assert_eq!(y_before.data(), y_after.data());
-    }
-
-    #[test]
-    fn apply_precision_round_trips_the_flag_and_degrades_gracefully() {
-        use deepmorph_tensor::backend::quant::Precision;
-        let mut g = linear_graph();
-        assert_eq!(g.precision(), Precision::F32);
-        let x = Tensor::from_vec(vec![0.3, -0.2, 0.9, 0.4, 0.1, -0.6], &[2, 3]).unwrap();
-        let exact = g.forward(&x, Mode::Eval).unwrap();
-        g.apply_precision(Precision::I8).unwrap();
-        assert_eq!(g.precision(), Precision::I8);
-        let lossy = g.forward(&x, Mode::Eval).unwrap();
-        for (a, b) in lossy.data().iter().zip(exact.data()) {
-            assert!((a - b).abs() < 0.1, "i8 output {a} strayed from f32 {b}");
-        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The [`Layer`] trait, trainable [`Param`]s, and the inline [`Grads`]
 //! container backward passes return.
 
-use deepmorph_tensor::backend::quant::{f16_round_slice, Precision};
 use deepmorph_tensor::Tensor;
 
 use crate::Result;
@@ -169,27 +168,21 @@ pub trait Layer: Send {
     /// large sweeps). Layers with no cache need not override.
     fn clear_cache(&mut self) {}
 
-    /// Prepares this layer to serve at `precision` — called once on an
-    /// inference replica, never on a training or diagnosis graph.
+    /// Prepares this layer to serve — called once on an inference
+    /// replica, never on a training or diagnosis graph.
     ///
-    /// Layers with an `x·Wᵀ` product (dense, conv) build the form their
-    /// eval-mode forward then reads: at [`Precision::F32`] the weight is
-    /// packed once for the f32 GEMM (outputs stay bitwise equal, one
-    /// extra weight copy is kept), at [`Precision::I8`] it is quantized
-    /// for the integer kernel and the bias rounded through IEEE
-    /// binary16. A later [`Layer::visit_params`] drops that form, so a
-    /// rewritten weight is never served from a stale one. The default
-    /// rounds every trainable parameter through binary16 at `I8` — lossy
-    /// and irreversible — and does nothing at `F32`.
+    /// Layers with an `x·Wᵀ` product (dense, conv) pack the weight their
+    /// eval-mode forward then reads once for the GEMM: outputs stay
+    /// bitwise equal, and one extra weight copy is kept. A later
+    /// [`Layer::visit_params`] drops the packed copy, so a rewritten
+    /// weight is never served from a stale one. The default does
+    /// nothing.
     ///
     /// # Errors
     ///
-    /// Implementations may reject precisions they cannot represent; the
-    /// provided implementations always succeed.
-    fn apply_precision(&mut self, precision: Precision) -> Result<()> {
-        if precision == Precision::I8 {
-            self.visit_params(&mut |p| f16_round_slice(p.value.data_mut()));
-        }
+    /// Implementations may fail to prepare; the provided implementations
+    /// always succeed.
+    fn prepare_serving(&mut self) -> Result<()> {
         Ok(())
     }
 

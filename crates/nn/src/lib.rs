@@ -92,6 +92,5 @@ pub mod prelude {
     pub use crate::state::{GraphTopology, StateDict, StateEntry};
     pub use crate::train::{clip_gradients, evaluate_accuracy, TrainConfig, TrainReport, Trainer};
     pub use crate::{NnError, Result as NnResult};
-    pub use deepmorph_tensor::backend::quant::Precision;
     pub use deepmorph_tensor::backend::ComputeCtx;
 }

@@ -72,34 +72,6 @@ impl Metrics {
             confusion,
         }
     }
-
-    /// Macro-averaged F1 score.
-    pub fn macro_f1(&self) -> f32 {
-        let k = self.precision.len();
-        if k == 0 {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        for c in 0..k {
-            let (p, r) = (self.precision[c], self.recall[c]);
-            if p + r > 0.0 {
-                total += 2.0 * p * r / (p + r);
-            }
-        }
-        total / k as f32
-    }
-
-    /// Indices of misclassified samples — the "faulty cases" DeepMorph
-    /// diagnoses.
-    pub fn faulty_indices(predictions: &[usize], labels: &[usize]) -> Vec<usize> {
-        predictions
-            .iter()
-            .zip(labels)
-            .enumerate()
-            .filter(|(_, (p, l))| p != l)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +99,6 @@ mod tests {
         assert_eq!(m.accuracy, 1.0);
         assert!(m.precision.iter().all(|&p| p == 1.0));
         assert!(m.recall.iter().all(|&r| r == 1.0));
-        assert!((m.macro_f1() - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -136,11 +107,5 @@ mod tests {
         let m = Metrics::compute(&[0, 1], &[0, 1], 3);
         assert_eq!(m.precision[2], 0.0);
         assert_eq!(m.recall[2], 0.0);
-    }
-
-    #[test]
-    fn faulty_indices_are_misclassifications() {
-        let faulty = Metrics::faulty_indices(&[0, 1, 0, 2], &[0, 0, 0, 2]);
-        assert_eq!(faulty, vec![1]);
     }
 }

@@ -51,11 +51,6 @@ impl StateDict {
         self.entries.is_empty()
     }
 
-    /// Total number of scalar values across all entries.
-    pub fn scalar_count(&self) -> usize {
-        self.entries.iter().map(|e| e.value.len()).sum()
-    }
-
     /// Appends the dict to a payload.
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.entries.len() as u64);
@@ -170,7 +165,6 @@ mod tests {
         let back = StateDict::decode(&mut r).unwrap();
         assert_eq!(back, dict);
         assert!(r.is_exhausted());
-        assert_eq!(back.scalar_count(), 9);
     }
 
     #[test]

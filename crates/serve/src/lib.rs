@@ -89,7 +89,6 @@ pub use client::{Client, ClientConfig, RetryPolicy};
 pub use conn::{FrameAssembler, FramingError};
 pub use error::{ErrorCode, ServeError, ServeResult};
 pub use registry::{DiagnosisContext, ModelId, ModelRegistry, VersionPin};
-pub use repair::PromoteResponse;
 pub use server::{Server, ServerConfig};
 
 /// Convenience re-exports.
@@ -103,9 +102,8 @@ pub mod prelude {
         StatsSnapshot, TelemetryReport, VersionInfo, VersionTraffic,
     };
     pub use crate::registry::{DiagnosisContext, ModelId, ModelRegistry, VersionPin};
-    pub use crate::repair::PromoteResponse;
     pub use crate::server::{Server, ServerConfig};
-    pub use deepmorph_nn::prelude::{ComputeCtx, Precision};
+    pub use deepmorph_nn::prelude::ComputeCtx;
     pub use deepmorph_telemetry::{
         HistogramSnapshot, Stage, Telemetry, TelemetryConfig, TelemetrySnapshot, Trace,
     };

@@ -56,7 +56,7 @@ use deepmorph::prelude::{DefectSpec, Scenario};
 use deepmorph_data::DatasetKind;
 use deepmorph_json::Json;
 use deepmorph_models::{decode_model, encode_model, ModelHandle, ModelSpec};
-use deepmorph_nn::prelude::{Precision, TrainConfig};
+use deepmorph_nn::prelude::TrainConfig;
 use deepmorph_nn::train::OptimizerKind;
 
 pub use deepmorph::artifact::content_fingerprint;
@@ -346,9 +346,7 @@ impl ModelId {
 }
 
 /// Live-traffic counters of one model version, always on: the atomic
-/// counterpart of [`VersionTraffic`], field for field. Every
-/// [`ModelEntry`] clone of the version shares one block, so a
-/// serving-mode swap keeps counting where the version left off.
+/// counterpart of [`VersionTraffic`], field for field.
 #[derive(Debug, Default)]
 pub(crate) struct TrafficCounters {
     pub(crate) requests: AtomicU64,
@@ -359,7 +357,7 @@ pub(crate) struct TrafficCounters {
 }
 
 /// One concrete model version.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ModelEntry {
     /// Registered name (without the `@vN` version suffix).
     pub name: String,
@@ -373,16 +371,10 @@ pub struct ModelEntry {
     pub param_count: usize,
     /// Training-data provenance for live diagnosis, when known.
     pub diagnosis: Option<DiagnosisContext>,
-    /// Inference precision serving replicas of this version run at.
-    /// Always [`Precision::F32`] for freshly registered/published
-    /// versions; [`ModelRegistry::set_serving_mode`] installs quantized
-    /// serving variants. Diagnosis and repair always work on the f32
-    /// parameters ([`ModelEntry::instantiate`]), never the quantized view.
-    pub precision: Precision,
     /// The encoded model container.
     bytes: Vec<u8>,
     /// This version's live-traffic counters, charged by the scheduler.
-    pub(crate) counters: Arc<TrafficCounters>,
+    pub(crate) counters: TrafficCounters,
 }
 
 impl ModelEntry {
@@ -425,36 +417,22 @@ impl ModelEntry {
         }
     }
 
-    /// A clone of this version with a different serving precision. Same
-    /// bytes, same fingerprint, same version number, same traffic
-    /// counters — only how serving replicas are prepared changes.
-    /// Constructed here because the container bytes are private to the
-    /// registry.
-    pub fn with_serving_mode(&self, precision: Precision) -> ModelEntry {
-        let mut entry = self.clone();
-        entry.precision = precision;
-        entry
-    }
-
-    /// Builds a replica prepared for *serving*: instantiates the f32
-    /// model and applies the entry's serving precision. At f32 that packs
-    /// every dense and conv weight once for the GEMM, so batches skip the
-    /// per-call packing while the logits stay bitwise equal to those of a
-    /// model built by [`ModelEntry::instantiate`]; the replica holds one
-    /// extra copy of those weights. At i8 it quantizes them for the
-    /// integer kernel.
+    /// Builds a replica prepared for *serving*: instantiates the model
+    /// and packs every dense and conv weight once for the GEMM
+    /// ([`ModelHandle::prepare_serving`]), so batches skip the per-call
+    /// packing while the logits stay bitwise equal to those of a model
+    /// built by [`ModelEntry::instantiate`]. The replica holds one extra
+    /// copy of those weights.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Model`] if the bytes no longer decode or the
-    /// precision cannot be applied.
+    /// replica cannot be prepared.
     pub fn instantiate_for_serving(&self) -> ServeResult<ModelHandle> {
         let mut model = self.instantiate()?;
-        model
-            .apply_precision(self.precision)
-            .map_err(|e| ServeError::Model {
-                reason: format!("applying {} serving precision: {e}", self.precision),
-            })?;
+        model.prepare_serving().map_err(|e| ServeError::Model {
+            reason: format!("preparing serving replica: {e}"),
+        })?;
         Ok(model)
     }
 }
@@ -769,9 +747,8 @@ impl ModelRegistry {
             spec: probe.spec,
             param_count: probe.param_count(),
             diagnosis,
-            precision: Precision::F32,
             bytes,
-            counters: Arc::default(),
+            counters: TrafficCounters::default(),
         })
     }
 
@@ -935,7 +912,7 @@ impl ModelRegistry {
     pub fn rollback(&self, id: ModelId) -> ServeResult<Arc<ModelEntry>> {
         let slot = &self.slots[id.0];
         // The history lock doubles as the publish lock: rollbacks
-        // serialize against publishes and mode swaps.
+        // serialize against publishes.
         let mut history = slot.history.lock_recover();
         let current_version = slot.current.read_recover().1.version;
         let Some(prev_idx) = history.iter().rposition(|m| m.version < current_version) else {
@@ -1182,40 +1159,6 @@ impl ModelRegistry {
     /// Wire metadata for every model's current version.
     pub fn infos(&self) -> Vec<ModelInfo> {
         self.ids().map(|id| self.current(id).info()).collect()
-    }
-
-    /// Switches the serving precision of the model at `id`: the current
-    /// version's bytes stay exactly as published, but workers rebuild
-    /// their replicas (the epoch bumps) at the new precision. No history
-    /// entry is appended — the version and fingerprint are unchanged, so
-    /// diagnosis sessions keyed by fingerprint stay valid, `versions()`
-    /// keeps listing the same chain, and the version's traffic counters
-    /// keep counting. The candidate replica is built once up front, so
-    /// an un-instantiable mode is rejected before anything swaps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Model`] when the mode cannot be applied to
-    /// the current version.
-    pub fn set_serving_mode(
-        &self,
-        id: ModelId,
-        precision: Precision,
-    ) -> ServeResult<Arc<ModelEntry>> {
-        let slot = &self.slots[id.0];
-        // The history lock doubles as the publish lock: mode swaps
-        // serialize against publishes, so the entry read here is the one
-        // replaced below.
-        let history = slot.history.lock_recover();
-        let entry = {
-            let guard = slot.current.read_recover();
-            guard.1.with_serving_mode(precision)
-        };
-        entry.instantiate_for_serving()?;
-        let entry = Arc::new(entry);
-        slot.install_current(Arc::clone(&entry));
-        drop(history);
-        Ok(entry)
     }
 }
 

@@ -47,7 +47,6 @@ use std::time::Instant;
 
 use deepmorph::pipeline::{DeepMorph, DeepMorphConfig, DiagnosisSession};
 use deepmorph::prelude::{recommend, ArtifactStore, Scenario, StagedEngine};
-use deepmorph_nn::prelude::Precision;
 use deepmorph_nn::train::evaluate_accuracy;
 
 use crate::error::{ServeError, ServeResult};
@@ -428,93 +427,5 @@ pub(crate) fn rollback_live(shared: &ServerShared, id: ModelId) -> ServeResult<R
         version: restored.version,
         fingerprint: restored.fingerprint.clone(),
         swap_micros,
-    })
-}
-
-/// Outcome of a [`Server::promote_quantized`](crate::Server::promote_quantized)
-/// attempt: whether the requested serving precision cleared the held-out
-/// gate and now serves.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PromoteResponse {
-    /// The serving precision that was requested.
-    pub precision: Precision,
-    /// Held-out accuracy of the f32 serving model (`0.0` for an ungated
-    /// demotion back to f32 — nothing is evaluated).
-    pub accuracy_f32: f32,
-    /// Held-out accuracy of the quantized candidate replica (`0.0` for a
-    /// demotion).
-    pub accuracy_quantized: f32,
-    /// `true` when the requested mode now serves.
-    pub promoted: bool,
-    /// Version of the (unchanged) model the mode applies to.
-    pub version: u32,
-    /// Content fingerprint of that version.
-    pub fingerprint: String,
-}
-
-/// Switches a model's serving replicas to a quantized precision, gated on
-/// the same held-out set as a repair hot-swap: the quantized replica must
-/// not lose accuracy against the f32 serving model, or nothing changes.
-/// Training, diagnosis, and repair always run on the f32 parameters —
-/// only serving replicas (rebuilt by workers at their next batch
-/// boundary) pick up the quantized mode. [`Precision::F32`] demotes back
-/// to the bitwise-reference serving mode without a gate.
-pub(crate) fn promote_quantized(
-    shared: &ServerShared,
-    id: ModelId,
-    precision: Precision,
-) -> ServeResult<PromoteResponse> {
-    let entry = shared.registry.current(id);
-    if precision == Precision::F32 {
-        // Demotion restores the reference mode; it cannot lose accuracy
-        // relative to itself, so it is never gated (and needs no sidecar).
-        let restored = shared.registry.set_serving_mode(id, Precision::F32)?;
-        return Ok(PromoteResponse {
-            precision,
-            accuracy_f32: 0.0,
-            accuracy_quantized: 0.0,
-            promoted: true,
-            version: restored.version,
-            fingerprint: restored.fingerprint.clone(),
-        });
-    }
-
-    // The same held-out set the repair gate evaluates on: regenerated
-    // from the model's provenance sidecar, never seen by training.
-    let ctx = context_of(&entry)?;
-    let scenario = scenario_for(&entry, &ctx, &shared.deepmorph)?;
-    let (_train, test) = scenario.injected_data().map_err(|e| ServeError::Model {
-        reason: format!("held-out data: {e}"),
-    })?;
-    let mut serving = entry.instantiate()?;
-    let accuracy_f32 = evaluate_accuracy(&mut serving.graph, test.images(), test.labels(), 64)?;
-
-    let candidate = entry.with_serving_mode(precision);
-    let mut replica = candidate.instantiate_for_serving()?;
-    let accuracy_quantized =
-        evaluate_accuracy(&mut replica.graph, test.images(), test.labels(), 64)?;
-
-    if accuracy_quantized < accuracy_f32 {
-        return Ok(PromoteResponse {
-            precision,
-            accuracy_f32,
-            accuracy_quantized,
-            promoted: false,
-            version: entry.version,
-            fingerprint: entry.fingerprint.clone(),
-        });
-    }
-    let installed = shared.registry.set_serving_mode(id, precision)?;
-    shared
-        .stats
-        .swaps
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    Ok(PromoteResponse {
-        precision,
-        accuracy_f32,
-        accuracy_quantized,
-        promoted: true,
-        version: installed.version,
-        fingerprint: installed.fingerprint.clone(),
     })
 }

@@ -26,8 +26,7 @@ use crate::cases::LiveCases;
 use crate::error::{ServeError, ServeResult};
 use crate::event_loop::{start_loop, LoopState, IO_THREADS};
 use crate::registry::ModelRegistry;
-use crate::repair::{self, PromoteResponse, RepairState};
-use deepmorph_nn::prelude::Precision;
+use crate::repair::RepairState;
 
 /// Listen backlog requested on the bound socket. `TcpListener::bind`
 /// hardcodes 128, which a connection storm overflows into SYN
@@ -205,34 +204,6 @@ impl Server {
     /// The live serving counters.
     pub fn stats(&self) -> crate::protocol::StatsSnapshot {
         self.shared.stats.snapshot()
-    }
-
-    /// Switches `model`'s serving replicas to a quantized precision (or
-    /// back to f32), gated on the held-out set exactly like a repair
-    /// hot-swap: the quantized replica must not lose accuracy against the
-    /// f32 serving model, or nothing changes. An in-process
-    /// administrative operation — predict traffic never waits on it;
-    /// workers rebuild their replicas at the next batch boundary.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownModel`] for an unregistered name,
-    /// [`ServeError::Diagnosis`] when the model has no provenance sidecar
-    /// to regenerate the held-out set from, and [`ServeError::Model`]
-    /// when the quantized replica cannot be built.
-    pub fn promote_quantized(
-        &self,
-        model: &str,
-        precision: Precision,
-    ) -> ServeResult<PromoteResponse> {
-        let id = self
-            .shared
-            .registry
-            .find(model)
-            .ok_or_else(|| ServeError::UnknownModel {
-                name: model.to_string(),
-            })?;
-        repair::promote_quantized(&self.shared, id, precision)
     }
 
     /// Stops accepting connections, drains in-flight work, and joins

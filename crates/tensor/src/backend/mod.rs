@@ -7,8 +7,7 @@
 //! the tensor shapes, build a [`GemmSpec`] and call the context's
 //! [`Backend::gemm`]. The spec carries the dimensions, a per-operand
 //! [`MatLayout`] and a fan-out hint. Elementwise work (ReLU, bias rows)
-//! stays in the layers, and quantized serving replicas run their own
-//! integer kernel ([`quant`]).
+//! stays in the layers.
 //!
 //! One kernel implements `Backend::gemm`: [`ScalarBackend`], the
 //! cache-blocked, B-panel-packed kernel with the pinned per-element
@@ -29,7 +28,6 @@ use std::sync::OnceLock;
 use crate::workspace;
 use crate::{Tensor, TensorError};
 
-pub mod quant;
 pub mod tune;
 
 /// Storage layout of one GEMM operand, relative to the logical matrix the

@@ -191,12 +191,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Appends a length-prefixed `f32` slice.
-    pub fn put_f32s(&mut self, vs: &[f32]) {
-        self.put_u64(vs.len() as u64);
-        self.put_f32_payload(vs);
-    }
-
     /// Appends raw `f32` bits with no length prefix (the caller's format
     /// implies the count, e.g. a tensor's shape). One bulk conversion
     /// rather than a per-element call: f32 payloads dominate every
@@ -301,12 +295,6 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Invalid {
             context: format!("{context}: string is not valid UTF-8"),
         })
-    }
-
-    /// Reads a length-prefixed `f32` slice.
-    pub fn get_f32s(&mut self, context: &'static str) -> CodecResult<Vec<f32>> {
-        let len = self.get_len(context)?;
-        self.get_f32_payload(len, context)
     }
 
     /// Reads `n` raw `f32`s (no length prefix), converting in bulk. The
@@ -623,7 +611,6 @@ mod tests {
         w.put_u64(1 << 40);
         w.put_f32(-0.125);
         w.put_str("probe/stage2");
-        w.put_f32s(&[1.0, 2.5]);
         w.put_usizes(&[3, 1, 4]);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
@@ -632,7 +619,6 @@ mod tests {
         assert_eq!(r.get_u64("t").unwrap(), 1 << 40);
         assert_eq!(r.get_f32("t").unwrap(), -0.125);
         assert_eq!(r.get_str("t").unwrap(), "probe/stage2");
-        assert_eq!(r.get_f32s("t").unwrap(), vec![1.0, 2.5]);
         assert_eq!(r.get_usizes("t").unwrap(), vec![3, 1, 4]);
         assert!(r.is_exhausted());
         assert!(matches!(

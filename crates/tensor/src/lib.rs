@@ -11,10 +11,9 @@
 //! * [`backend`] — matrix products. [`backend::ComputeCtx`] is the one
 //!   door into a dense product: its `matmul`/`matmul_nt`/`matmul_tn`
 //!   validate shapes and call [`backend::Backend::gemm`], the one kernel
-//!   hook. The cache-blocked scalar kernel is the one f32 GEMM and the
-//!   bitwise reference. Quantized serving replicas run the integer
-//!   kernel in [`backend::quant`], whose AVX2 path `--features simd`
-//!   compiles.
+//!   hook. The cache-blocked scalar kernel is the one GEMM and the
+//!   bitwise reference; serving replicas run it against weights packed
+//!   once ([`backend::PackedNt`]).
 //! * [`workspace`] — the thread-local scratch arena that keeps the
 //!   conv/matmul hot loop allocation-free after warm-up.
 //! * [`init`] — deterministic weight initialization (uniform, normal,

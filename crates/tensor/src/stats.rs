@@ -80,20 +80,6 @@ pub fn mean(xs: &[f32]) -> f32 {
     }
 }
 
-/// Population variance (0 for fewer than 2 samples).
-pub fn variance(xs: &[f32]) -> f32 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|v| (v - m).powi(2)).sum::<f32>() / xs.len() as f32
-}
-
-/// Standard deviation (population).
-pub fn std_dev(xs: &[f32]) -> f32 {
-    variance(xs).sqrt()
-}
-
 /// Largest and second-largest values of a slice.
 ///
 /// Returns `(max, second)`; for a single-element slice `second` is `-inf`.
@@ -230,7 +216,5 @@ mod tests {
     fn mean_variance_std() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-6);
-        assert!((variance(&xs) - 4.0).abs() < 1e-6);
-        assert!((std_dev(&xs) - 2.0).abs() < 1e-6);
     }
 }

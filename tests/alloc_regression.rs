@@ -107,8 +107,8 @@ fn warm_conv_step_and_matmul_do_not_allocate() {
     // Serving replicas pack their weights once, here, before any window.
     let mut dense = Dense::new(256, 600, &mut rng);
     let mut served_conv = Conv2d::new(8, 16, 16, 16, 3, 1, 1, &mut rng).unwrap();
-    dense.apply_precision(Precision::F32).unwrap();
-    served_conv.apply_precision(Precision::F32).unwrap();
+    dense.prepare_serving().unwrap();
+    served_conv.prepare_serving().unwrap();
     let x_dense = synth_tensor(&[32, 256], 7);
 
     // Warm-up: spawns the worker pool (parallel builds), sizes the arena's
