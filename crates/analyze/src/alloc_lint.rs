@@ -7,7 +7,9 @@
 //! counting-allocator test (`tests/alloc_regression.rs`): the dynamic
 //! test proves the paths it happens to drive are clean, this lint
 //! proves the listed code can't regress even on branches the test
-//! doesn't reach.
+//! doesn't reach. A scope that names a file or function the workspace
+//! no longer has is itself a finding ([`stale_scopes`]), so a rename
+//! cannot quietly take a hot path out of the lint.
 
 use crate::allowlist::Allowlist;
 use crate::config::NoAllocScope;
@@ -15,12 +17,48 @@ use crate::lexer::{Tok, Token};
 use crate::report::Finding;
 use crate::source::SourceFile;
 
+/// Whether `scope`'s path names `file` itself or a directory above it.
+fn covers(scope: &NoAllocScope, file: &SourceFile) -> bool {
+    file.rel_path == scope.path || file.rel_path.starts_with(&format!("{}/", scope.path))
+}
+
 /// The scope entry covering `file`, if any (most specific path wins).
 pub fn scope_for<'a>(file: &SourceFile, scopes: &'a [NoAllocScope]) -> Option<&'a NoAllocScope> {
     scopes
         .iter()
-        .filter(|s| file.rel_path == s.path || file.rel_path.starts_with(&format!("{}/", s.path)))
+        .filter(|s| covers(s, file))
         .max_by_key(|s| s.path.len())
+}
+
+/// Reports every scope that names nothing: a path no scanned file
+/// matches, and each listed function that no matched file defines
+/// outside test code. The allowlist cannot suppress these; the fix is
+/// an edit of `analyze.toml`.
+pub fn stale_scopes(files: &[SourceFile], scopes: &[NoAllocScope], findings: &mut Vec<Finding>) {
+    for scope in scopes {
+        let matched: Vec<&SourceFile> = files.iter().filter(|f| covers(scope, f)).collect();
+        let stale: Vec<(String, String)> = if matched.is_empty() {
+            vec![("stale-scope".into(), "matches no scanned file".into())]
+        } else {
+            let functions = scope.functions.iter().flatten();
+            functions
+                .filter(|name| !matched.iter().any(|f| f.defines_fn(name)))
+                .map(|name| {
+                    (
+                        format!("stale-scope:fn:{name}"),
+                        format!("names `{name}`, which no matched file defines"),
+                    )
+                })
+                .collect()
+        };
+        findings.extend(stale.into_iter().map(|(key, what)| Finding {
+            checker: "alloc",
+            path: scope.path.clone(),
+            line: 0,
+            key,
+            message: format!("analyze.toml [no_alloc] scope {what} — fix or remove it"),
+        }));
+    }
 }
 
 /// Runs the lint over one in-scope file.
@@ -171,6 +209,36 @@ mod tests {
         check(&file, &scope, &allow, &mut findings);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].key, "fn:hot:Vec::new");
+    }
+
+    #[test]
+    fn scopes_naming_missing_files_or_functions_are_findings() {
+        let src = "fn hot() {}\n#[cfg(test)]\nmod tests {\n    fn only_in_tests() {}\n}\n";
+        let files = [SourceFile::from_source("crates/x/src/hot.rs".into(), src)];
+        let functions = Some(["hot", "gone", "only_in_tests"].map(String::from).to_vec());
+        let scopes = [
+            ("crates/x/src/hot.rs", functions),
+            ("crates/x", None),
+            ("crates/x/src/moved.rs", None),
+        ]
+        .map(|(path, functions)| NoAllocScope {
+            path: path.into(),
+            functions,
+        });
+        let mut findings = Vec::new();
+        stale_scopes(&files, &scopes, &mut findings);
+        let found: Vec<_> = findings
+            .iter()
+            .map(|f| format!("{} {}", f.path, f.key))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                "crates/x/src/hot.rs stale-scope:fn:gone",
+                "crates/x/src/hot.rs stale-scope:fn:only_in_tests",
+                "crates/x/src/moved.rs stale-scope",
+            ]
+        );
     }
 
     #[test]

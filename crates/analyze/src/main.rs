@@ -128,6 +128,9 @@ fn run(root: &Path) -> Result<Report, String> {
         ));
     }
 
+    // A [no_alloc] scope that names nothing lints nothing.
+    alloc_lint::stale_scopes(&files, &cfg.no_alloc, &mut findings);
+
     // Suppressions that matched nothing are dead weight — flag them so
     // the allowlist can only shrink as violations get fixed.
     for e in allow.stale() {

@@ -67,6 +67,13 @@ impl SourceFile {
             .map(|(name, _, _)| name.as_str())
     }
 
+    /// Whether a function named `name` is defined outside test code.
+    pub fn defines_fn(&self, name: &str) -> bool {
+        self.fn_spans
+            .iter()
+            .any(|(n, start, _)| n == name && !self.is_test_line(*start))
+    }
+
     /// The raw text of `line` (1-based), or `""` past EOF.
     pub fn line_text(&self, line: u32) -> &str {
         self.lines

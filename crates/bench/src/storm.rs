@@ -577,7 +577,7 @@ pub fn run(config: &StormConfig) -> StormResult {
         stats.active_connections,
         config.idle_connections
     );
-    assert!(stats.loop_wakeups > 0, "event loops reported zero wakeups");
+    assert!(stats.loop_wakeups > 0, "event loop reported zero wakeups");
     assert!(
         stats.outbound_hwm_bytes > 0,
         "outbound high-water mark never moved despite predict responses"

@@ -54,11 +54,6 @@ impl Footprint {
         self.probs.last().expect("footprint has at least one layer")
     }
 
-    /// Class predicted by the probe at layer `l`.
-    pub fn argmax_at(&self, l: usize) -> usize {
-        stats::argmax(&self.probs[l])
-    }
-
     /// First probed layer whose argmax differs from `label`, as a fraction
     /// of depth (`1.0` = never flips).
     pub fn flip_fraction(&self, label: usize) -> f32 {
@@ -158,8 +153,6 @@ mod tests {
         assert_eq!(f.depth(), 2);
         assert_eq!(f.layer(0), &[0.9, 0.1]);
         assert_eq!(f.last(), &[0.2, 0.8]);
-        assert_eq!(f.argmax_at(0), 0);
-        assert_eq!(f.argmax_at(1), 1);
     }
 
     #[test]

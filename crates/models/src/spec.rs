@@ -2,7 +2,6 @@
 
 use deepmorph_nn::prelude::*;
 use deepmorph_nn::NnError;
-use deepmorph_tensor::init::stream_rng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::{alexnet, densenet, lenet, resnet};
@@ -184,27 +183,6 @@ impl ModelHandle {
     pub fn prepare_serving(&mut self) -> Result<(), NnError> {
         self.graph.prepare_serving()
     }
-
-    /// Builds an independent replica: same architecture (rebuilt from the
-    /// spec), same parameters and buffers (state-dict import). Replicas
-    /// share no storage, so each serving worker can own one and run
-    /// forwards concurrently; eval-mode outputs are bitwise identical to
-    /// the original's.
-    ///
-    /// Takes `&mut` because exporting the state dict walks the parameters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates build errors; a state mismatch is impossible for a graph
-    /// rebuilt from the same spec.
-    pub fn replicate(&mut self) -> Result<ModelHandle, NnError> {
-        // The RNG only feeds weight init that the import overwrites; a
-        // fixed stream keeps replica construction deterministic.
-        let mut rng = stream_rng(0, "model-replica");
-        let mut twin = build_model(&self.spec, &mut rng)?;
-        twin.graph.import_state(&self.graph.export_state())?;
-        Ok(twin)
-    }
 }
 
 /// Builds a model from its spec using the given RNG for weight init.
@@ -278,18 +256,23 @@ mod tests {
         }
     }
 
+    /// A serving replica is decoded from the model's encoded bytes, as a
+    /// registry entry builds one, and predicts bitwise like the original,
+    /// packed for serving or not.
     #[test]
     fn replicas_predict_bitwise_identically() {
+        use crate::io::{decode_model, encode_model};
         use deepmorph_tensor::Tensor;
         for family in ModelFamily::all() {
             let [c, h, w] = dataset_shape(family);
             let spec = ModelSpec::new(family, ModelScale::Tiny, [c, h, w], 10);
             let mut rng = stream_rng(11, "spec");
             let mut original = build_model(&spec, &mut rng).unwrap();
-            let mut replica = original.replicate().unwrap();
+            let bytes = encode_model(&mut original);
+            let mut replica = decode_model(&bytes).unwrap();
             assert_eq!(replica.spec, original.spec);
             assert_eq!(replica.probes, original.probes);
-            let mut prepared = original.replicate().unwrap();
+            let mut prepared = decode_model(&bytes).unwrap();
             prepared.prepare_serving().unwrap();
             // Five rows: the packed dense products run one 4-row register
             // tile and one remainder row.

@@ -1,7 +1,7 @@
 //! Minimal readiness-driven I/O primitives for the DeepMorph serving stack.
 //!
 //! The serving layer (`deepmorph-serve`) holds tens of thousands of mostly
-//! idle connections on a fixed pool of event-loop threads. This crate provides
+//! idle connections on one event-loop thread. This crate provides
 //! the raw building blocks it needs without pulling in mio/tokio (the build
 //! environment has no network access to crates.io):
 //!

@@ -1,5 +1,5 @@
 //! The admin executor: the threads that run diagnose, repair and
-//! rollback off the event loops.
+//! rollback off the event loop.
 //!
 //! Admin work retrains models for seconds to minutes, so it never runs
 //! on an event loop. Its threads are reused rather than spawned per

@@ -98,7 +98,7 @@ pub struct ServeStats {
     pub rollbacks: AtomicU64,
     /// Connections rejected at the configured connection cap.
     pub conn_rejections: AtomicU64,
-    /// Connections currently registered with the event loops (a gauge:
+    /// Connections currently registered with the event loop (a gauge:
     /// incremented at admission, decremented at close).
     pub conns_active: AtomicU64,
     /// Connections admitted past the cap check.

@@ -1,4 +1,4 @@
-//! Per-connection state shared between the event loops and the
+//! Per-connection state shared between the event loop and the
 //! scheduler workers.
 //!
 //! Three pieces live here:
@@ -10,7 +10,7 @@
 //!   panicking on hostile input. Public because the protocol proptests
 //!   drive it directly with adversarial splits.
 //! * `Outbound` — the write side of one connection: the socket (an
-//!   `Arc<TcpStream>` shared with the owning loop) plus a bounded buffer
+//!   `Arc<TcpStream>` shared with the event loop) plus a bounded buffer
 //!   for bytes the socket would not take yet. A producer — scheduler
 //!   worker, admin thread, or the loop itself — writes its reply
 //!   straight to the socket when nothing is buffered ahead of it. It
@@ -22,7 +22,7 @@
 //!   eventually overflows its buffer and is disconnected rather than
 //!   growing server memory without limit.
 //! * `ConnHandle` — what a producer holds: the outbound side plus the
-//!   owning loop's waker, used only when the loop has to act (bytes left
+//!   loop's waker, used only when the loop has to act (bytes left
 //!   buffered, a close to carry out). `ConnHandle::send` is the server's
 //!   transport fault seam: when a `deepmorph-faults` plan is armed, a
 //!   response may be dropped, truncated, stalled, or the connection
@@ -226,7 +226,7 @@ impl Outbound {
     /// behind what is already queued. Bytes for a closed connection are
     /// discarded.
     ///
-    /// Returns `true` when the owning loop has to act: bytes were left
+    /// Returns `true` when the loop has to act: bytes were left
     /// buffered for it to flush, or the write failed (or the buffer
     /// overflowed) and the connection is now dead for it to reap.
     pub(crate) fn write_through(&self, stats: &ServeStats, bytes: &[u8]) -> bool {

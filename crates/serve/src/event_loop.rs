@@ -1,18 +1,15 @@
-//! The readiness-driven I/O loops.
+//! The readiness-driven I/O loop.
 //!
-//! A fixed pool of event-loop threads (one epoll instance each,
-//! [`IO_THREADS`] of them) replaces the old
+//! One event-loop thread (one epoll instance) replaces the old
 //! thread-per-connection model, so the process holds tens of thousands
-//! of connections on a constant number of OS threads. Loop 0 owns the
-//! nonblocking listener and deals accepted connections round-robin to
-//! every loop (including itself) through per-loop inboxes; each loop
-//! owns its connections' reads, their [`FrameAssembler`]s, their
-//! epoll registrations, and the flush side of their [`Outbound`]
-//! buffers.
+//! of connections on a constant number of OS threads. The loop owns the
+//! nonblocking listener and every accepted connection: its reads, its
+//! [`FrameAssembler`], its epoll registration, and the flush side of its
+//! [`Outbound`] buffer.
 //!
 //! Division of labor:
 //!
-//! * **Loops never compute.** Cheap requests (ping, listings, stats)
+//! * **The loop never computes.** Cheap requests (ping, listings, stats)
 //!   are answered inline; predicts are validated and enqueued with the
 //!   scheduler; diagnose/repair/rollback — minutes-class retraining —
 //!   run on the server's reusable admin threads ([`crate::admin`]).
@@ -42,7 +39,7 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use deepmorph_net::{Event, Events, Interest, Poller};
@@ -50,7 +47,7 @@ use deepmorph_telemetry::Stage;
 
 use crate::admin::AdminJob;
 use crate::batch::{validate_job, Job, JobTelemetry, Responder, ServeStats};
-use crate::conn::{ConnHandle, FlushState, FrameAssembler, LoopNotify, Outbound};
+use crate::conn::{ConnHandle, FlushState, FrameAssembler, Outbound};
 use crate::error::{ServeError, ServeResult};
 use crate::protocol::{
     decode_request, encode_response, ErrorFrame, Request, Response, TelemetryReport,
@@ -58,11 +55,6 @@ use crate::protocol::{
 };
 use crate::repair;
 use crate::server::ServerShared;
-use crate::sync::LockRecover;
-
-/// Event-loop threads per server. Loops never compute, so a small fixed
-/// pool carries tens of thousands of sockets.
-pub(crate) const IO_THREADS: usize = 2;
 
 /// Hard cap on one connection's buffered outbound bytes. A peer that
 /// stops reading past it is disconnected (reads pause much earlier, at
@@ -73,7 +65,7 @@ const _: () = assert!(MAX_OUTBOUND_BYTES >= MAX_FRAME_BYTES + 4);
 
 /// Reserved token for the loop's eventfd waker.
 const WAKER_TOKEN: u64 = u64::MAX;
-/// Reserved token for the listener (loop 0 only).
+/// Reserved token for the listener.
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
 
 /// Outbound backlog at which a connection's *reads* are paused: the
@@ -90,68 +82,35 @@ const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 /// connections; level-triggered epoll re-reports whatever remains.
 const MAX_READ_BURSTS: usize = 8;
 
-/// The cross-thread face of one event loop: its waker + dirty set
-/// ([`LoopNotify`]) and the inbox loop 0 hands accepted connections
-/// through.
-pub(crate) struct LoopState {
-    /// Shared with every [`ConnHandle`] owned by this loop.
-    pub(crate) notify: Arc<LoopNotify>,
-    inbox: Mutex<Vec<TcpStream>>,
-}
-
-impl LoopState {
-    pub(crate) fn new() -> std::io::Result<LoopState> {
-        Ok(LoopState {
-            notify: Arc::new(LoopNotify::new()?),
-            inbox: Mutex::new(Vec::new()),
-        })
-    }
-
-    fn hand_off(&self, stream: TcpStream) {
-        self.inbox.lock_recover().push(stream);
-        self.notify.waker.wake();
-    }
-
-    fn take_inbox(&self, into: &mut Vec<TcpStream>) {
-        into.append(&mut self.inbox.lock_recover());
-    }
-}
-
-/// Spawns event loop `index`; loop 0 receives the listener.
+/// Spawns the event loop, which owns `listener` and every connection
+/// accepted from it.
 pub(crate) fn start_loop(
     shared: &Arc<ServerShared>,
-    index: usize,
-    listener: Option<TcpListener>,
+    listener: TcpListener,
 ) -> std::io::Result<std::thread::JoinHandle<()>> {
     let poller = Poller::new()?;
-    let state = Arc::clone(&shared.loops[index]);
-    poller.add(state.notify.waker.as_raw_fd(), WAKER_TOKEN, Interest::READ)?;
-    if let Some(listener) = &listener {
-        listener.set_nonblocking(true)?;
-        poller.add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-    }
+    poller.add(shared.notify.waker.as_raw_fd(), WAKER_TOKEN, Interest::READ)?;
+    listener.set_nonblocking(true)?;
+    poller.add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
     let shared = Arc::clone(shared);
     std::thread::Builder::new()
-        .name(format!("deepmorph-serve-io-{index}"))
+        .name("deepmorph-serve-io".into())
         .spawn(move || {
             IoLoop {
                 shared,
-                index,
-                state,
                 poller,
                 listener,
                 listener_armed: true,
                 accept_resume: None,
                 conns: Vec::new(),
                 free: Vec::new(),
-                rr: index,
                 scratch: vec![0u8; 64 * 1024],
             }
             .run();
         })
 }
 
-/// One registered connection, owned by exactly one loop.
+/// One registered connection.
 struct Conn {
     /// Shared with the connection's [`Outbound`], which producers write
     /// through.
@@ -171,18 +130,14 @@ struct Conn {
 
 struct IoLoop {
     shared: Arc<ServerShared>,
-    index: usize,
-    state: Arc<LoopState>,
     poller: Poller,
-    listener: Option<TcpListener>,
+    listener: TcpListener,
     listener_armed: bool,
     /// When to re-arm a disarmed listener (accept backoff).
     accept_resume: Option<Instant>,
     /// Slab of connections; the vector index is the epoll token.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    /// Round-robin cursor for dealing accepted connections to loops.
-    rr: usize,
     scratch: Vec<u8>,
 }
 
@@ -190,7 +145,6 @@ impl IoLoop {
     fn run(mut self) {
         let mut events = Events::with_capacity(1024);
         let mut dirty: Vec<u64> = Vec::new();
-        let mut adopted: Vec<TcpStream> = Vec::new();
         loop {
             let timeout = self
                 .accept_resume
@@ -214,16 +168,12 @@ impl IoLoop {
             }
             for event in events.iter() {
                 match event.token {
-                    WAKER_TOKEN => self.state.notify.waker.drain(),
+                    WAKER_TOKEN => self.shared.notify.waker.drain(),
                     LISTENER_TOKEN => self.accept_ready(),
                     token => self.conn_event(token as usize, event),
                 }
             }
-            self.state.take_inbox(&mut adopted);
-            for stream in adopted.drain(..) {
-                self.register(stream);
-            }
-            self.state.notify.take_dirty(&mut dirty);
+            self.shared.notify.take_dirty(&mut dirty);
             for token in dirty.drain(..) {
                 self.flush(token as usize);
             }
@@ -231,16 +181,13 @@ impl IoLoop {
         self.teardown();
     }
 
-    // ----- accept path (loop 0) -------------------------------------
+    // ----- accept path ----------------------------------------------
 
     fn accept_ready(&mut self) {
         let telemetry = deepmorph_telemetry::armed();
         loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
             let accept_started = telemetry.as_ref().map(|_| Instant::now());
-            match listener.accept() {
+            match self.listener.accept() {
                 Ok((stream, _)) => {
                     let stats = &self.shared.stats;
                     if stats.conns_active.load(Ordering::Relaxed)
@@ -255,13 +202,7 @@ impl IoLoop {
                     }
                     stats.conns_active.fetch_add(1, Ordering::Relaxed);
                     stats.conns_accepted.fetch_add(1, Ordering::Relaxed);
-                    let target = self.rr % self.shared.loops.len();
-                    self.rr = self.rr.wrapping_add(1);
-                    if target == self.index {
-                        self.register(stream);
-                    } else {
-                        self.shared.loops[target].hand_off(stream);
-                    }
+                    self.register(stream);
                     if let (Some(t), Some(at)) = (&telemetry, accept_started) {
                         t.record_stage(Stage::Accept, at.elapsed().as_micros() as u64);
                     }
@@ -291,29 +232,27 @@ impl IoLoop {
     }
 
     fn disarm_listener(&mut self, backoff: Duration) {
-        if let Some(listener) = &self.listener {
-            if self.listener_armed {
-                let _ = self.poller.delete(listener.as_raw_fd());
-                self.listener_armed = false;
-            }
-            self.accept_resume = Some(Instant::now() + backoff);
+        if self.listener_armed {
+            let _ = self.poller.delete(self.listener.as_raw_fd());
+            self.listener_armed = false;
         }
+        self.accept_resume = Some(Instant::now() + backoff);
     }
 
     fn rearm_listener(&mut self) {
         self.accept_resume = None;
-        if let Some(listener) = &self.listener {
-            if !self.listener_armed
-                && self
-                    .poller
-                    .add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
-                    .is_ok()
-            {
-                self.listener_armed = true;
-            } else if !self.listener_armed {
-                // Could not re-register; try again after another beat.
-                self.accept_resume = Some(Instant::now() + FD_EXHAUSTED_BACKOFF);
-            }
+        if self.listener_armed {
+            return;
+        }
+        if self
+            .poller
+            .add(self.listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
+            .is_ok()
+        {
+            self.listener_armed = true;
+        } else {
+            // Could not re-register; try again after another beat.
+            self.accept_resume = Some(Instant::now() + FD_EXHAUSTED_BACKOFF);
         }
     }
 
@@ -482,7 +421,7 @@ impl IoLoop {
     fn handle_for(&self, token: usize) -> Option<ConnHandle> {
         self.conns.get(token)?.as_ref().map(|conn| ConnHandle {
             outbound: Arc::clone(&conn.outbound),
-            notify: Arc::clone(&self.state.notify),
+            notify: Arc::clone(&self.shared.notify),
             token: token as u64,
         })
     }
@@ -561,15 +500,6 @@ impl IoLoop {
                 stats.conns_active.fetch_sub(1, Ordering::Relaxed);
             }
         }
-        // Connections handed off after this loop last drained its inbox
-        // were already counted as admitted by loop 0.
-        let mut leftovers = Vec::new();
-        self.state.take_inbox(&mut leftovers);
-        for stream in leftovers {
-            stats.conns_closed.fetch_add(1, Ordering::Relaxed);
-            stats.conns_active.fetch_sub(1, Ordering::Relaxed);
-            drop(stream);
-        }
     }
 }
 
@@ -611,7 +541,7 @@ pub(crate) fn send_error(stats: &ServeStats, handle: &ConnHandle, id: u64, error
 /// Answers one decoded request. Cheap requests inline on the loop;
 /// predicts go to the scheduler; slow administrative work (diagnose /
 /// repair / rollback may retrain for minutes) runs on an admin thread
-/// so the loop keeps serving its other connections.
+/// so the loop keeps serving every other connection.
 fn handle_request(
     shared: &Arc<ServerShared>,
     handle: &ConnHandle,

@@ -31,7 +31,7 @@
 //!   rows are computed independently — pinned by tests at the GEMM,
 //!   graph, scheduler, and protocol levels).
 //! * [`server`] / [`client`] — the TCP endpoints. The server is
-//!   readiness-driven: a fixed pool of epoll event-loop threads
+//!   readiness-driven: one epoll event-loop thread
 //!   (`deepmorph-net`, raw syscall bindings — no async runtime) holds
 //!   every connection and assembles frames incrementally ([`conn`]), so
 //!   one process carries tens of thousands of mostly idle sockets on a

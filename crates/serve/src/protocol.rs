@@ -25,7 +25,8 @@
 //! kind with the high bit set, and `0x7F` is the error frame.
 
 use deepmorph_telemetry::{
-    HistogramSnapshot, KernelTiming, TelemetrySnapshot, Trace, NUM_BUCKETS, STAGE_COUNT,
+    HistogramSnapshot, KernelTiming, TelemetrySnapshot, Trace, MAX_KERNEL_SHAPES, NUM_BUCKETS,
+    STAGE_COUNT,
 };
 use deepmorph_tensor::io::{
     open_container, read_tensor, seal_container, write_tensor, ByteReader, ByteWriter, CodecError,
@@ -332,7 +333,7 @@ pub struct StatsSnapshot {
     pub rollbacks: u64,
     /// Connections rejected because the connection cap was reached.
     pub conn_rejections: u64,
-    /// Connections currently registered with the event loops (a gauge,
+    /// Connections currently registered with the event loop (a gauge,
     /// not a monotonic counter).
     pub active_connections: u64,
     /// Connections admitted past the cap check since start.
@@ -644,15 +645,21 @@ fn read_telemetry_payload(r: &mut ByteReader<'_>) -> CodecResult<TelemetryReport
         }
         slowest.push(trace);
     }
+    // Each kernel entry also decodes to a dense 8 KiB: keep the first
+    // `MAX_KERNEL_SHAPES` (all a registry ever tracks), read and drop
+    // the rest.
     let kernel_count = r.get_len("telemetry kernel count")?;
     let mut kernels = Vec::with_capacity(kernel_count.min(64));
     for _ in 0..kernel_count {
-        kernels.push(KernelTiming {
+        let kernel = KernelTiming {
             m: r.get_u64("telemetry kernel m")?,
             k: r.get_u64("telemetry kernel k")?,
             n: r.get_u64("telemetry kernel n")?,
             nanos: read_histogram(r)?,
-        });
+        };
+        if kernels.len() < MAX_KERNEL_SHAPES {
+            kernels.push(kernel);
+        }
     }
     Ok(TelemetryReport {
         stats: stats_from_values(&counters),
@@ -1241,6 +1248,38 @@ mod tests {
         let t = decode_telemetry_payload(TELEMETRY_PAYLOAD_VERSION, &payload);
         assert_eq!(t.snapshot.stages.len(), STAGE_COUNT);
         assert!(t.snapshot.stages.iter().all(|h| h.count() == 0));
+    }
+
+    /// Same for kernels: an empty entry is 40 bytes on the wire, so a
+    /// legal frame could otherwise claim gigabytes of dense histograms.
+    /// The decoder keeps the first `MAX_KERNEL_SHAPES`, in the peer's
+    /// order.
+    #[test]
+    fn telemetry_kernel_list_is_bounded() {
+        const CLAIMED: usize = MAX_KERNEL_SHAPES + 1000;
+        let mut payload = ByteWriter::new();
+        payload.put_u64(0); // counters
+        payload.put_u8(1); // armed
+        write_histogram(&mut payload, &HistogramSnapshot::default());
+        payload.put_u64(0); // stages
+        payload.put_u64(0); // versions
+        payload.put_u64(0); // traces
+        payload.put_u64(CLAIMED as u64);
+        for m in 0..CLAIMED as u64 {
+            // m, k, n, then an empty histogram.
+            for word in [m, 1, 1, NUM_BUCKETS as u64, 0] {
+                payload.put_u64(word);
+            }
+        }
+
+        let kernels = decode_telemetry_payload(TELEMETRY_PAYLOAD_VERSION, &payload)
+            .snapshot
+            .kernels;
+        assert_eq!(kernels.len(), MAX_KERNEL_SHAPES);
+        assert!(
+            kernels.iter().zip(0..).all(|(kernel, m)| kernel.m == m),
+            "the first entries, in the peer's order"
+        );
     }
 
     /// The flip side of forward compat: the telemetry payload opens

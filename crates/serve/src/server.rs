@@ -1,11 +1,11 @@
 //! The TCP inference server.
 //!
-//! A fixed pool of readiness-driven event-loop threads
-//! (`crate::event_loop`) holds every connection; predicts are handed
-//! to the [`Scheduler`]'s workers, which write their responses straight
-//! to the connection's socket (through the owning loop's per-connection
-//! outbound buffer only when the socket is backed up). The thread count
-//! is a function of configuration, never of connection count.
+//! One readiness-driven event-loop thread (`crate::event_loop`) owns
+//! the listener and holds every connection; predicts are handed to the
+//! [`Scheduler`]'s workers, which write their responses straight to the
+//! connection's socket (through the loop's per-connection outbound
+//! buffer only when the socket is backed up). The thread count is a
+//! function of configuration, never of connection count.
 //!
 //! Failure policy: **the server never dies on client input.** A frame
 //! that fails to decode is answered with a typed error frame; a stream
@@ -23,8 +23,9 @@ use deepmorph::pipeline::DeepMorphConfig;
 use crate::admin::AdminPool;
 use crate::batch::{BatchConfig, Scheduler, ServeStats};
 use crate::cases::LiveCases;
+use crate::conn::LoopNotify;
 use crate::error::{ServeError, ServeResult};
-use crate::event_loop::{start_loop, LoopState, IO_THREADS};
+use crate::event_loop::start_loop;
 use crate::registry::ModelRegistry;
 use crate::repair::RepairState;
 
@@ -82,9 +83,9 @@ pub(crate) struct ServerShared {
     pub(crate) repair: RepairState,
     pub(crate) max_connections: usize,
     pub(crate) shutdown: AtomicBool,
-    /// The event loops' cross-thread faces (wakers, dirty sets, accept
-    /// inboxes), indexed by loop.
-    pub(crate) loops: Vec<Arc<LoopState>>,
+    /// The event loop's cross-thread face: its waker and the dirty set
+    /// producers mark connections with a backlog in.
+    pub(crate) notify: Arc<LoopNotify>,
     /// The diagnose/repair/rollback executor threads, reused across
     /// calls and joined at shutdown.
     pub(crate) admin: AdminPool,
@@ -94,8 +95,8 @@ pub(crate) struct ServerShared {
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<ServerShared>,
-    io_threads: Vec<std::thread::JoinHandle<()>>,
-    stopped: bool,
+    /// The event loop's thread; taken (and joined) by the first stop.
+    io_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Server {
@@ -103,13 +104,12 @@ impl std::fmt::Debug for Server {
         f.debug_struct("Server")
             .field("local_addr", &self.local_addr)
             .field("models", &self.shared.registry.len())
-            .field("io_threads", &self.io_threads.len())
             .finish()
     }
 }
 
 impl Server {
-    /// Binds, spawns the scheduler workers and the I/O event loops, and
+    /// Binds, spawns the scheduler workers and the I/O event loop, and
     /// returns immediately. The first start in a process also raises
     /// `RLIMIT_NOFILE` as far as the kernel allows and logs the
     /// effective cap. The registry keeps its retention policy
@@ -118,7 +118,7 @@ impl Server {
     /// # Errors
     ///
     /// Returns [`ServeError::Io`] if the address cannot be bound or the
-    /// event loops cannot be set up, and [`ServeError::BadInput`] for an
+    /// event loop cannot be set up, and [`ServeError::BadInput`] for an
     /// empty registry.
     pub fn start(registry: ModelRegistry, config: ServerConfig) -> ServeResult<Server> {
         if registry.is_empty() {
@@ -128,7 +128,7 @@ impl Server {
         }
         // Once per process: a connection storm needs fds, and the
         // default soft limit (often 1024) dies at a fraction of what
-        // the event loops can hold.
+        // the event loop can hold.
         static NOFILE: Once = Once::new();
         NOFILE.call_once(|| match deepmorph_net::raise_nofile_limit(NOFILE_TARGET) {
             Ok(cap) => eprintln!("deepmorph-serve: RLIMIT_NOFILE effective soft limit = {cap}"),
@@ -158,9 +158,6 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let _ = deepmorph_net::boost_listen_backlog(&listener, LISTEN_BACKLOG);
         let local_addr = listener.local_addr()?;
-        let loops = (0..IO_THREADS)
-            .map(|_| LoopState::new().map(Arc::new))
-            .collect::<std::io::Result<Vec<_>>>()?;
         let shared = Arc::new(ServerShared {
             registry,
             stats,
@@ -170,29 +167,16 @@ impl Server {
             repair,
             max_connections: config.max_connections.max(1),
             shutdown: AtomicBool::new(false),
-            loops,
+            notify: Arc::new(LoopNotify::new()?),
             admin: AdminPool::default(),
         });
-        let mut io_threads = Vec::with_capacity(shared.loops.len());
-        let mut listener = Some(listener);
-        for index in 0..shared.loops.len() {
-            let handle = start_loop(&shared, index, listener.take()).map_err(|e| {
-                // Unblock and unwind whatever already started.
-                shared.shutdown.store(true, Ordering::Release);
-                for state in &shared.loops {
-                    state.notify.waker.wake();
-                }
-                ServeError::Io {
-                    message: format!("cannot start event loop {index}: {e}"),
-                }
-            })?;
-            io_threads.push(handle);
-        }
+        let io_thread = start_loop(&shared, listener).map_err(|e| ServeError::Io {
+            message: format!("cannot start the event loop: {e}"),
+        })?;
         Ok(Server {
             local_addr,
             shared,
-            io_threads,
-            stopped: false,
+            io_thread: Some(io_thread),
         })
     }
 
@@ -213,17 +197,12 @@ impl Server {
     }
 
     fn stop(&mut self) {
-        if self.stopped {
+        let Some(io_thread) = self.io_thread.take() else {
             return;
-        }
-        self.stopped = true;
+        };
         self.shared.shutdown.store(true, Ordering::Release);
-        for state in &self.shared.loops {
-            state.notify.waker.wake();
-        }
-        for handle in self.io_threads.drain(..) {
-            let _ = handle.join();
-        }
+        self.shared.notify.waker.wake();
+        let _ = io_thread.join();
         self.shared.admin.shutdown();
         self.shared.scheduler.shutdown();
     }

@@ -363,7 +363,8 @@ fn tcp_batched_responses_equal_solo_responses_bitwise() {
 /// until the server has had to buffer. Writes then come up short, the
 /// remainder waits in the outbound buffer, and the event loop flushes it
 /// as the client drains. Every frame must arrive whole and exactly once,
-/// and the connection must survive.
+/// and the connection must survive. While the backlog stands, a second
+/// connection on the same event loop must still be served.
 #[test]
 fn slow_reader_gets_every_frame_whole_and_keeps_its_connection() {
     // A wide output layer: 16 rows x 2048 classes = 128 KiB of logits
@@ -408,6 +409,25 @@ fn slow_reader_gets_every_frame_whole_and_keeps_its_connection() {
     }
 
     let mut model = wide();
+    let mut live = Client::connect_with(
+        server.local_addr(),
+        ClientConfig {
+            response_timeout: Duration::from_secs(10),
+            ..ClientConfig::default()
+        },
+    )
+    .unwrap();
+    for salt in 1000..1008 {
+        let input = rows(1, salt);
+        let reply = live.predict_full("m", &input, true, &[]).unwrap();
+        let expected = model.graph.forward_inference(&input).unwrap();
+        assert_bitwise(
+            &expected,
+            &reply.logits.unwrap(),
+            &format!("live row {salt}"),
+        );
+    }
+
     let mut seen = BTreeSet::new();
     for _ in 0..requests {
         let (id, response) = read_response(&mut raw);

@@ -44,6 +44,11 @@ const SUB_BITS: u32 = 5; // log2(SUB_BUCKETS)
 /// (≈ 19 hours when recording microseconds) saturate into the top bucket.
 pub const NUM_BUCKETS: usize = 1024;
 
+/// Most GEMM shapes a [`Telemetry`] registry tracks, and most entries a
+/// decoded kernel list keeps: at one dense [`HistogramSnapshot`] each,
+/// a kernel list never holds more than 8 MiB of buckets.
+pub const MAX_KERNEL_SHAPES: usize = 1024;
+
 /// Bucket index of `value` (saturating at the top bucket).
 pub fn bucket_index(value: u64) -> usize {
     if value < SUB_BUCKETS {
@@ -352,16 +357,21 @@ impl Telemetry {
         self.slow.offer(trace);
     }
 
-    fn kernel(&self, m: u64, k: u64, n: u64) -> Arc<KernelStats> {
+    /// The stats of GEMM shape `(m, k, n)`, or `None` for a shape first
+    /// seen after [`MAX_KERNEL_SHAPES`] others.
+    fn kernel(&self, m: u64, k: u64, n: u64) -> Option<Arc<KernelStats>> {
         {
             let kernels = self.kernels.read().unwrap_or_else(PoisonError::into_inner);
             if let Some(s) = kernels.iter().find(|s| s.m == m && s.k == k && s.n == n) {
-                return Arc::clone(s);
+                return Some(Arc::clone(s));
             }
         }
         let mut kernels = self.kernels.write().unwrap_or_else(PoisonError::into_inner);
         if let Some(s) = kernels.iter().find(|s| s.m == m && s.k == k && s.n == n) {
-            return Arc::clone(s);
+            return Some(Arc::clone(s));
+        }
+        if kernels.len() >= MAX_KERNEL_SHAPES {
+            return None;
         }
         let s = Arc::new(KernelStats {
             m,
@@ -370,7 +380,7 @@ impl Telemetry {
             nanos: LogHistogram::new(),
         });
         kernels.push(Arc::clone(&s));
-        s
+        Some(s)
     }
 
     /// A point-in-time copy of everything this registry has aggregated.
@@ -408,7 +418,8 @@ pub struct TelemetrySnapshot {
     /// The slowest retained request traces, slowest first.
     pub slowest: Vec<Trace>,
     /// Env-gated per-GEMM-shape timings (empty unless
-    /// `DEEPMORPH_KERNEL_TIMING` was set while armed).
+    /// `DEEPMORPH_KERNEL_TIMING` was set while armed), at most
+    /// [`MAX_KERNEL_SHAPES`] of them, in first-seen order.
     pub kernels: Vec<KernelTiming>,
 }
 
@@ -562,10 +573,9 @@ pub struct KernelTimer {
 impl Drop for KernelTimer {
     fn drop(&mut self) {
         let nanos = self.start.elapsed().as_nanos() as u64;
-        self.telemetry
-            .kernel(self.m, self.k, self.n)
-            .nanos
-            .record(nanos);
+        if let Some(stats) = self.telemetry.kernel(self.m, self.k, self.n) {
+            stats.nanos.record(nanos);
+        }
     }
 }
 
@@ -685,6 +695,22 @@ mod tests {
             vec![5, 2, 4],
             "slowest three, slowest first"
         );
+    }
+
+    #[test]
+    fn kernel_shapes_stop_at_the_cap() {
+        let telemetry = Telemetry::new(TelemetryConfig::default());
+        for m in 0..MAX_KERNEL_SHAPES as u64 {
+            assert!(telemetry.kernel(m, 1, 1).is_some());
+        }
+        assert!(
+            telemetry.kernel(u64::MAX, 1, 1).is_none(),
+            "a new shape past the cap"
+        );
+        telemetry.kernel(7, 1, 1).unwrap().nanos.record(250);
+        let kernels = telemetry.snapshot().kernels;
+        assert_eq!(kernels.len(), MAX_KERNEL_SHAPES);
+        assert_eq!(kernels[7].nanos.count(), 1, "a known shape keeps recording");
     }
 
     #[test]

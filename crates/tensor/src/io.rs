@@ -24,7 +24,6 @@
 //! here so every format shares the same truncation and checksum handling.
 
 use std::fmt;
-use std::path::Path;
 
 use crate::shape::MAX_RANK;
 use crate::Tensor;
@@ -32,7 +31,7 @@ use crate::Tensor;
 /// Current container format version.
 pub const CODEC_VERSION: u16 = 1;
 
-/// Magic tag of a bare tensor file written by [`save_tensor`].
+/// Magic tag of a bare tensor container written by [`encode_tensor`].
 pub const TENSOR_MAGIC: [u8; 4] = *b"DMTN";
 
 /// Errors produced by the binary codec.
@@ -457,27 +456,6 @@ pub fn decode_tensor(bytes: &[u8]) -> CodecResult<Tensor> {
     Ok(t)
 }
 
-/// Writes a tensor to a file via [`encode_tensor`].
-///
-/// # Errors
-///
-/// Returns [`CodecError::Io`] on filesystem failures.
-pub fn save_tensor(path: impl AsRef<Path>, t: &Tensor) -> CodecResult<()> {
-    std::fs::write(path, encode_tensor(t))?;
-    Ok(())
-}
-
-/// Reads a tensor file written by [`save_tensor`].
-///
-/// # Errors
-///
-/// Returns [`CodecError::Io`] on filesystem failures and codec errors for
-/// malformed content.
-pub fn load_tensor(path: impl AsRef<Path>) -> CodecResult<Tensor> {
-    let bytes = std::fs::read(path)?;
-    decode_tensor(&bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,21 +563,6 @@ mod tests {
         assert!(matches!(
             decode_tensor(&bytes).unwrap_err(),
             CodecError::Truncated { .. }
-        ));
-    }
-
-    #[test]
-    fn file_round_trip() {
-        // Unit tests have no CARGO_TARGET_TMPDIR; the OS temp dir is fine.
-        let dir = std::env::temp_dir().join("deepmorph-tensor-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.dmtn");
-        let t = sample();
-        save_tensor(&path, &t).unwrap();
-        assert_eq!(load_tensor(&path).unwrap(), t);
-        assert!(matches!(
-            load_tensor(dir.join("missing.dmtn")).unwrap_err(),
-            CodecError::Io { .. }
         ));
     }
 

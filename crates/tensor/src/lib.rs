@@ -18,7 +18,7 @@
 //!   conv/matmul hot loop allocation-free after warm-up.
 //! * [`init`] — deterministic weight initialization (uniform, normal,
 //!   Xavier/Glorot, He).
-//! * [`io`] — the versioned, checksummed binary codec (tensor save/load
+//! * [`io`] — the versioned, checksummed binary codec (tensor encode/decode
 //!   plus the byte primitives the higher-layer artifact formats build on).
 //! * [`stats`] — distribution/geometry helpers (entropy, KL/JS divergence,
 //!   cosine similarity) that the DeepMorph footprint analysis relies on.

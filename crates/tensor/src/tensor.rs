@@ -595,21 +595,6 @@ impl Tensor {
         Ok(out)
     }
 
-    /// Row sums of a rank-2 tensor, returned as shape `[rows]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-matrices.
-    pub fn sum_axis1(&self) -> Result<Tensor> {
-        self.expect_rank(2, "sum_axis1")?;
-        let (rows, cols) = (self.shape()[0], self.shape()[1]);
-        let mut out = workspace::tensor_raw(&[rows]);
-        for r in 0..rows {
-            out.data[r] = self.data[r * cols..(r + 1) * cols].iter().sum();
-        }
-        Ok(out)
-    }
-
     /// Adds a `[cols]` bias vector to every row of a `[rows, cols]` matrix.
     ///
     /// # Errors
@@ -910,7 +895,6 @@ mod tests {
         assert!(close(t.min(), -2.0));
         assert!(close(t.norm_sq(), 14.0));
         assert_eq!(t.sum_axis0().unwrap().data(), &[4.0, -2.0]);
-        assert_eq!(t.sum_axis1().unwrap().data(), &[-1.0, 3.0]);
     }
 
     #[test]
