@@ -3,7 +3,7 @@
 //!
 //! The `*_serial` vs `*_parallel` pairs compare the scalar reference GEMM
 //! with fan-out pinned off against the default `ComputeCtx` dispatch
-//! (threaded under the `parallel` feature); `scripts/record_baseline.sh`
+//! (threaded unless `DEEPMORPH_THREADS=1`); `scripts/record_baseline.sh`
 //! captures their ratio into `BENCH_baseline.json`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};

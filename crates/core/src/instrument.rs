@@ -187,13 +187,16 @@ impl InstrumentedModel {
         let batch_size = PROBE_BATCH;
         let feature_mats = extract_probe_features(&mut model, &sub_images, batch_size)?;
 
-        let probes = fit_probes(
-            model.probes.clone(),
-            &feature_mats,
-            &sub_labels,
-            num_classes,
-            config,
-        )?;
+        // Each probe derives its own RNG stream from its label and trains
+        // on its own feature matrix, so probes are independent: they train
+        // on worker threads when more than one is available, one result
+        // slot per probe, in order — the serial loop's output exactly.
+        let probes = deepmorph_parallel::par_map(model.probes.len(), |i| {
+            let point = model.probes[i].clone();
+            fit_probe(point, &feature_mats[i], &sub_labels, num_classes, config)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?;
         Ok(InstrumentedModel {
             model,
             probes,
@@ -324,39 +327,6 @@ fn extract_probe_features(
             let refs: Vec<&Tensor> = chunks.iter().collect();
             Tensor::concat_rows(&refs).map_err(Into::into)
         })
-        .collect()
-}
-
-/// Fits every probe. Each probe derives its own RNG stream from its label
-/// and trains on its own feature matrix, so probes are fully independent:
-/// with the `parallel` feature they train on worker threads (one result
-/// slot per probe, order preserved — output is identical to the serial
-/// loop).
-fn fit_probes(
-    points: Vec<ProbePoint>,
-    feature_mats: &[Tensor],
-    labels: &[usize],
-    num_classes: usize,
-    config: &ProbeTrainingConfig,
-) -> Result<Vec<TrainedProbe>> {
-    #[cfg(feature = "parallel")]
-    if points.len() > 1 && deepmorph_parallel::max_threads() > 1 {
-        return deepmorph_parallel::par_map(points.len(), |i| {
-            fit_probe(
-                points[i].clone(),
-                &feature_mats[i],
-                labels,
-                num_classes,
-                config,
-            )
-        })
-        .into_iter()
-        .collect();
-    }
-    points
-        .into_iter()
-        .zip(feature_mats)
-        .map(|(point, feats)| fit_probe(point, feats, labels, num_classes, config))
         .collect()
 }
 

@@ -304,10 +304,7 @@ impl SweepRunner {
             }
         };
 
-        #[cfg(feature = "parallel")]
         let cells = deepmorph_parallel::par_map(plan.cells.len(), run_cell);
-        #[cfg(not(feature = "parallel"))]
-        let cells = (0..plan.cells.len()).map(run_cell).collect();
 
         SweepReport {
             cells,

@@ -578,6 +578,23 @@ mod tests {
     }
 
     #[test]
+    fn thread_count_follows_deepmorph_threads() {
+        // `DEEPMORPH_THREADS=1` is the serial reference run. A value that
+        // does not parse would silently fall back to every core and run
+        // the parallel path instead, so it fails here.
+        match std::env::var("DEEPMORPH_THREADS") {
+            Ok(v) => {
+                let n: usize = v
+                    .trim()
+                    .parse()
+                    .unwrap_or_else(|e| panic!("DEEPMORPH_THREADS={v:?} does not parse: {e}"));
+                assert_eq!(max_threads(), n.max(1));
+            }
+            Err(_) => assert!(max_threads() >= 1),
+        }
+    }
+
+    #[test]
     fn many_small_batches_complete() {
         for round in 0..200 {
             let mut data = vec![round as u64; 64];

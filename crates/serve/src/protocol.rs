@@ -526,12 +526,15 @@ fn write_histogram(w: &mut ByteWriter, hist: &HistogramSnapshot) {
     }
 }
 
-fn read_histogram(r: &mut ByteReader<'_>) -> CodecResult<HistogramSnapshot> {
+/// Reads one sparse histogram. A kept entry (`keep`) decodes to a dense
+/// 8 KiB snapshot; a dropped one gets the same checks but builds
+/// nothing, so skipping costs only the bytes present.
+fn read_histogram(r: &mut ByteReader<'_>, keep: bool) -> CodecResult<Option<HistogramSnapshot>> {
     // The sender's bucket count is informational: a peer with a larger
     // layout folds out-of-range indices into our top (saturation) bucket.
     let _sender_buckets = r.get_u64("histogram buckets")?;
     let nonzero = r.get_len("histogram nonzero")?;
-    let mut snapshot = HistogramSnapshot::default();
+    let mut snapshot = keep.then(HistogramSnapshot::default);
     // Bounding the total bounds every bucket, and every later
     // `count`/`quantile` over the decoded snapshot.
     let mut total = 0u64;
@@ -543,7 +546,9 @@ fn read_histogram(r: &mut ByteReader<'_>) -> CodecResult<HistogramSnapshot> {
             .ok_or_else(|| CodecError::Invalid {
                 context: "histogram counts overflow u64".into(),
             })?;
-        snapshot.buckets[index] += count;
+        if let Some(snapshot) = &mut snapshot {
+            snapshot.buckets[index] += count;
+        }
     }
     Ok(snapshot)
 }
@@ -597,17 +602,14 @@ fn read_telemetry_payload(r: &mut ByteReader<'_>) -> CodecResult<TelemetryReport
         }
     }
     let armed = r.get_u8("telemetry armed")? != 0;
-    let request_us = read_histogram(r)?;
+    let request_us = read_histogram(r, true)?.unwrap_or_default();
     // Consumers index stages by `Stage`: keep our fixed set, read and
     // drop the rest (an empty histogram is 16 bytes on the wire but a
     // dense 8 KiB decoded), and pad a short (older) sender.
     let stage_count = r.get_len("telemetry stage count")?;
     let mut stages = Vec::with_capacity(STAGE_COUNT);
     for slot in 0..stage_count {
-        let hist = read_histogram(r)?;
-        if slot < STAGE_COUNT {
-            stages.push(hist);
-        }
+        stages.extend(read_histogram(r, slot < STAGE_COUNT)?);
     }
     stages.resize_with(STAGE_COUNT, HistogramSnapshot::default);
     let version_count = r.get_len("telemetry version count")?;
@@ -651,14 +653,11 @@ fn read_telemetry_payload(r: &mut ByteReader<'_>) -> CodecResult<TelemetryReport
     let kernel_count = r.get_len("telemetry kernel count")?;
     let mut kernels = Vec::with_capacity(kernel_count.min(64));
     for _ in 0..kernel_count {
-        let kernel = KernelTiming {
-            m: r.get_u64("telemetry kernel m")?,
-            k: r.get_u64("telemetry kernel k")?,
-            n: r.get_u64("telemetry kernel n")?,
-            nanos: read_histogram(r)?,
-        };
-        if kernels.len() < MAX_KERNEL_SHAPES {
-            kernels.push(kernel);
+        let m = r.get_u64("telemetry kernel m")?;
+        let k = r.get_u64("telemetry kernel k")?;
+        let n = r.get_u64("telemetry kernel n")?;
+        if let Some(nanos) = read_histogram(r, kernels.len() < MAX_KERNEL_SHAPES)? {
+            kernels.push(KernelTiming { m, k, n, nanos });
         }
     }
     Ok(TelemetryReport {
@@ -957,11 +956,11 @@ mod tests {
         &wire[4..]
     }
 
-    #[test]
-    fn requests_round_trip() {
+    /// One request of every kind.
+    fn request_cases() -> Vec<Request> {
         let rows =
             Tensor::from_vec((0..8).map(|v| v as f32 * 0.5).collect(), &[2, 1, 2, 2]).unwrap();
-        let cases = [
+        vec![
             Request::Ping,
             Request::ListModels,
             Request::Predict(PredictRequest {
@@ -984,8 +983,12 @@ mod tests {
                 model: "lenet".into(),
             },
             Request::Telemetry,
-        ];
-        for (i, request) in cases.iter().enumerate() {
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        for (i, request) in request_cases().iter().enumerate() {
             let wire = encode_request(i as u64 + 10, request);
             let (id, back) = decode_request(strip_prefix(&wire)).unwrap();
             assert_eq!(id, i as u64 + 10);
@@ -993,10 +996,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn responses_round_trip() {
+    /// One response of every kind, with an empty and a populated
+    /// Telemetry report.
+    fn response_cases() -> Vec<Response> {
         let logits = Tensor::from_vec(vec![0.25, -1.5, f32::NEG_INFINITY, 3.0], &[2, 2]).unwrap();
-        let cases = [
+        vec![
             Response::Pong { models: 2 },
             Response::Models(vec![ModelInfo {
                 name: "lenet".into(),
@@ -1053,8 +1057,14 @@ mod tests {
                 code: ErrorCode::Expired,
                 message: "deadline expired before compute".into(),
             }),
-        ];
-        for (i, response) in cases.iter().enumerate() {
+            Response::Telemetry(TelemetryReport::default()),
+            Response::Telemetry(populated_report()),
+        ]
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for (i, response) in response_cases().iter().enumerate() {
             let wire = encode_response(i as u64, response);
             let (id, back) = decode_response(strip_prefix(&wire)).unwrap();
             assert_eq!(id, i as u64);
@@ -1092,6 +1102,38 @@ mod tests {
         ));
     }
 
+    proptest::proptest! {
+        /// Corrupted bodies never panic the decoders: a valid frame of
+        /// every request and response kind, with up to 16 body bytes
+        /// overwritten at arbitrary offsets and optionally cut short, is
+        /// resealed so the checksum passes; both decoders then return a
+        /// value or a typed `CodecError`.
+        #[test]
+        fn corrupted_bodies_never_panic_the_decoders(
+            pick in 0usize..1 << 20,
+            edits in proptest::collection::vec((0usize..1 << 20, 0u8..=255), 0..17),
+            cut in proptest::collection::vec(0usize..1 << 20, 0..2),
+        ) {
+            let (requests, responses) = (request_cases(), response_cases());
+            let pick = pick % (requests.len() + responses.len());
+            let wire = match requests.get(pick) {
+                Some(request) => encode_request(7, request),
+                None => encode_response(7, &responses[pick - requests.len()]),
+            };
+            let mut body = open_container(FRAME_MAGIC, strip_prefix(&wire)).unwrap().to_vec();
+            for (offset, byte) in edits {
+                let at = offset % body.len();
+                body[at] = byte;
+            }
+            if let Some(len) = cut.first() {
+                body.truncate(len % body.len());
+            }
+            let frame = seal_container(FRAME_MAGIC, &body);
+            let _ = decode_request(&frame);
+            let _ = decode_response(&frame);
+        }
+    }
+
     #[test]
     fn trailing_bytes_are_rejected() {
         let mut w = ByteWriter::new();
@@ -1117,6 +1159,13 @@ mod tests {
             total_us: 90_000,
             stages: [1, 2, 40, 3, 85_000, 9],
         });
+        let mut snapshot = telemetry.snapshot();
+        snapshot.kernels.push(KernelTiming {
+            m: 32,
+            k: 400,
+            n: 120,
+            nanos: snapshot.request_us.clone(),
+        });
         TelemetryReport {
             stats: StatsSnapshot {
                 requests: 13,
@@ -1125,7 +1174,7 @@ mod tests {
                 ..StatsSnapshot::default()
             },
             armed: true,
-            snapshot: telemetry.snapshot(),
+            snapshot,
             versions: vec![VersionTraffic {
                 fingerprint: "ef".repeat(16),
                 requests: 11,
@@ -1134,19 +1183,6 @@ mod tests {
                 labeled: 8,
                 misclassified: 3,
             }],
-        }
-    }
-
-    #[test]
-    fn telemetry_round_trips() {
-        for (i, report) in [TelemetryReport::default(), populated_report()]
-            .into_iter()
-            .enumerate()
-        {
-            let wire = encode_response(40 + i as u64, &Response::Telemetry(report.clone()));
-            let (id, back) = decode_response(strip_prefix(&wire)).unwrap();
-            assert_eq!(id, 40 + i as u64);
-            assert_eq!(back, Response::Telemetry(report));
         }
     }
 
@@ -1316,28 +1352,59 @@ mod tests {
 
     /// Histogram counts come from the peer: whether they pile into one
     /// bucket or spread over two, a total past `u64::MAX` is a typed
-    /// error, not a debug-build panic or a release-build wrap.
+    /// error, not a debug-build panic or a release-build wrap — also in
+    /// a stage or kernel entry the decoder reads only to drop.
     #[test]
     fn overflowing_histogram_counts_are_typed() {
-        let decode = |entries: [(u64, u64); 2]| {
-            let mut w = ByteWriter::new();
+        let write = |w: &mut ByteWriter, entries: &[(u64, u64)]| {
             w.put_u64(NUM_BUCKETS as u64);
             w.put_u64(entries.len() as u64);
-            for (index, count) in entries {
+            for &(index, count) in entries {
                 w.put_u64(index);
                 w.put_u64(count);
             }
-            read_histogram(&mut ByteReader::new(w.as_slice()))
+        };
+        // A payload of `stages` stage and `kernels` kernel entries whose
+        // last histogram holds `entries`; every other one is empty.
+        let payload = |entries: &[(u64, u64)], stages: usize, kernels: usize| {
+            let mut left = 1 + stages + kernels;
+            let mut histogram = |w: &mut ByteWriter| {
+                left -= 1;
+                write(w, if left == 0 { entries } else { &[] });
+            };
+            let mut w = ByteWriter::new();
+            w.put_u64(0); // counters
+            w.put_u8(1); // armed
+            histogram(&mut w);
+            w.put_u64(stages as u64);
+            for _ in 0..stages {
+                histogram(&mut w);
+            }
+            w.put_u64(0); // versions
+            w.put_u64(0); // traces
+            w.put_u64(kernels as u64);
+            for _ in 0..kernels {
+                for dim in [1, 1, 1] {
+                    w.put_u64(dim);
+                }
+                histogram(&mut w);
+            }
+            w
         };
         for entries in [[(5, u64::MAX), (5, u64::MAX)], [(5, u64::MAX), (6, 1)]] {
-            let err = decode(entries).unwrap_err();
-            assert!(
-                matches!(&err, CodecError::Invalid { context } if context.contains("overflow")),
-                "{entries:?}: {err:?}"
-            );
+            // The kept request histogram, a dropped stage, a dropped kernel.
+            for (stages, kernels) in [(0, 0), (STAGE_COUNT + 1, 0), (0, MAX_KERNEL_SHAPES + 1)] {
+                let w = payload(&entries, stages, kernels);
+                let err = read_telemetry_payload(&mut ByteReader::new(w.as_slice())).unwrap_err();
+                assert!(
+                    matches!(&err, CodecError::Invalid { context } if context.contains("overflow")),
+                    "{entries:?} in {stages} stages, {kernels} kernels: {err:?}"
+                );
+            }
         }
         // A total of exactly `u64::MAX` still decodes.
-        let at_max = decode([(5, u64::MAX - 1), (6, 1)]).unwrap();
-        assert_eq!(at_max.count(), u64::MAX);
+        let w = payload(&[(5, u64::MAX - 1), (6, 1)], 0, 0);
+        let t = read_telemetry_payload(&mut ByteReader::new(w.as_slice())).unwrap();
+        assert_eq!(t.snapshot.request_us.count(), u64::MAX);
     }
 }

@@ -121,11 +121,9 @@ impl GemmSpec {
     }
 
     /// Returns the spec with the fan-out hint sized by the product: on
-    /// when the `parallel` feature is active and the multiply-accumulate
-    /// count clears the dispatch-cost grain.
+    /// when the multiply-accumulate count clears the dispatch-cost grain.
     pub fn parallel_worthwhile(self) -> Self {
-        let worthwhile = cfg!(feature = "parallel")
-            && self.m * self.k * self.n >= crate::chunks::PAR_GRAIN_FLOPS;
+        let worthwhile = self.m * self.k * self.n >= crate::chunks::PAR_GRAIN_FLOPS;
         self.parallel(worthwhile)
     }
 

@@ -4,9 +4,10 @@
 //! chunk `i` of an output buffer", which makes the serial and parallel
 //! executions *bitwise identical*: the parallel path only changes which
 //! thread runs a chunk, never the per-element operation order. These
-//! wrappers fall back to a plain loop when the `parallel` feature is off,
-//! when only one thread is available, or when the buffer is below the
-//! given grain size (thread spawn costs ~tens of µs; tiny kernels lose).
+//! wrappers fall back to a plain loop when the buffer is below the given
+//! grain size (thread spawn costs ~tens of µs; tiny kernels lose), and
+//! `deepmorph-parallel` runs the same loop when only one thread is
+//! available (`DEEPMORPH_THREADS=1`).
 
 /// Minimum output elements before a memory-bound kernel (im2col, pooling,
 /// permutes) fans out to threads.
@@ -16,9 +17,8 @@ pub const PAR_GRAIN_ELEMS: usize = 1 << 15;
 pub const PAR_GRAIN_FLOPS: usize = 1 << 18;
 
 /// Runs `f(chunk_index, chunk)` over contiguous `chunk_len`-sized chunks,
-/// in parallel when worthwhile (buffer at least `grain` elements, the
-/// `parallel` feature on, and more than one thread available).
-#[allow(unused_variables)]
+/// in parallel when worthwhile (buffer at least `grain` elements and more
+/// than one thread available).
 pub fn for_chunks_mut<T: Send, F>(data: &mut [T], chunk_len: usize, grain: usize, f: F)
 where
     F: Fn(usize, &mut [T]) + Sync,
@@ -26,8 +26,7 @@ where
     if data.is_empty() || chunk_len == 0 {
         return;
     }
-    #[cfg(feature = "parallel")]
-    if data.len() >= grain && deepmorph_parallel::max_threads() > 1 {
+    if data.len() >= grain {
         deepmorph_parallel::par_chunks_mut(data, chunk_len, f);
         return;
     }
@@ -37,7 +36,6 @@ where
 }
 
 /// Two-buffer variant of [`for_chunks_mut`] (lockstep chunks).
-#[allow(unused_variables)]
 pub fn for_chunks2_mut<T: Send, U: Send, F>(
     a: &mut [T],
     a_chunk: usize,
@@ -51,8 +49,7 @@ pub fn for_chunks2_mut<T: Send, U: Send, F>(
     if a.is_empty() || a_chunk == 0 || b_chunk == 0 {
         return;
     }
-    #[cfg(feature = "parallel")]
-    if a.len() >= grain && deepmorph_parallel::max_threads() > 1 {
+    if a.len() >= grain {
         deepmorph_parallel::par_chunks2_mut(a, a_chunk, b, b_chunk, f);
         return;
     }

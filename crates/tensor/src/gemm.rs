@@ -16,7 +16,7 @@
 //!
 //! # Determinism contract
 //!
-//! `tests/determinism.rs` pins serial and parallel builds to *bitwise*
+//! `tests/determinism.rs` pins serial and parallel runs to *bitwise*
 //! identical results, so the accumulation order here is load-bearing:
 //!
 //! * every output element accumulates its `k` terms with `p` ascending, as
@@ -45,8 +45,8 @@ const PANEL: usize = 512;
 /// caller-zeroed for a plain product).
 ///
 /// `spec.parallel` requests fan-out over 4-row output blocks (honored
-/// only when the `parallel` feature is active and enough threads exist —
-/// otherwise the blocks run inline).
+/// only when more than one thread is available — otherwise the blocks
+/// run inline).
 ///
 /// # Panics
 ///
@@ -123,7 +123,7 @@ pub(crate) fn panel_rows_into(spec: &GemmSpec, a: &[f32], panels: &[f32], out: &
     if spec.parallel {
         // Grain 0: the caller already decided this product is worth
         // fanning out; `for_chunks_mut` still falls back to the serial
-        // loop when the feature is off or no extra threads exist.
+        // loop when no extra threads exist.
         crate::chunks::for_chunks_mut(out, TILE_ROWS * n, 0, block);
     } else {
         for (bi, out_rows) in out.chunks_mut(TILE_ROWS * n).enumerate() {

@@ -11,7 +11,7 @@
 //! The whole file is a single `#[test]` so no sibling test can allocate
 //! concurrently; worker-pool threads only ever process borrowed chunks
 //! (they never allocate), so the global counter is quiet during the
-//! measured window on both feature configurations.
+//! measured window at any thread count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,8 +95,8 @@ fn serving_step(dense: &mut Dense, conv: &mut Conv2d, x_dense: &Tensor, x_conv: 
 
 #[test]
 fn warm_conv_step_and_matmul_do_not_allocate() {
-    // Batch 64 exceeds every parallel grain, so with the `parallel`
-    // feature this exercises the worker-pool dispatch path too.
+    // Batch 64 exceeds every parallel grain, so with more than one
+    // thread this exercises the worker-pool dispatch path too.
     let mut rng = stream_rng(1, "alloc-regression");
     let mut layer = Conv2d::new(8, 16, 16, 16, 3, 1, 1, &mut rng).unwrap();
     let x = synth_tensor(&[64, 8, 16, 16], 3);
@@ -111,7 +111,7 @@ fn warm_conv_step_and_matmul_do_not_allocate() {
     served_conv.prepare_serving().unwrap();
     let x_dense = synth_tensor(&[32, 256], 7);
 
-    // Warm-up: spawns the worker pool (parallel builds), sizes the arena's
+    // Warm-up: spawns the worker pool (parallel runs), sizes the arena's
     // free lists, and settles optimizer-free layer caches. Two rounds so
     // the cached-cols swap cycle reaches steady state.
     for _ in 0..3 {

@@ -1,4 +1,4 @@
-//! Determinism guard for the `parallel` feature.
+//! Determinism guard for the thread count.
 //!
 //! The parallel kernels promise *bitwise* identical results to the serial
 //! path: every output element accumulates its terms in the same order; only
@@ -13,10 +13,10 @@
 //!    zero-skip on the `A` coefficient for NN/TN, no skip for NT),
 //! 2. scenario-level: a fixed-seed LeNet/Digits diagnosis is identical
 //!    run-to-run in one process, and
-//! 3. build-level: the report digest is recorded under `target/` and
-//!    compared across feature configurations — running `cargo test` then
-//!    `cargo test --no-default-features` (tier-1 + serial gate) makes the
-//!    second run verify the first's digest.
+//! 3. thread-count-level: that diagnosis's report digest equals the pinned
+//!    [`FIXED_SCENARIO_DIGEST`] — `cargo test` and
+//!    `DEEPMORPH_THREADS=1 cargo test` (the serial reference, same build)
+//!    each hold their run to it.
 
 use deepmorph_repro::prelude::*;
 use deepmorph_tensor::backend::{self, GemmSpec};
@@ -148,6 +148,10 @@ fn run_fixed_scenario() -> deepmorph::report::DefectReport {
     fixed_scenario().run().expect("scenario runs").report
 }
 
+/// The fixed-seed scenario's report digest ([`fnv64`] of its JSON), the
+/// same at every thread count.
+const FIXED_SCENARIO_DIGEST: &str = "131ed34786c062c7";
+
 fn fnv64(text: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in text.bytes() {
@@ -163,32 +167,15 @@ fn fixed_seed_scenario_is_identical_across_runs_and_builds() {
     let second = run_fixed_scenario();
     assert_eq!(first, second, "same-process reruns must match exactly");
 
-    let json = first.to_json();
-    let digest = format!("{:016x}", fnv64(&json));
-
-    // Cross-build guard: `cargo test` (parallel default) and
-    // `cargo test --no-default-features` (serial) both run this test; each
-    // writes its digest and checks any digest a previous configuration
-    // left behind. Identical numerics ⇒ identical digests.
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("determinism");
-    std::fs::create_dir_all(&dir).expect("create digest dir");
-    let features = if cfg!(feature = "parallel") {
-        "parallel"
-    } else {
-        "serial"
-    };
-    for entry in std::fs::read_dir(&dir).expect("read digest dir") {
-        let path = entry.expect("dir entry").path();
-        let other = std::fs::read_to_string(&path).unwrap_or_default();
-        assert_eq!(
-            other.trim(),
-            digest,
-            "diagnosis report diverged from the digest recorded by {} — \
-             the serial and parallel paths no longer agree bitwise",
-            path.display()
-        );
-    }
-    std::fs::write(dir.join(format!("{features}.digest")), &digest).expect("write digest");
+    // Cross-thread-count guard: `cargo test` and `DEEPMORPH_THREADS=1
+    // cargo test` both run this test, and each must reach the pinned
+    // digest. Identical numerics ⇒ identical digests.
+    assert_eq!(
+        format!("{:016x}", fnv64(&first.to_json())),
+        FIXED_SCENARIO_DIGEST,
+        "diagnosis report diverged from the pinned digest — the serial and \
+         parallel paths no longer agree bitwise"
+    );
 }
 
 #[test]
@@ -197,9 +184,9 @@ fn artifact_store_round_trip_leaves_digest_unchanged() {
     // footprint codec, report JSON) must be invisible: a scenario driven
     // through a real store — cold, then entirely from cache — produces
     // the exact report the plain in-process run does. The store directory
-    // is shared across feature configurations on purpose: the serial
-    // build reads artifacts the parallel build wrote, so the codec is
-    // also a cross-build determinism check.
+    // is shared across thread counts on purpose: a `DEEPMORPH_THREADS=1`
+    // run reads artifacts a parallel run wrote, so the codec is also a
+    // cross-thread-count determinism check.
     let plain = run_fixed_scenario();
 
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("determinism-store");
@@ -257,7 +244,6 @@ fn live_diagnosis_equals_offline_diagnosis_bitwise() {
         );
         digests.push(format!("{:016x}", fnv64(&json)));
     }
-    // The ITD case is the fixed-seed scenario; its digest has not moved
-    // since the staged engine replaced the single-pass pipeline.
-    assert_eq!(digests[0], "131ed34786c062c7");
+    // The ITD case is the fixed-seed scenario.
+    assert_eq!(digests[0], FIXED_SCENARIO_DIGEST);
 }
