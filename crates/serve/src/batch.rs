@@ -29,7 +29,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -38,7 +37,9 @@ use deepmorph_models::ModelHandle;
 use deepmorph_telemetry::{Stage, Trace};
 use deepmorph_tensor::{workspace, Tensor};
 
+use crate::conn::ConnHandle;
 use crate::error::{ServeError, ServeResult};
+use crate::protocol::{encode_response, ErrorFrame, PredictResponse, Response};
 use crate::registry::{ModelEntry, ModelId, ModelRegistry};
 use crate::sync::{wait_recover, LockRecover};
 
@@ -67,7 +68,7 @@ impl Default for BatchConfig {
 
 /// Shared serving counters (all monotonic).
 #[derive(Debug, Default)]
-pub struct ServeStats {
+pub(crate) struct ServeStats {
     /// Predict requests accepted into the queue.
     pub requests: AtomicU64,
     /// Input rows run through a model.
@@ -142,30 +143,6 @@ impl ServeStats {
     }
 }
 
-/// Result rows scattered back to one caller.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobOutput {
-    /// Argmax class per input row.
-    pub predictions: Vec<usize>,
-    /// Raw logits `[n, classes]` when requested.
-    pub logits: Option<Tensor>,
-}
-
-/// Where a job's result goes.
-pub(crate) enum Responder {
-    /// In-process caller ([`Scheduler::submit_rows`], tests, benches).
-    Channel(SyncSender<ServeResult<JobOutput>>),
-    /// A connection: the worker encodes the response frame and writes it
-    /// to the socket itself, falling back to the connection's outbound
-    /// buffer and the owning event loop when the socket is backed up.
-    Stream {
-        /// Handle to the connection's socket, buffer and loop waker.
-        conn: crate::conn::ConnHandle,
-        /// Request id to echo.
-        id: u64,
-    },
-}
-
 /// Per-request telemetry context, carried by a [`Job`] only while a
 /// [`deepmorph_telemetry`] registry is armed (`None` costs nothing: no
 /// clock reads, no recording). The event loop stamps `submitted` and
@@ -217,8 +194,13 @@ pub(crate) struct Job {
     pub deadline_ms: u64,
     /// Stage-span context (`None` unless telemetry is armed).
     pub telemetry: Option<JobTelemetry>,
-    /// Result destination.
-    pub responder: Responder,
+    /// The requesting connection: the worker encodes the response frame
+    /// and writes it to the socket itself, falling back to the
+    /// connection's outbound buffer and the event loop when the socket
+    /// is backed up.
+    pub conn: ConnHandle,
+    /// Request id to echo.
+    pub id: u64,
 }
 
 impl Job {
@@ -285,22 +267,19 @@ struct Shared {
 }
 
 /// The micro-batching scheduler: a bounded queue plus worker threads.
-pub struct Scheduler {
+/// The event loop is its one producer.
+pub(crate) struct Scheduler {
     shared: Arc<Shared>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-impl std::fmt::Debug for Scheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scheduler")
-            .field("cfg", &self.shared.cfg)
-            .finish()
-    }
-}
-
 impl Scheduler {
     /// Starts `cfg.workers` worker threads over `registry`.
-    pub fn new(registry: Arc<ModelRegistry>, cfg: BatchConfig, stats: Arc<ServeStats>) -> Self {
+    pub(crate) fn new(
+        registry: Arc<ModelRegistry>,
+        cfg: BatchConfig,
+        stats: Arc<ServeStats>,
+    ) -> Self {
         let shared = Arc::new(Shared {
             registry,
             cfg,
@@ -358,42 +337,9 @@ impl Scheduler {
         Ok(())
     }
 
-    /// Validates and enqueues rows for the model at registry index
-    /// `model`, returning the channel the result arrives on. This is the
-    /// in-process entry point (tests, benches, embedded callers); the TCP
-    /// server submits jobs whose responses are written straight to the
-    /// connection by the worker.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::BadInput`] for shape/label problems,
-    /// [`ServeError::Busy`] when the queue is full, and
-    /// [`ServeError::ShuttingDown`] after shutdown began.
-    pub fn submit_rows(
-        &self,
-        model: ModelId,
-        rows: Tensor,
-        want_logits: bool,
-    ) -> ServeResult<Receiver<ServeResult<JobOutput>>> {
-        validate_job(&self.shared.registry, model, &rows, &[])?;
-        let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        self.submit(Job {
-            model,
-            rows,
-            want_logits,
-            true_labels: Vec::new(),
-            cases: None,
-            deadline: None,
-            deadline_ms: 0,
-            telemetry: JobTelemetry::start(0),
-            responder: Responder::Channel(tx),
-        })?;
-        Ok(rx)
-    }
-
     /// Stops accepting work, drains the queue, and joins the workers.
     /// Idempotent.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.cv.notify_all();
         let mut workers = self.workers.lock_recover();
@@ -713,7 +659,7 @@ fn run_jobs(
         deliver(
             stats,
             job,
-            Ok(JobOutput {
+            Ok(PredictResponse {
                 predictions: job_preds,
                 logits: job_logits,
             }),
@@ -722,46 +668,30 @@ fn run_jobs(
     workspace::recycle_tensor(logits);
 }
 
-/// Sends a result to its caller: channel send, or an encoded frame
-/// written to the connection. When telemetry is armed this is also where
-/// the request's end-to-end latency lands in the histogram and its
-/// per-stage trace is offered to the slowest-N ring.
-fn deliver(stats: &ServeStats, mut job: Job, result: ServeResult<JobOutput>) {
+/// Encodes a result as a response frame and writes it to the job's
+/// connection. When telemetry is armed this is also where the request's
+/// end-to-end latency lands in the histogram and its per-stage trace is
+/// offered to the slowest-N ring.
+fn deliver(stats: &ServeStats, mut job: Job, result: ServeResult<PredictResponse>) {
     let span = job
         .telemetry
         .take()
         .and_then(|jt| deepmorph_telemetry::armed().map(|t| (t, jt)));
-    let trace_id = match &job.responder {
-        Responder::Stream { id, .. } => *id,
-        Responder::Channel(_) => 0,
-    };
     let send_started = span.as_ref().map(|_| Instant::now());
-    match job.responder {
-        Responder::Channel(tx) => {
-            // A disconnected receiver means the caller gave up; fine.
-            let _ = tx.send(result);
+    let response = match result {
+        Ok(predict) => Response::Predict(predict),
+        Err(e) => {
+            stats.errors.fetch_add(1, Ordering::Relaxed);
+            Response::Error(ErrorFrame {
+                code: e.code(),
+                message: e.to_string(),
+            })
         }
-        Responder::Stream { conn, id } => {
-            let response = match result {
-                Ok(out) => crate::protocol::Response::Predict(crate::protocol::PredictResponse {
-                    predictions: out.predictions,
-                    logits: out.logits,
-                }),
-                Err(e) => {
-                    stats.errors.fetch_add(1, Ordering::Relaxed);
-                    crate::protocol::Response::Error(crate::protocol::ErrorFrame {
-                        code: e.code(),
-                        message: e.to_string(),
-                    })
-                }
-            };
-            let wire = crate::protocol::encode_response(id, &response);
-            // Written straight to the socket unless bytes are queued
-            // ahead of it; if the connection already closed the bytes are
-            // discarded (the client hung up mid-flight).
-            conn.send(stats, &wire);
-        }
-    }
+    };
+    // Written straight to the socket unless bytes are queued ahead of
+    // it; if the connection already closed the bytes are discarded (the
+    // client hung up mid-flight).
+    job.conn.send(stats, &encode_response(job.id, &response));
     if let (Some((t, jt)), Some(sent)) = (span, send_started) {
         // One end stamp for both the total and the flush span, so the
         // spans never sum past the total.
@@ -769,7 +699,7 @@ fn deliver(stats: &ServeStats, mut job: Job, result: ServeResult<JobOutput>) {
         let total_us = ended.duration_since(jt.submitted).as_micros() as u64;
         t.record_request(total_us);
         t.offer_trace(Trace {
-            id: trace_id,
+            id: job.id,
             total_us,
             // The trace's flush slot is the send span: encode plus the
             // socket write (or, when the socket is backed up, the buffer

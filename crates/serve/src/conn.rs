@@ -400,7 +400,7 @@ impl LoopNotify {
 /// A producer's handle to one connection: write a reply, and wake the
 /// loop only when it has work left to do.
 ///
-/// Cloned into every [`crate::batch::Responder::Stream`]. Stale handles
+/// Cloned into every queued [`crate::batch::Job`]. Stale handles
 /// (connection closed, token reused) degrade safely: writes to a closed
 /// [`Outbound`] are discarded, and a spurious dirty notification makes
 /// the loop flush a connection that has nothing pending.

@@ -46,7 +46,7 @@ use deepmorph_net::{Event, Events, Interest, Poller};
 use deepmorph_telemetry::Stage;
 
 use crate::admin::AdminJob;
-use crate::batch::{validate_job, Job, JobTelemetry, Responder, ServeStats};
+use crate::batch::{validate_job, Job, JobTelemetry, ServeStats};
 use crate::conn::{ConnHandle, FlushState, FrameAssembler, Outbound};
 use crate::error::{ServeError, ServeResult};
 use crate::protocol::{
@@ -637,10 +637,8 @@ fn handle_request(
                         deadline,
                         deadline_ms: p.deadline_ms,
                         telemetry: JobTelemetry::start(assembly_us),
-                        responder: Responder::Stream {
-                            conn: handle.clone(),
-                            id,
-                        },
+                        conn: handle.clone(),
+                        id,
                     })
                 });
             match submitted {

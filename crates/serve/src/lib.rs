@@ -29,7 +29,7 @@
 //!   one `Graph::forward_inference` per batch, per-row scatter. Batched
 //!   responses are **bitwise identical** to solo responses (eval-mode
 //!   rows are computed independently — pinned by tests at the GEMM,
-//!   graph, scheduler, and protocol levels).
+//!   graph, scheduler, and TCP levels).
 //! * [`server`] / [`client`] — the TCP endpoints. The server is
 //!   readiness-driven: one epoll event-loop thread
 //!   (`deepmorph-net`, raw syscall bindings — no async runtime) holds
@@ -84,16 +84,16 @@ mod sync;
 
 pub mod client;
 
-pub use batch::{BatchConfig, JobOutput, Scheduler, ServeStats};
+pub use batch::BatchConfig;
 pub use client::{Client, ClientConfig, RetryPolicy};
 pub use conn::{FrameAssembler, FramingError};
 pub use error::{ErrorCode, ServeError, ServeResult};
-pub use registry::{DiagnosisContext, ModelId, ModelRegistry, VersionPin};
+pub use registry::{DiagnosisContext, ModelId, ModelRegistry};
 pub use server::{Server, ServerConfig};
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::batch::{BatchConfig, JobOutput, Scheduler, ServeStats};
+    pub use crate::batch::BatchConfig;
     pub use crate::cases::LiveCases;
     pub use crate::client::{Client, ClientConfig, RetryPolicy};
     pub use crate::error::{ErrorCode, ServeError, ServeResult};
@@ -101,7 +101,7 @@ pub mod prelude {
         DiagnoseResponse, ModelInfo, PredictResponse, RepairResponse, RollbackResponse,
         StatsSnapshot, TelemetryReport, VersionInfo, VersionTraffic,
     };
-    pub use crate::registry::{DiagnosisContext, ModelId, ModelRegistry, VersionPin};
+    pub use crate::registry::{DiagnosisContext, ModelId, ModelRegistry};
     pub use crate::server::{Server, ServerConfig};
     pub use deepmorph_nn::prelude::ComputeCtx;
     pub use deepmorph_telemetry::{

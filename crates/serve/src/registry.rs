@@ -42,14 +42,12 @@
 //! containers, and unparseable sidecars are *quarantined* (moved into a
 //! `quarantine/` subdirectory) instead of failing startup — a crashed or
 //! torn publish can cost at most the version it was publishing, never the
-//! chain. Chains can also be *rolled back* ([`ModelRegistry::rollback`])
-//! and bounded by a retention policy ([`ModelRegistry::set_retention`])
-//! whose GC refuses to delete versions pinned by in-flight diagnosis
-//! sessions ([`ModelRegistry::pin_version`]).
+//! chain. Chains can also be *rolled back* ([`ModelRegistry::rollback`]).
+//! A registry keeps every version it publishes until a rollback discards
+//! it.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use deepmorph::prelude::{DefectSpec, Scenario};
@@ -444,8 +442,8 @@ struct VersionMeta {
     fingerprint: String,
     /// The decoded entry of a *superseded* version, kept in memory so a
     /// rollback can restore it without touching disk. `None` for the
-    /// active version, for versions GC'd from memory, and for superseded
-    /// versions discovered by `open` (those reload from their `@vN` file).
+    /// active version and for superseded versions discovered by `open`
+    /// (those reload from their `@vN` file).
     retained: Option<Arc<ModelEntry>>,
 }
 
@@ -466,60 +464,13 @@ struct ModelSlot {
 }
 
 /// A named collection of versioned models the server answers for.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ModelRegistry {
     slots: Vec<ModelSlot>,
     /// Directory published versions persist into (`None` = memory-only).
     dir: Option<PathBuf>,
-    /// How many superseded versions each chain keeps (`usize::MAX` =
-    /// unlimited, the default — GC never runs).
-    retention: AtomicUsize,
-    /// Version-pin refcounts keyed by fingerprint: GC skips any version
-    /// with a live [`VersionPin`] (diagnosis sessions hold one).
-    pins: Arc<Mutex<HashMap<String, usize>>>,
     /// Files `open` moved into `quarantine/` instead of serving.
     quarantined: Vec<PathBuf>,
-}
-
-impl Default for ModelRegistry {
-    fn default() -> Self {
-        ModelRegistry {
-            slots: Vec::new(),
-            dir: None,
-            retention: AtomicUsize::new(usize::MAX),
-            pins: Arc::default(),
-            quarantined: Vec::new(),
-        }
-    }
-}
-
-/// A refcount keeping one version's files safe from retention GC for as
-/// long as the pin is alive. Held by memoized diagnosis sessions, whose
-/// footprints and repair plans are only meaningful against the exact
-/// version they were computed from.
-#[derive(Debug)]
-pub struct VersionPin {
-    pins: Arc<Mutex<HashMap<String, usize>>>,
-    fingerprint: String,
-}
-
-impl VersionPin {
-    /// Fingerprint of the pinned version.
-    pub fn fingerprint(&self) -> &str {
-        &self.fingerprint
-    }
-}
-
-impl Drop for VersionPin {
-    fn drop(&mut self) {
-        let mut pins = self.pins.lock_recover();
-        if let Some(count) = pins.get_mut(&self.fingerprint) {
-            *count -= 1;
-            if *count == 0 {
-                pins.remove(&self.fingerprint);
-            }
-        }
-    }
 }
 
 /// Splits a file stem into `(base name, version)`: `"m@v3"` → `("m", 3)`,
@@ -889,9 +840,7 @@ impl ModelRegistry {
         if let Some(meta) = history.iter_mut().find(|m| m.version == old_version) {
             meta.retained = Some(old_entry);
         }
-        let installed = slot.install_locked(entry, &mut history);
-        self.gc_locked(slot, &mut history);
-        Ok(installed)
+        Ok(slot.install_locked(entry, &mut history))
     }
 
     /// Reverts the model at `id` to the previous version in its chain —
@@ -991,7 +940,7 @@ impl ModelRegistry {
 
     /// Best-effort move of `path` into `dir`'s `quarantine/`
     /// subdirectory (collision-proofed with a numeric suffix). Rollback
-    /// and GC call it directly: they hold no `&mut self`.
+    /// calls it directly: it holds no `&mut self`.
     fn quarantine_in(dir: &Path, path: &Path) {
         let qdir = dir.join("quarantine");
         let _ = std::fs::create_dir_all(&qdir);
@@ -1004,102 +953,6 @@ impl ModelRegistry {
             }
             let _ = std::fs::rename(path, &dest);
         }
-    }
-
-    /// Sets the retention policy: how many *superseded* versions each
-    /// chain keeps (`None` = unlimited, the default). Applies to every
-    /// slot; enforced by the GC pass that runs after each publish (and on
-    /// demand via [`ModelRegistry::gc`]). Versions pinned by a live
-    /// [`VersionPin`] are never collected, whatever the policy says.
-    pub fn set_retention(&self, retain: Option<usize>) {
-        self.retention
-            .store(retain.unwrap_or(usize::MAX), Ordering::Relaxed);
-    }
-
-    /// The current retention policy (`None` = unlimited).
-    pub fn retention(&self) -> Option<usize> {
-        match self.retention.load(Ordering::Relaxed) {
-            usize::MAX => None,
-            n => Some(n),
-        }
-    }
-
-    /// Pins the version with `fingerprint`: retention GC will not delete
-    /// it while the returned guard is alive. Pins are refcounted, so
-    /// overlapping holders compose.
-    pub fn pin_version(&self, fingerprint: impl Into<String>) -> VersionPin {
-        let fingerprint = fingerprint.into();
-        *self
-            .pins
-            .lock_recover()
-            .entry(fingerprint.clone())
-            .or_insert(0) += 1;
-        VersionPin {
-            pins: Arc::clone(&self.pins),
-            fingerprint,
-        }
-    }
-
-    /// Runs one retention-GC pass over the model at `id`, returning the
-    /// versions that were deleted. A no-op under the default unlimited
-    /// policy. Publish runs this automatically; it is public so dropped
-    /// pins can be collected without waiting for the next publish.
-    pub fn gc(&self, id: ModelId) -> Vec<u32> {
-        let slot = &self.slots[id.0];
-        let mut history = slot.history.lock_recover();
-        self.gc_locked(slot, &mut history)
-    }
-
-    /// GC body; the caller holds the history (publish) lock. Considers the
-    /// superseded versions beyond the newest `retention`, oldest first,
-    /// and deletes the unpinned ones — meta, retained entry, and on-disk
-    /// files. Pinned versions simply survive until a later pass finds
-    /// them unpinned.
-    fn gc_locked(&self, slot: &ModelSlot, history: &mut Vec<VersionMeta>) -> Vec<u32> {
-        let retain = self.retention.load(Ordering::Relaxed);
-        if retain == usize::MAX {
-            return Vec::new();
-        }
-        let active = slot.current.read_recover().1.version;
-        let superseded: Vec<u32> = history
-            .iter()
-            .filter(|m| m.version != active)
-            .map(|m| m.version)
-            .collect();
-        if superseded.len() <= retain {
-            return Vec::new();
-        }
-        let excess = superseded.len() - retain;
-        let pins = self.pins.lock_recover();
-        let mut deleted = Vec::new();
-        for &version in superseded.iter().take(excess) {
-            let meta = history
-                .iter()
-                .find(|m| m.version == version)
-                .expect("superseded version is in history");
-            if pins.get(&meta.fingerprint).copied().unwrap_or(0) > 0 {
-                continue;
-            }
-            if let Some(dir) = &self.dir {
-                let stem = format!("{}@v{version}", slot.name);
-                let mut files = vec![
-                    format!("{stem}.{MODEL_EXT}"),
-                    format!("{stem}{META_SUFFIX}"),
-                ];
-                if version == 1 {
-                    // v1 may predate versioned publishing. Its base
-                    // sidecar stays: later versions without their own
-                    // sidecar fall back to it for provenance.
-                    files.push(format!("{}.{MODEL_EXT}", slot.name));
-                }
-                for name in files {
-                    let _ = std::fs::remove_file(dir.join(name));
-                }
-            }
-            deleted.push(version);
-        }
-        history.retain(|m| !deleted.contains(&m.version));
-        deleted
     }
 
     /// The version history of the model at `id`, oldest first, with the
@@ -1491,65 +1344,34 @@ mod tests {
     }
 
     #[test]
-    fn retention_gc_deletes_oldest_superseded_but_never_pinned() {
-        let dir =
-            std::env::temp_dir().join(format!("deepmorph-registry-gc-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        deepmorph_models::save_model(dir.join("m.dmmd"), &mut tiny_model(30)).unwrap();
-        let registry = ModelRegistry::open(&dir).unwrap();
-        let id = registry.find("m").unwrap();
-        registry.set_retention(Some(1));
-        assert_eq!(registry.retention(), Some(1));
-
-        let v2 = registry.publish(id, &mut tiny_model(31), None).unwrap();
-        // superseded = {v1} <= retain 1: nothing collected yet.
-        assert!(dir.join("m.dmmd").exists());
-
-        // Pin v2 (as a live diagnosis session would), then supersede it
-        // twice: GC wants to collect {v1, v2} but must skip the pin.
-        let pin = registry.pin_version(&v2.fingerprint);
-        registry.publish(id, &mut tiny_model(32), None).unwrap();
-        registry.publish(id, &mut tiny_model(33), None).unwrap();
-
-        assert!(!dir.join("m.dmmd").exists(), "v1 collected");
-        assert!(dir.join("m@v2.dmmd").exists(), "pinned v2 survives GC");
-        assert!(dir.join("m@v3.dmmd").exists(), "newest superseded kept");
-        assert!(dir.join("m@v4.dmmd").exists(), "active version kept");
-        let versions: Vec<u32> = registry.versions(id).iter().map(|v| v.version).collect();
-        assert_eq!(versions, vec![2, 3, 4]);
-
-        // Dropping the pin makes v2 collectable by the next pass.
-        drop(pin);
-        let deleted = registry.gc(id);
-        assert_eq!(deleted, vec![2]);
-        assert!(!dir.join("m@v2.dmmd").exists());
-        let versions: Vec<u32> = registry.versions(id).iter().map(|v| v.version).collect();
-        assert_eq!(versions, vec![3, 4]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn default_retention_keeps_every_version() {
+    fn every_published_version_is_kept_and_rolls_back_in_turn() {
         let mut registry = ModelRegistry::new();
         let id = registry.register("m", &mut tiny_model(40), None).unwrap();
+        let mut published = vec![registry.current(id)];
         for seed in 41..45 {
-            registry.publish(id, &mut tiny_model(seed), None).unwrap();
+            published.push(registry.publish(id, &mut tiny_model(seed), None).unwrap());
         }
-        assert_eq!(registry.retention(), None);
-        assert_eq!(registry.versions(id).len(), 5, "unlimited by default");
-        assert!(registry.gc(id).is_empty());
-    }
+        let versions = registry.versions(id);
+        assert_eq!(
+            versions.iter().map(|v| v.version).collect::<Vec<_>>(),
+            vec![1, 2, 3, 4, 5]
+        );
+        assert!(versions.iter().all(|v| v.active == (v.version == 5)));
+        assert_eq!(registry.traffic().len(), 5, "one row per kept version");
 
-    #[test]
-    fn overlapping_pins_are_refcounted() {
-        let registry = ModelRegistry::new();
-        let a = registry.pin_version("fp");
-        let b = registry.pin_version("fp");
-        drop(a);
-        // One holder remains: still pinned.
-        assert_eq!(registry.pins.lock_recover().get("fp"), Some(&1));
-        drop(b);
-        assert!(registry.pins.lock_recover().get("fp").is_none());
+        // Each rollback restores the next older version exactly as it was
+        // published, all the way back to v1.
+        for expected in published[..4].iter().rev() {
+            let restored = registry.rollback(id).unwrap();
+            assert_eq!(restored.version, expected.version);
+            assert_eq!(restored.fingerprint, expected.fingerprint);
+            assert_eq!(restored.bytes, expected.bytes, "restored bitwise");
+            assert_eq!(registry.versions(id).len(), expected.version as usize);
+        }
+        assert!(matches!(
+            registry.rollback(id),
+            Err(ServeError::BadInput { .. })
+        ));
+        assert_eq!(registry.current(id).version, 1);
     }
 }

@@ -51,7 +51,7 @@ use deepmorph_nn::train::evaluate_accuracy;
 
 use crate::error::{ServeError, ServeResult};
 use crate::protocol::{DiagnoseResponse, RepairResponse, RollbackResponse};
-use crate::registry::{DiagnosisContext, ModelEntry, ModelId, VersionPin};
+use crate::registry::{DiagnosisContext, ModelEntry, ModelId};
 use crate::server::ServerShared;
 use crate::sync::LockRecover;
 
@@ -60,10 +60,6 @@ struct CachedSession {
     /// Content fingerprint of the model version the session instruments.
     fingerprint: String,
     session: DiagnosisSession,
-    /// Retention pin: as long as this session lives (including while on
-    /// loan to a repair), version GC must not delete the on-disk files of
-    /// the version it instruments.
-    _pin: VersionPin,
 }
 
 /// Per-slot repair machinery owned by the server.
@@ -150,7 +146,6 @@ fn ensure_session<'a>(
         *slot = Some(CachedSession {
             fingerprint: entry.fingerprint.clone(),
             session,
-            _pin: shared.registry.pin_version(&entry.fingerprint),
         });
     }
     Ok(slot.as_mut().expect("session just ensured"))

@@ -2,10 +2,11 @@
 //!
 //! One readiness-driven event-loop thread (`crate::event_loop`) owns
 //! the listener and holds every connection; predicts are handed to the
-//! [`Scheduler`]'s workers, which write their responses straight to the
-//! connection's socket (through the loop's per-connection outbound
-//! buffer only when the socket is backed up). The thread count is a
-//! function of configuration, never of connection count.
+//! workers of the [`crate::batch`] scheduler, which write their
+//! responses straight to the connection's socket (through the loop's
+//! per-connection outbound buffer only when the socket is backed up).
+//! The thread count is a function of configuration, never of
+//! connection count.
 //!
 //! Failure policy: **the server never dies on client input.** A frame
 //! that fails to decode is answered with a typed error frame; a stream
@@ -112,8 +113,7 @@ impl Server {
     /// Binds, spawns the scheduler workers and the I/O event loop, and
     /// returns immediately. The first start in a process also raises
     /// `RLIMIT_NOFILE` as far as the kernel allows and logs the
-    /// effective cap. The registry keeps its retention policy
-    /// ([`ModelRegistry::set_retention`]).
+    /// effective cap.
     ///
     /// # Errors
     ///
@@ -146,10 +146,12 @@ impl Server {
             .map(|id| {
                 let mut cases =
                     LiveCases::new(registry.current(id).spec.input_shape, MAX_LIVE_CASES);
-                // Align the buffer with the slot's current epoch. Today
-                // every slot starts at epoch 0 (epochs are per-process,
-                // not persisted), so this is a no-op kept so the pairing
-                // survives any future change to slot construction.
+                // Align the buffer with the slot's current epoch, which
+                // is not always 0: `publish` and `rollback` take `&self`,
+                // so a registry can swap versions before it is served.
+                // Workers record misses at their replica's epoch; a buffer
+                // left behind it would count every one as stale, and
+                // diagnose would find no cases.
                 cases.advance_epoch(registry.epoch(id));
                 Arc::new(Mutex::new(cases))
             })
@@ -217,18 +219,24 @@ impl Drop for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::LockRecover;
     use deepmorph_models::{build_model, ModelFamily, ModelScale, ModelSpec};
     use deepmorph_tensor::init::stream_rng;
 
     #[test]
-    fn start_keeps_the_registry_retention() {
+    fn start_aligns_live_cases_with_the_registry_epoch() {
         let spec = ModelSpec::new(ModelFamily::LeNet, ModelScale::Tiny, [1, 16, 16], 10);
-        let mut model = build_model(&spec, &mut stream_rng(1, "server-test")).unwrap();
+        let model = |seed| build_model(&spec, &mut stream_rng(seed, "server-test")).unwrap();
         let mut registry = ModelRegistry::new();
-        registry.register("m", &mut model, None).unwrap();
-        registry.set_retention(Some(1));
+        let id = registry.register("m", &mut model(1), None).unwrap();
+        registry.publish(id, &mut model(2), None).unwrap();
         let server = Server::start(registry, ServerConfig::default()).unwrap();
-        assert_eq!(server.shared.registry.retention(), Some(1));
+        let epoch = server.shared.registry.epoch(id);
+        assert_eq!(epoch, 1);
+        assert_eq!(
+            server.shared.cases[id.index()].lock_recover().epoch(),
+            epoch
+        );
         server.shutdown();
     }
 }

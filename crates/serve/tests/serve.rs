@@ -3,8 +3,10 @@
 //! The load-bearing guarantees pinned here:
 //!
 //! * **batching is invisible**: responses produced by a coalesced batch
-//!   are bitwise identical to solo (max-batch = 1) responses, at both
-//!   the scheduler and the TCP level;
+//!   are bitwise identical to solo responses, for rows pipelined on one
+//!   connection and for concurrent clients;
+//! * **admission is typed**: malformed rows never reach the scheduler's
+//!   queue, and a full queue answers with a busy error, then serves again;
 //! * **replies stay whole whoever writes them**: workers, admin threads
 //!   and the event loop write to one socket without interleaving frames,
 //!   a reader too slow to keep up gets every frame exactly once, and a
@@ -18,7 +20,7 @@
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use deepmorph::prelude::DefectReport;
@@ -92,61 +94,71 @@ fn assert_bitwise(expected: &Tensor, got: &Tensor, what: &str) {
     }
 }
 
+/// Waits until the scheduler has queued at least one request.
+fn wait_for_first_request(server: &Server) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.stats().requests == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the blocker never reached the queue"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
 // ---------------------------------------------------------------------
-// Scheduler level: coalescing is deterministic and bitwise invisible
+// Scheduler level, driven through its one way in: requests pipelined on
+// a single connection
 // ---------------------------------------------------------------------
 
 #[test]
 fn scheduler_batched_outputs_equal_solo_outputs_bitwise() {
-    let registry = Arc::new(registry_with("m", 5));
-    let m = registry.find("m").unwrap();
-    let stats = Arc::new(ServeStats::default());
     let n = 8;
     let inputs = rows(n, 99);
-
-    // Solo reference: max_batch = 1 forces one forward per request.
-    let solo = Scheduler::new(
-        Arc::clone(&registry),
-        BatchConfig {
-            max_batch: 1,
-            workers: 1,
+    let server = Server::start(
+        registry_with("m", 5),
+        ServerConfig {
+            batch: BatchConfig {
+                max_batch: n,
+                workers: 1,
+            },
+            ..ServerConfig::default()
         },
-        Arc::new(ServeStats::default()),
-    );
-    let solo_logits: Vec<Tensor> = (0..n)
-        .map(|i| {
-            let rx = solo.submit_rows(m, row(&inputs, i), true).unwrap();
-            rx.recv().unwrap().unwrap().logits.unwrap()
-        })
-        .collect();
-    solo.shutdown();
+    )
+    .unwrap();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
 
-    // Batched: one worker, held busy by a large blocker request queued
-    // first. The n single rows pile up behind it while its forward runs;
-    // the worker then pops the first row and drains the rest into one
-    // batch, coalescing through queue buildup alone.
-    let batched = Scheduler::new(
-        Arc::clone(&registry),
-        BatchConfig {
-            max_batch: n,
-            workers: 1,
-        },
-        Arc::clone(&stats),
-    );
-    let blocker = batched
-        .submit_rows(m, rows(BLOCKER_ROWS, 7), false)
+    // One worker, held busy by a large blocker request queued first. The
+    // n single rows, sent in one write once it is queued, pile up behind
+    // its forward; the worker then pops the first row and drains the
+    // rest into one batch, coalescing through queue buildup alone.
+    raw.write_all(&predict_request(0, rows(BLOCKER_ROWS, 7)))
         .unwrap();
-    let receivers: Vec<_> = (0..n)
-        .map(|i| batched.submit_rows(m, row(&inputs, i), true).unwrap())
+    wait_for_first_request(&server);
+    let wire: Vec<u8> = (0..n)
+        .flat_map(|i| predict_request(i as u64 + 1, row(&inputs, i)))
         .collect();
-    blocker.recv().unwrap().unwrap();
-    let batched_logits: Vec<Tensor> = receivers
-        .into_iter()
-        .map(|rx| rx.recv().unwrap().unwrap().logits.unwrap())
-        .collect();
-    batched.shutdown();
+    raw.write_all(&wire).unwrap();
 
-    let snapshot = stats.snapshot();
+    let mut model = lenet(5);
+    let mut seen = BTreeSet::new();
+    for _ in 0..=n {
+        let (id, response) = read_response(&mut raw);
+        let protocol::Response::Predict(p) = response else {
+            panic!("request {id}: expected a predict reply, got {response:?}");
+        };
+        assert!(seen.insert(id), "request {id} answered twice");
+        if id == 0 {
+            continue;
+        }
+        // Solo reference: one forward of the one row.
+        let input = row(&inputs, id as usize - 1);
+        let solo = model.graph.forward_inference(&input).unwrap();
+        assert_bitwise(&solo, &p.logits.unwrap(), &format!("request {id}"));
+    }
+    let snapshot = server.stats();
+    server.shutdown();
     assert_eq!(snapshot.rows, (n + BLOCKER_ROWS) as u64);
     assert!(
         snapshot.coalesced_batches >= 1,
@@ -156,51 +168,81 @@ fn scheduler_batched_outputs_equal_solo_outputs_bitwise() {
         snapshot.batches < (n + 1) as u64,
         "batching dispatched one forward per request: {snapshot:?}"
     );
-
-    for (i, (a, b)) in solo_logits.iter().zip(&batched_logits).enumerate() {
-        assert_eq!(a.shape(), b.shape());
-        for (va, vb) in a.data().iter().zip(b.data()) {
-            assert_eq!(
-                va.to_bits(),
-                vb.to_bits(),
-                "row {i}: batched logits diverged from solo"
-            );
-        }
-    }
 }
 
+/// Malformed rows are refused before they reach the queue. A queue
+/// filled to capacity answers the overflow with a typed busy error,
+/// then drains and serves again.
 #[test]
 fn scheduler_rejects_bad_input_and_fills_up() {
-    let registry = Arc::new(registry_with("m", 6));
-    let m = registry.find("m").unwrap();
-    let scheduler = Scheduler::new(
-        Arc::clone(&registry),
-        BatchConfig {
-            workers: 1,
-            ..BatchConfig::default()
+    let server = Server::start(
+        registry_with("m", 6),
+        ServerConfig {
+            batch: BatchConfig {
+                max_batch: 1,
+                workers: 1,
+            },
+            ..ServerConfig::default()
         },
-        Arc::new(ServeStats::default()),
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // Wrong channel count, rank 1, and zero rows.
+    for bad in [&[1, 3, 16, 16][..], &[256], &[0, 1, 16, 16]] {
+        assert!(
+            matches!(
+                client.predict("m", &Tensor::zeros(bad)),
+                Err(ServeError::Remote {
+                    code: ErrorCode::BadInput,
+                    ..
+                })
+            ),
+            "input shape {bad:?}"
+        );
+    }
+    let stats = server.stats();
+    assert_eq!(stats.requests, 0, "a refused input reached the queue");
+    assert_eq!(stats.errors, 3);
+
+    // Fill up: with batching off, one worker drains one row per forward,
+    // far slower than the event loop admits pipelined rows. A blocker
+    // holds the worker first; four times the queue's capacity (1024
+    // requests) follows it. The writer runs on its own thread so that
+    // replies the test has not read yet never stall the requests.
+    let sent = 4096u64;
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut writer = raw.try_clone().unwrap();
+    let wire: Vec<u8> = std::iter::once(predict_request(0, rows(BLOCKER_ROWS, 9)))
+        .chain((1..=sent).map(|id| predict_request(id, rows(1, id))))
+        .flatten()
+        .collect();
+    let sender = std::thread::spawn(move || writer.write_all(&wire).unwrap());
+    let (mut seen, mut busy) = (BTreeSet::new(), 0u64);
+    for _ in 0..=sent {
+        let (id, response) = read_response(&mut raw);
+        assert!(seen.insert(id), "request {id} answered twice");
+        match response {
+            protocol::Response::Predict(_) => {}
+            protocol::Response::Error(e) => {
+                assert_eq!(e.code, ErrorCode::Busy, "request {id}: {e:?}");
+                busy += 1;
+            }
+            other => panic!("request {id}: unexpected reply {other:?}"),
+        }
+    }
+    sender.join().unwrap();
+    assert!(busy > 0, "the queue never filled: {:?}", server.stats());
+    let stats = server.stats();
+    assert_eq!(stats.busy_rejections, busy);
+    assert_eq!(stats.requests, sent + 1 - busy);
+
+    // Drained: the next request is served.
+    assert_eq!(
+        client.predict("m", &rows(2, 1)).unwrap().predictions.len(),
+        2
     );
-    // Wrong shape.
-    assert!(matches!(
-        scheduler.submit_rows(m, Tensor::zeros(&[1, 3, 16, 16]), false),
-        Err(ServeError::BadInput { .. })
-    ));
-    // Wrong rank.
-    assert!(matches!(
-        scheduler.submit_rows(m, Tensor::zeros(&[256]), false),
-        Err(ServeError::BadInput { .. })
-    ));
-    // Empty batch.
-    assert!(matches!(
-        scheduler.submit_rows(m, Tensor::zeros(&[0, 1, 16, 16]), false),
-        Err(ServeError::BadInput { .. })
-    ));
-    scheduler.shutdown();
-    assert!(matches!(
-        scheduler.submit_rows(m, Tensor::zeros(&[1, 1, 16, 16]), false),
-        Err(ServeError::ShuttingDown)
-    ));
+    server.shutdown();
 }
 
 // ---------------------------------------------------------------------
@@ -327,14 +369,7 @@ fn tcp_batched_responses_equal_solo_responses_bitwise() {
                 })
             })
             .collect();
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while batched_server.stats().requests == 0 {
-            assert!(
-                Instant::now() < deadline,
-                "the blocker never reached the queue"
-            );
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        wait_for_first_request(&batched_server);
         release.wait();
         blocker.join().unwrap();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
