@@ -10,9 +10,7 @@
 //! differs) — the bench starts a fresh server on a loopback port,
 //! holds `C` single-row predict requests in flight (pipelined over
 //! `C / 4` connections), and records throughput, latency percentiles,
-//! and the realized mean batch size at several concurrency levels. A
-//! `solo_tuned` control additionally gives the batching-free server its
-//! best dispatcher count.
+//! and the realized mean batch size at several concurrency levels.
 //!
 //! It also verifies the scheduler's core promise end to end: logits
 //! returned under concurrent batched load are **bitwise identical** to
@@ -46,7 +44,11 @@
 //! `BENCH_serve.json` was recorded by a since-retired chaos phase, and a
 //! rerun writes no such block. Its `quantized` block was likewise
 //! recorded by a since-retired i8 serving phase: serving replicas now
-//! have one form, their packed f32 weights.
+//! have one form, their packed f32 weights. Its per-level `solo_tuned`
+//! and `speedup_vs_tuned` entries and its worker counts (each result's
+//! `workers`, and the batched servers' count in `config`) came from a
+//! control that gave the batching-free server extra scheduler workers;
+//! a server now runs one worker, so a rerun writes none of them.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -79,11 +81,11 @@ fn registry() -> ModelRegistry {
     registry
 }
 
-fn server(max_batch: usize, workers: usize) -> Server {
+fn server(max_batch: usize) -> Server {
     Server::start(
         registry(),
         ServerConfig {
-            batch: BatchConfig { max_batch, workers },
+            max_batch,
             ..ServerConfig::default()
         },
     )
@@ -103,9 +105,7 @@ fn input_row(i: usize) -> Tensor {
     Tensor::from_vec(data, &[1, 1, 16, 16]).unwrap()
 }
 
-#[derive(Clone)]
 struct LoadResult {
-    workers: usize,
     throughput_rows_per_s: f64,
     p50_us: f64,
     p95_us: f64,
@@ -221,7 +221,6 @@ fn run_load(
     let batches = after.batches.saturating_sub(stats_before.batches);
     let rows = after.rows.saturating_sub(stats_before.rows);
     LoadResult {
-        workers: 0,
         throughput_rows_per_s: total_rows / wall,
         p50_us: snapshot.quantile(0.50) as f64,
         p95_us: snapshot.quantile(0.95) as f64,
@@ -235,13 +234,8 @@ fn run_load(
 }
 
 /// One warms-then-measures pass against a fresh server.
-fn measure(
-    max_batch: usize,
-    workers: usize,
-    concurrency: usize,
-    total_requests: usize,
-) -> LoadResult {
-    let srv = server(max_batch, workers);
+fn measure(max_batch: usize, concurrency: usize, total_requests: usize) -> LoadResult {
+    let srv = server(max_batch);
     let addr = srv.local_addr();
     // Warm up: replica construction, pool spin-up, page faults.
     {
@@ -251,29 +245,18 @@ fn measure(
         }
     }
     let before = srv.stats();
-    let mut result = run_load(addr, MODEL, concurrency, total_requests, before, || {
+    let result = run_load(addr, MODEL, concurrency, total_requests, before, || {
         srv.stats()
     });
     srv.shutdown();
-    result.workers = workers;
     result
-}
-
-/// The higher-throughput of two runs (used to give the solo control its
-/// best dispatcher count).
-fn best(a: LoadResult, b: LoadResult) -> LoadResult {
-    if a.throughput_rows_per_s >= b.throughput_rows_per_s {
-        a
-    } else {
-        b
-    }
 }
 
 /// Verifies batched-under-concurrency responses equal solo responses
 /// bitwise; returns the number of rows checked.
-fn verify_bitwise(workers: usize) -> usize {
+fn verify_bitwise() -> usize {
     let n = 16;
-    let solo_srv = server(1, 1);
+    let solo_srv = server(1);
     let mut solo_client = Client::connect(solo_srv.local_addr()).unwrap();
     let solo: Vec<Tensor> = (0..n)
         .map(|i| {
@@ -286,7 +269,7 @@ fn verify_bitwise(workers: usize) -> usize {
         .collect();
     solo_srv.shutdown();
 
-    let batched_srv = server(n, workers);
+    let batched_srv = server(n);
     let addr = batched_srv.local_addr();
     let batched: Vec<Tensor> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n)
@@ -408,9 +391,9 @@ fn telemetry_overhead(
     let mut best: Option<TelemetryOverhead> = None;
     for attempt in 1..=attempts {
         deepmorph_telemetry::clear();
-        let off = measure(32, 1, concurrency, total_requests);
+        let off = measure(32, concurrency, total_requests);
         deepmorph_telemetry::install(TelemetryConfig::default());
-        let on = measure(32, 1, concurrency, total_requests);
+        let on = measure(32, concurrency, total_requests);
         deepmorph_telemetry::clear();
         let candidate = TelemetryOverhead {
             p50_off_us: off.p50_us,
@@ -431,7 +414,6 @@ fn telemetry_overhead(
 
 fn result_json(r: &LoadResult) -> Json {
     Json::obj([
-        ("workers", Json::usize(r.workers)),
         ("throughput_rows_per_s", Json::num(r.throughput_rows_per_s)),
         ("p50_us", Json::num(r.p50_us)),
         ("p95_us", Json::num(r.p95_us)),
@@ -453,21 +435,13 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_serve.json".to_string());
-    // Batched servers run ONE dispatcher: micro-batching converts
-    // request-level parallelism into data-level parallelism inside the
-    // forward (the kernel pool fans a big batch over every core), so a
-    // second dispatcher would only race the first to the queue and
-    // shrink batches. The solo control gets whichever worker count
-    // serves it best (measured per level).
-    let batched_workers = 1;
-
     // The invisibility check runs in every mode: a bench that reports a
     // speedup from wrong answers would be worse than useless.
-    let checked = verify_bitwise(2);
+    let checked = verify_bitwise();
     println!("bitwise identity: {checked} batched rows == solo rows");
 
     if smoke {
-        let result = measure(32, batched_workers, 4, 40);
+        let result = measure(32, 4, 40);
         println!(
             "smoke: 40 requests ok, {:.0} rows/s (p50 {:.0} µs, avg batch {:.1})",
             result.throughput_rows_per_s, result.p50_us, result.avg_batch_rows
@@ -505,40 +479,27 @@ fn main() {
     for &(concurrency, total_requests) in levels {
         // `solo` is the acceptance-criterion control: the identical
         // server with max_batch = 1 — only the batching knob differs.
-        // `solo_tuned` additionally hands the control a second
-        // dispatcher (the best a batching-free server can do here),
-        // reported for honesty about where the win comes from.
-        let solo = measure(1, batched_workers, concurrency, total_requests);
-        let solo_tuned = best(
-            measure(1, 2, concurrency, total_requests),
-            measure(1, 4, concurrency, total_requests),
-        );
-        let solo_tuned = best(solo_tuned, solo.clone());
-        let batched = measure(32, batched_workers, concurrency, total_requests);
+        let solo = measure(1, concurrency, total_requests);
+        let batched = measure(32, concurrency, total_requests);
         let speedup = batched.throughput_rows_per_s / solo.throughput_rows_per_s;
-        let speedup_tuned = batched.throughput_rows_per_s / solo_tuned.throughput_rows_per_s;
         if concurrency == 32 {
             speedup_c32 = speedup;
         }
         println!(
             "c={concurrency:>2}: solo {:>8.0} rows/s (p50 {:>6.0} µs) | batched {:>8.0} rows/s \
-             (p50 {:>6.0} µs, avg batch {:>4.1}) | {speedup:.2}x ({speedup_tuned:.2}x vs tuned \
-             w={})",
+             (p50 {:>6.0} µs, avg batch {:>4.1}) | {speedup:.2}x",
             solo.throughput_rows_per_s,
             solo.p50_us,
             batched.throughput_rows_per_s,
             batched.p50_us,
             batched.avg_batch_rows,
-            solo_tuned.workers,
         );
         level_entries.push((
             format!("c{concurrency}"),
             Json::obj([
                 ("solo", result_json(&solo)),
-                ("solo_tuned", result_json(&solo_tuned)),
                 ("batched", result_json(&batched)),
                 ("speedup", Json::num(speedup)),
-                ("speedup_vs_tuned", Json::num(speedup_tuned)),
             ]),
         ));
     }
@@ -603,9 +564,8 @@ fn main() {
                 "deepmorph-serve load test: pipelined single-row predict requests \
                  against a paper-scale AlexNet replica server. `batched` coalesces up \
                  to max_batch rows per forward; `solo` is the identical server with \
-                 max_batch=1 (only the batching knob differs); `solo_tuned` \
-                 additionally gives the control its best dispatcher count. Batched \
-                 responses verified bitwise identical to solo before measuring. \
+                 max_batch=1 (only the batching knob differs). Batched responses \
+                 verified bitwise identical to solo before measuring. \
                  Regenerate with `cargo run --release -p deepmorph-bench --bin \
                  serve_bench`.",
             ),
@@ -613,11 +573,7 @@ fn main() {
         ("threads", Json::usize(threads)),
         (
             "config",
-            Json::obj([
-                ("model", Json::str(MODEL)),
-                ("max_batch", Json::usize(32)),
-                ("batched_workers", Json::usize(batched_workers)),
-            ]),
+            Json::obj([("model", Json::str(MODEL)), ("max_batch", Json::usize(32))]),
         ),
         ("bitwise_identical_rows", Json::usize(checked)),
         ("levels", Json::Obj(level_entries)),

@@ -509,10 +509,6 @@ pub fn run(config: &StormConfig) -> StormResult {
     let server = Server::start(
         registry,
         ServerConfig {
-            batch: BatchConfig {
-                max_batch: 32,
-                workers: 1,
-            },
             max_connections: config.idle_connections + config.active_concurrency + 256,
             ..ServerConfig::default()
         },

@@ -1,8 +1,8 @@
 //! The dynamic micro-batching scheduler.
 //!
-//! Concurrent predict requests land in one bounded queue. Worker threads
-//! — each owning its own model *replica* per registered model — pop the
-//! head request and *coalesce*: consecutive queued requests for the same
+//! Concurrent predict requests land in one bounded queue. One worker
+//! thread — owning a model *replica* per registered model — pops the
+//! head request and *coalesces*: consecutive queued requests for the same
 //! model are folded in until the batch reaches `max_batch` rows or the
 //! queue runs dry, and the batch dispatches at once. Batch size is
 //! therefore **load-adaptive**: while one forward runs, new requests
@@ -10,9 +10,10 @@
 //! traffic yields big batches, and a lone request never waits for
 //! company that is not coming. The coalesced rows run as **one**
 //! eval-mode `Graph::forward` (which fans out over the
-//! `deepmorph-parallel` pool internally), and the per-row outputs are
-//! scattered back to each caller; a connection's reply is written to
-//! its socket by the worker itself (see [`crate::conn`]).
+//! `deepmorph-parallel` pool internally, so the one worker and the pool
+//! together cover the cores), and the per-row outputs are scattered back
+//! to each caller; a connection's reply is written to its socket by the
+//! worker itself (see [`crate::conn`]).
 //!
 //! Because every layer computes eval-mode rows independently (see
 //! `Graph::forward_inference`), a coalesced response is **bitwise
@@ -46,25 +47,6 @@ use crate::sync::{wait_recover, LockRecover};
 /// Queue capacity in requests; submissions beyond it are rejected with a
 /// typed busy error instead of growing without bound.
 const QUEUE_CAPACITY: usize = 1024;
-
-/// Knobs of the micro-batching scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchConfig {
-    /// Maximum rows coalesced into one forward. `1` disables batching
-    /// (every request dispatches alone — the `serve_bench` control).
-    pub max_batch: usize,
-    /// Worker threads (each owns one replica per model).
-    pub workers: usize,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            max_batch: 32,
-            workers: 2,
-        }
-    }
-}
 
 /// Shared serving counters (all monotonic).
 #[derive(Debug, Default)]
@@ -259,65 +241,67 @@ pub(crate) fn validate_job(
 
 struct Shared {
     registry: Arc<ModelRegistry>,
-    cfg: BatchConfig,
+    max_batch: usize,
     stats: Arc<ServeStats>,
     queue: Mutex<VecDeque<Job>>,
     cv: Condvar,
     shutdown: AtomicBool,
 }
 
-/// The micro-batching scheduler: a bounded queue plus worker threads.
-/// The event loop is its one producer.
+/// The micro-batching scheduler: a bounded queue plus its one worker
+/// thread. The event loop is its one producer.
 pub(crate) struct Scheduler {
     shared: Arc<Shared>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    worker: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl Scheduler {
-    /// Starts `cfg.workers` worker threads over `registry`.
+    /// Starts the worker thread over `registry`, coalescing up to
+    /// `max_batch` rows per forward (`1` disables batching).
+    ///
+    /// # Errors
+    ///
+    /// Returns the OS error if the worker thread cannot be spawned.
     pub(crate) fn new(
         registry: Arc<ModelRegistry>,
-        cfg: BatchConfig,
+        max_batch: usize,
         stats: Arc<ServeStats>,
-    ) -> Self {
+    ) -> std::io::Result<Self> {
         let shared = Arc::new(Shared {
             registry,
-            cfg,
+            max_batch: max_batch.max(1),
             stats,
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
-        let workers = (0..cfg.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("deepmorph-serve-{i}"))
-                    // Panic containment, outer ring: `run_jobs` catches
-                    // panics around compute, but if one ever escapes the
-                    // loop itself (delivery, queue handling), the worker
-                    // respawns its loop with fresh replicas instead of
-                    // silently shrinking the pool.
-                    .spawn(move || loop {
-                        if catch_unwind(AssertUnwindSafe(|| worker_loop(&shared))).is_ok() {
-                            return; // clean shutdown
-                        }
-                        shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    })
-                    .expect("spawn serve worker")
-            })
-            .collect();
-        Scheduler {
+        let worker = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("deepmorph-serve-worker".into())
+                // Panic containment, outer ring: `run_jobs` catches
+                // panics around compute, but if one ever escapes the
+                // loop itself (delivery, queue handling), the worker
+                // respawns its loop with fresh replicas instead of
+                // leaving the queue without a consumer.
+                .spawn(move || loop {
+                    if catch_unwind(AssertUnwindSafe(|| worker_loop(&shared))).is_ok() {
+                        return; // clean shutdown
+                    }
+                    shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
+                })?
+        };
+        Ok(Scheduler {
             shared,
-            workers: Mutex::new(workers),
-        }
+            worker: Mutex::new(Some(worker)),
+        })
     }
 
     /// Enqueues a job (validated by the caller via [`validate_job`]).
     pub(crate) fn submit(&self, job: Job) -> ServeResult<()> {
         let mut queue = self.shared.queue.lock_recover();
-        // Checked under the queue lock — the lock workers drain under —
-        // so a job can never be enqueued after the workers have exited.
+        // Checked under the queue lock — the lock the worker drains
+        // under — so a job can never be enqueued after the worker exited.
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
@@ -337,13 +321,12 @@ impl Scheduler {
         Ok(())
     }
 
-    /// Stops accepting work, drains the queue, and joins the workers.
+    /// Stops accepting work, drains the queue, and joins the worker.
     /// Idempotent.
     pub(crate) fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.cv.notify_all();
-        let mut workers = self.workers.lock_recover();
-        for handle in workers.drain(..) {
+        if let Some(handle) = self.worker.lock_recover().take() {
             let _ = handle.join();
         }
     }
@@ -355,7 +338,7 @@ impl Drop for Scheduler {
     }
 }
 
-/// A worker's private instance of one model, pinned to the registry
+/// The worker's private instance of one model, pinned to the registry
 /// epoch it was instantiated at.
 struct Replica {
     epoch: u64,
@@ -389,12 +372,7 @@ fn worker_loop(shared: &Shared) {
         // for more would only delay a lone request.
         let mut total = first.row_count();
         let mut jobs = vec![first];
-        drain(
-            &mut queue,
-            &mut jobs,
-            &mut total,
-            shared.cfg.max_batch.max(1),
-        );
+        drain(&mut queue, &mut jobs, &mut total, shared.max_batch);
         drop(queue);
         run_jobs(shared, &mut replicas, jobs, picked_up);
     }

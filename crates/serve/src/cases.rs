@@ -18,7 +18,7 @@ use crate::error::{ServeError, ServeResult};
 /// epoch of the replica that produced the misclassification, and records
 /// from any other epoch than the buffer's own are dropped (counted in
 /// [`LiveCases::stale`]). When a repair hot-swaps a new model version in,
-/// the swap advances the buffer's epoch and clears it, so a worker still
+/// the swap advances the buffer's epoch and clears it, so the worker still
 /// finishing an in-flight batch on the old version can never seed the new
 /// version's diagnosis with pre-repair mistakes.
 #[derive(Debug)]

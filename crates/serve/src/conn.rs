@@ -1,5 +1,5 @@
-//! Per-connection state shared between the event loop and the
-//! scheduler workers.
+//! Per-connection state shared between the event loop, the scheduler
+//! worker and the admin threads.
 //!
 //! Three pieces live here:
 //!
@@ -194,8 +194,8 @@ struct OutState {
 /// for the bytes the socket would not take yet.
 ///
 /// Shared between the owning event loop (which flushes the buffer) and
-/// any number of scheduler workers / admin threads (which write their
-/// replies through [`Outbound::write_through`]). The critical sections
+/// the scheduler worker and admin threads (which write their replies
+/// through [`Outbound::write_through`]). The critical sections
 /// are one nonblocking write syscall plus, at most, a memcpy into the
 /// buffer, which is why a plain mutex is fine here. Holding the socket
 /// as an `Arc` keeps its fd open for as long as any producer can still

@@ -13,7 +13,7 @@
 //!   are answered inline; predicts are validated and enqueued with the
 //!   scheduler; diagnose/repair/rollback — minutes-class retraining —
 //!   run on the server's reusable admin threads ([`crate::admin`]).
-//! * **Producers write their own replies.** A scheduler worker, an
+//! * **Producers write their own replies.** The scheduler worker, an
 //!   admin thread, or the loop itself writes an encoded frame straight
 //!   to the socket when nothing is buffered ahead of it
 //!   ([`Outbound::write_through`]), so a lone reply costs no loop

@@ -19,23 +19,23 @@
 //!   with a 128-bit content fingerprint. Every name is a hot-swappable
 //!   version chain: publishing a repaired model atomically replaces the
 //!   serving version without dropping or perturbing a single predict
-//!   request. Serving workers instantiate independent *replicas*
+//!   request. The serving worker instantiates independent *replicas*
 //!   (rebuild from spec + exact state import), which predict bitwise
-//!   identically to the saved model, and refresh them at batch
+//!   identically to the saved model, and refreshes them at batch
 //!   boundaries when the version epoch moves.
 //! * [`batch`] — the dynamic micro-batching scheduler: a bounded queue,
-//!   worker-owned replicas, coalescing whatever queued up behind the
-//!   head request (up to `max_batch` rows, no waiting for stragglers),
-//!   one `Graph::forward_inference` per batch, per-row scatter. Batched
-//!   responses are **bitwise identical** to solo responses (eval-mode
-//!   rows are computed independently — pinned by tests at the GEMM,
-//!   graph, scheduler, and TCP levels).
+//!   one worker thread owning the replicas, coalescing whatever queued
+//!   up behind the head request (up to `max_batch` rows, no waiting for
+//!   stragglers), one `Graph::forward_inference` per batch, per-row
+//!   scatter. Batched responses are **bitwise identical** to solo
+//!   responses (eval-mode rows are computed independently — pinned by
+//!   tests at the GEMM, graph, scheduler, and TCP levels).
 //! * [`server`] / [`client`] — the TCP endpoints. The server is
 //!   readiness-driven: one epoll event-loop thread
 //!   (`deepmorph-net`, raw syscall bindings — no async runtime) holds
 //!   every connection and assembles frames incrementally ([`conn`]), so
 //!   one process carries tens of thousands of mostly idle sockets on a
-//!   constant thread count. Workers write their replies straight to the
+//!   constant thread count. The worker writes its replies straight to the
 //!   socket; only bytes a backed-up socket would not take go through a
 //!   bounded per-connection outbound buffer that the loop flushes.
 //! * [`cases`] — per-model accumulation of labeled misclassified
@@ -44,8 +44,8 @@
 //!   diagnosis.
 //! * [`repair`] — the online diagnose → repair → hot-swap loop: a
 //!   memoized per-version diagnosis session, plan execution through the
-//!   staged engine (cached in an artifact store), a held-out accuracy
-//!   gate, and the atomic version swap.
+//!   staged engine, a held-out accuracy gate, and the atomic version
+//!   swap.
 //!
 //! # Example (in-process round trip)
 //!
@@ -84,7 +84,6 @@ mod sync;
 
 pub mod client;
 
-pub use batch::BatchConfig;
 pub use client::{Client, ClientConfig, RetryPolicy};
 pub use conn::{FrameAssembler, FramingError};
 pub use error::{ErrorCode, ServeError, ServeResult};
@@ -93,7 +92,6 @@ pub use server::{Server, ServerConfig};
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::batch::BatchConfig;
     pub use crate::cases::LiveCases;
     pub use crate::client::{Client, ClientConfig, RetryPolicy};
     pub use crate::error::{ErrorCode, ServeError, ServeResult};

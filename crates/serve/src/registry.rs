@@ -5,13 +5,13 @@
 //! (`RwLock<Arc<ModelEntry>>` plus a monotonically increasing *epoch*):
 //! [`ModelRegistry::publish`] installs a new version without ever making
 //! predict traffic wait on anything slower than one uncontended read
-//! lock. Scheduler workers cache the epoch alongside their replica and
-//! refresh at batch boundaries when it moves, so an in-flight batch
+//! lock. The scheduler worker caches the epoch alongside its replica and
+//! refreshes at batch boundaries when it moves, so an in-flight batch
 //! always finishes on the version it started with — a swap can never
 //! error a request or change a response mid-batch.
 //!
 //! Each version is decoded once at registration to validate it and
-//! extract its spec, then kept as bytes; serving workers instantiate
+//! extract its spec, then kept as bytes; the serving worker instantiates
 //! *replicas* on demand — decoding rebuilds the architecture from the
 //! spec and imports the exact state, so every replica predicts bitwise
 //! identically to the model that was saved. Every version is stamped with
@@ -390,8 +390,8 @@ impl ModelEntry {
 
     /// Builds an independent replica of this version: the spec rebuilds
     /// the architecture, the stored state dict restores the exact
-    /// parameters. Replicas share no storage, so each serving worker owns
-    /// its own and forwards concurrently.
+    /// parameters. Replicas share no storage, so the serving worker's
+    /// replica and an admin thread's copy forward concurrently.
     ///
     /// # Errors
     ///
@@ -1039,8 +1039,8 @@ impl ModelSlot {
         guard.0 += 1;
         guard.1 = entry;
         let epoch = guard.0;
-        // Publish the hint only after the pair is installed: a worker that
-        // sees the new epoch is guaranteed to read the new entry.
+        // Publish the hint only after the pair is installed: the worker,
+        // once it sees the new epoch, is guaranteed to read the new entry.
         self.epoch_hint.store(epoch, Ordering::Release);
         drop(guard);
     }

@@ -17,9 +17,9 @@
 //! 3. **Execute** the plan through the staged engine
 //!    ([`StagedEngine::repaired`]): the scenario reconstructed from the
 //!    model's sidecar regenerates its actual (defect-injected) training
-//!    set, the plan is applied, and the model retrains — cached in the
-//!    server's [`ArtifactStore`], so repeating an identical repair
-//!    retrains nothing.
+//!    set, the plan is applied, and the model retrains. Nothing is
+//!    cached: the registry keeps the published result, and the only way
+//!    to repeat a repair is to roll back the very model it built.
 //! 4. **Gate** on the held-out set: the repaired model must be at least
 //!    as accurate as the serving version, or nothing is swapped.
 //! 5. **Hot-swap**: publish the repaired model as `<name>@vN` (persisted
@@ -28,12 +28,12 @@
 //!    (stale pre-repair cases must not poison the next diagnosis), and
 //!    drop the memoized session of the superseded version.
 //!
-//! Predict traffic never waits on any of this: workers pick up the new
-//! version at their next batch boundary, and batches already running
-//! finish on the old replica. Diagnoses of *other* models are also
-//! unaffected; a diagnose of the model under repair may briefly rebuild
-//! its own session (the repair borrows the memoized one for the
-//! retrain) rather than block behind it.
+//! Predict traffic never waits on any of this: the scheduler worker
+//! picks up the new version at its next batch boundary, and a batch
+//! already running finishes on the old replica. Diagnoses of *other*
+//! models are also unaffected; a diagnose of the model under repair may
+//! briefly rebuild its own session (the repair borrows the memoized one
+//! for the retrain) rather than block behind it.
 //!
 //! Known limitation (tracked in ROADMAP.md): a repaired version keeps
 //! its ancestor's provenance sidecar, so diagnosing `v2` learns
@@ -46,7 +46,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use deepmorph::pipeline::{DeepMorph, DeepMorphConfig, DiagnosisSession};
-use deepmorph::prelude::{recommend, ArtifactStore, Scenario, StagedEngine};
+use deepmorph::prelude::{recommend, Scenario, StagedEngine};
 use deepmorph_nn::train::evaluate_accuracy;
 
 use crate::error::{ServeError, ServeResult};
@@ -71,9 +71,6 @@ pub(crate) struct RepairState {
     /// Serializes repairs of one model; a second concurrent repair gets a
     /// typed error instead of retraining the same thing twice.
     locks: Vec<Mutex<()>>,
-    /// Caches repair executions in process memory, so an identical
-    /// repair of an unchanged model retrains once per server lifetime.
-    engine: StagedEngine,
 }
 
 impl RepairState {
@@ -81,7 +78,6 @@ impl RepairState {
         RepairState {
             sessions: (0..slots).map(|_| Mutex::new(None)).collect(),
             locks: (0..slots).map(|_| Mutex::new(())).collect(),
-            engine: StagedEngine::new(ArtifactStore::in_memory()),
         }
     }
 }
@@ -265,10 +261,8 @@ pub(crate) fn repair_live(shared: &ServerShared, id: ModelId) -> ServeResult<Rep
         let accuracy_before =
             evaluate_accuracy(&mut serving.graph, test.images(), test.labels(), 64)?;
 
-        // Execute the plan through the staged engine (cached by scenario ×
-        // model fingerprint × plan — an identical repair retrains nothing).
-        let repaired = state
-            .engine
+        // Execute the plan through the staged engine, uncached.
+        let repaired = StagedEngine::ephemeral()
             .repaired(
                 &scenario,
                 &entry.fingerprint,
@@ -324,7 +318,7 @@ pub(crate) fn repair_live(shared: &ServerShared, id: ModelId) -> ServeResult<Rep
     let published = {
         // Publish and buffer reset happen under the cases lock, so they
         // are atomic from every observer's view: a diagnose draining the
-        // buffer (or a worker recording into it) sees either the old
+        // buffer (or the worker recording into it) sees either the old
         // version with the old traffic or the new version with an empty
         // buffer — never the new version paired with pre-repair mistakes.
         let mut cases = shared.cases[id.index()].lock_recover();

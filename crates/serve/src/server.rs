@@ -2,7 +2,7 @@
 //!
 //! One readiness-driven event-loop thread (`crate::event_loop`) owns
 //! the listener and holds every connection; predicts are handed to the
-//! workers of the [`crate::batch`] scheduler, which write their
+//! one worker of the [`crate::batch`] scheduler, which writes their
 //! responses straight to the connection's socket (through the loop's
 //! per-connection outbound buffer only when the socket is backed up).
 //! The thread count is a function of configuration, never of
@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex, Once};
 use deepmorph::pipeline::DeepMorphConfig;
 
 use crate::admin::AdminPool;
-use crate::batch::{BatchConfig, Scheduler, ServeStats};
+use crate::batch::{Scheduler, ServeStats};
 use crate::cases::LiveCases;
 use crate::conn::LoopNotify;
 use crate::error::{ServeError, ServeResult};
@@ -47,8 +47,10 @@ pub struct ServerConfig {
     /// Bind address; port `0` picks a free port (see
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// Micro-batching configuration.
-    pub batch: BatchConfig,
+    /// Maximum rows the scheduler coalesces into one forward. `1`
+    /// disables batching (every request dispatches alone — the
+    /// `serve_bench` control).
+    pub max_batch: usize,
     /// DeepMorph configuration used by the diagnose and repair endpoints.
     pub deepmorph: DeepMorphConfig,
     /// Cap on simultaneously live connections; a connection beyond it is
@@ -62,7 +64,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            batch: BatchConfig::default(),
+            max_batch: 32,
             deepmorph: DeepMorphConfig {
                 max_faulty_cases: 256,
                 ..DeepMorphConfig::default()
@@ -75,7 +77,7 @@ impl Default for ServerConfig {
 pub(crate) struct ServerShared {
     pub(crate) registry: Arc<ModelRegistry>,
     pub(crate) stats: Arc<ServeStats>,
-    pub(crate) scheduler: Arc<Scheduler>,
+    pub(crate) scheduler: Scheduler,
     /// Per-model misclassification buffers, parallel to the registry
     /// slots (versions of one name share a buffer; a hot-swap advances
     /// its epoch and clears it).
@@ -110,7 +112,7 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Binds, spawns the scheduler workers and the I/O event loop, and
+    /// Binds, spawns the scheduler worker and the I/O event loop, and
     /// returns immediately. The first start in a process also raises
     /// `RLIMIT_NOFILE` as far as the kernel allows and logs the
     /// effective cap.
@@ -118,8 +120,8 @@ impl Server {
     /// # Errors
     ///
     /// Returns [`ServeError::Io`] if the address cannot be bound or the
-    /// event loop cannot be set up, and [`ServeError::BadInput`] for an
-    /// empty registry.
+    /// scheduler worker or the event loop cannot be started, and
+    /// [`ServeError::BadInput`] for an empty registry.
     pub fn start(registry: ModelRegistry, config: ServerConfig) -> ServeResult<Server> {
         if registry.is_empty() {
             return Err(ServeError::BadInput {
@@ -136,11 +138,10 @@ impl Server {
         });
         let registry = Arc::new(registry);
         let stats = Arc::new(ServeStats::default());
-        let scheduler = Arc::new(Scheduler::new(
-            Arc::clone(&registry),
-            config.batch,
-            Arc::clone(&stats),
-        ));
+        let scheduler = Scheduler::new(Arc::clone(&registry), config.max_batch, Arc::clone(&stats))
+            .map_err(|e| ServeError::Io {
+                message: format!("cannot start the scheduler worker: {e}"),
+            })?;
         let cases = registry
             .ids()
             .map(|id| {

@@ -58,17 +58,7 @@ fn row(all: &Tensor, i: usize) -> Tensor {
 fn predict_storm_under_faults_loses_nothing_and_corrupts_nothing() {
     let _guard = FAULT_GUARD.lock().unwrap_or_else(|p| p.into_inner());
     let model_seed = 50u64;
-    let server = Server::start(
-        registry_with("m", model_seed),
-        ServerConfig {
-            batch: BatchConfig {
-                workers: 2,
-                ..BatchConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = Server::start(registry_with("m", model_seed), ServerConfig::default()).unwrap();
     let addr = server.local_addr();
 
     // Fault-free reference: the bitwise answer every retry must converge
@@ -182,7 +172,7 @@ fn predict_storm_under_faults_loses_nothing_and_corrupts_nothing() {
 }
 
 #[test]
-fn worker_panic_is_contained_and_the_pool_keeps_serving() {
+fn worker_panic_is_contained_and_the_worker_keeps_serving() {
     let _guard = FAULT_GUARD.lock().unwrap_or_else(|p| p.into_inner());
     let server = Server::start(registry_with("m", 51), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
@@ -200,8 +190,8 @@ fn worker_panic_is_contained_and_the_pool_keeps_serving() {
     }
     deepmorph_faults::clear();
 
-    // The storm over, the same connection and the same worker pool serve.
-    let response = client.predict("m", &input).expect("pool survived");
+    // The storm over, the same connection and the same worker serve.
+    let response = client.predict("m", &input).expect("worker survived");
     assert_eq!(response.predictions.len(), 1);
     let stats = client.telemetry().unwrap().stats;
     assert!(stats.worker_panics >= 1, "panic was counted: {stats:?}");
@@ -256,17 +246,7 @@ fn rollback_over_the_wire_restores_bitwise_previous_serving() {
 #[test]
 fn expired_deadline_is_shed_with_a_typed_error() {
     let _guard = FAULT_GUARD.lock().unwrap_or_else(|p| p.into_inner());
-    let server = Server::start(
-        registry_with("m", 54),
-        ServerConfig {
-            batch: BatchConfig {
-                workers: 1,
-                ..BatchConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = Server::start(registry_with("m", 54), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     let input = rows(1, 3);
 

@@ -7,10 +7,10 @@
 //!   connection and for concurrent clients;
 //! * **admission is typed**: malformed rows never reach the scheduler's
 //!   queue, and a full queue answers with a busy error, then serves again;
-//! * **replies stay whole whoever writes them**: workers, admin threads
-//!   and the event loop write to one socket without interleaving frames,
-//!   a reader too slow to keep up gets every frame exactly once, and a
-//!   lone reply costs no extra event-loop wakeup;
+//! * **replies stay whole whoever writes them**: the scheduler worker,
+//!   admin threads and the event loop write to one socket without
+//!   interleaving frames, a reader too slow to keep up gets every frame
+//!   exactly once, and a lone reply costs no extra event-loop wakeup;
 //! * **the server never dies on client bytes**: garbage, truncated,
 //!   oversized and retired-kind frames produce typed error frames (or a
 //!   clean connection drop) and later clients still get service;
@@ -118,10 +118,7 @@ fn scheduler_batched_outputs_equal_solo_outputs_bitwise() {
     let server = Server::start(
         registry_with("m", 5),
         ServerConfig {
-            batch: BatchConfig {
-                max_batch: n,
-                workers: 1,
-            },
+            max_batch: n,
             ..ServerConfig::default()
         },
     )
@@ -178,10 +175,7 @@ fn scheduler_rejects_bad_input_and_fills_up() {
     let server = Server::start(
         registry_with("m", 6),
         ServerConfig {
-            batch: BatchConfig {
-                max_batch: 1,
-                workers: 1,
-            },
+            max_batch: 1,
             ..ServerConfig::default()
         },
     )
@@ -313,10 +307,7 @@ fn tcp_batched_responses_equal_solo_responses_bitwise() {
     let solo_server = Server::start(
         registry_with("m", 11),
         ServerConfig {
-            batch: BatchConfig {
-                max_batch: 1,
-                workers: 1,
-            },
+            max_batch: 1,
             ..ServerConfig::default()
         },
     )
@@ -340,10 +331,7 @@ fn tcp_batched_responses_equal_solo_responses_bitwise() {
     let batched_server = Server::start(
         registry_with("m", 11),
         ServerConfig {
-            batch: BatchConfig {
-                max_batch: n,
-                workers: 1,
-            },
+            max_batch: n,
             ..ServerConfig::default()
         },
     )
@@ -491,22 +479,12 @@ fn slow_reader_gets_every_frame_whole_and_keeps_its_connection() {
 }
 
 /// One connection, three kinds of writer at once: the event loop
-/// answering pings, two scheduler workers answering predicts, and an
+/// answering pings, the scheduler worker answering predicts, and an
 /// admin thread answering a diagnose. Every frame must decode, so no
 /// writer ever split another's frame.
 #[test]
 fn mixed_writers_on_one_connection_never_interleave_frames() {
-    let server = Server::start(
-        registry_with("m", 19),
-        ServerConfig {
-            batch: BatchConfig {
-                workers: 2,
-                ..BatchConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = Server::start(registry_with("m", 19), ServerConfig::default()).unwrap();
     let mut raw = TcpStream::connect(server.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
 

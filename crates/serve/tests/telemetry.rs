@@ -236,7 +236,7 @@ fn each_server_counts_its_own_version_traffic() {
 }
 
 /// A request's trace stages are disjoint spans inside its total: queue
-/// wait ends where a worker picks the request up, which is where its
+/// wait ends where the worker picks the request up, which is where its
 /// batch's coalesce span begins, and the reply's socket write is the
 /// flush span. (Frame assembly precedes admission, where the total
 /// starts, so it is left out of the sum.)
@@ -259,8 +259,8 @@ fn trace_stages_fit_inside_the_request_total() {
             });
         }
     });
-    // A worker records a reply's spans after writing it, so a client can
-    // finish first; shutdown joins the workers.
+    // The worker records a reply's spans after writing it, so a client
+    // can finish first; shutdown joins the worker.
     server.shutdown();
     let snapshot = deepmorph_telemetry::armed().expect("armed").snapshot();
     deepmorph_telemetry::clear();
