@@ -3,7 +3,7 @@
 //! the cost profile behind every Table I cell.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use deepmorph::classify::{ClassifierConfig, DefectClassifier};
+use deepmorph::classify::classify;
 use deepmorph::instrument::{InstrumentedModel, ProbeTrainingConfig};
 use deepmorph::pattern::ClassPatterns;
 use deepmorph::prelude::*;
@@ -119,13 +119,11 @@ fn bench_classification(c: &mut Criterion) {
                 prepared.faulty.labels()[i],
                 (prepared.faulty.labels()[i] + 1) % 10,
                 &patterns,
-                AlignmentMetric::JensenShannon,
             )
         })
         .collect();
-    let classifier = DefectClassifier::new(ClassifierConfig::default());
     c.bench_function("pipeline/classify_50_cases", |b| {
-        b.iter(|| classifier.classify(&specifics, &patterns))
+        b.iter(|| classify(&specifics, &patterns))
     });
     c.bench_function("pipeline/specifics_50_cases", |b| {
         b.iter(|| {
@@ -135,7 +133,6 @@ fn bench_classification(c: &mut Criterion) {
                     prepared.faulty.labels()[i],
                     (prepared.faulty.labels()[i] + 1) % 10,
                     &patterns,
-                    AlignmentMetric::JensenShannon,
                 ));
                 acc + 1
             })

@@ -1,10 +1,10 @@
 //! Calibration diagnostics.
 //!
 //! Prints the mean footprint-specifics features per injected defect so the signature weights in
-//! `deepmorph::classify::SignatureWeights` can be grounded in data: the
+//! `deepmorph::classify::WEIGHTS` can be grounded in data: the
 //! staged engine's footprints and patterns, averaged per feature instead
 //! of classified. Not part of the paper's artifacts; it documents the
-//! feature values the default weights were derived from.
+//! feature values the calibrated weights were derived from.
 
 use deepmorph::classify::PopulationEvidence;
 use deepmorph::prelude::*;
@@ -54,9 +54,7 @@ fn analyze(family: ModelFamily, defect: &DefectSpec) -> Result<(), DeepMorphErro
         .faulty
         .iter()
         .zip(faulty.true_labels.iter().zip(&faulty.predicted))
-        .map(|(fp, (&t, &p))| {
-            FootprintSpecifics::compute(fp, t, p, &patterns, AlignmentMetric::JensenShannon)
-        })
+        .map(|(fp, (&t, &p))| FootprintSpecifics::compute(fp, t, p, &patterns))
         .collect();
     let pop = PopulationEvidence::compute(&specifics, 10);
 

@@ -8,7 +8,9 @@
 //! ```
 //!
 //! `--seeds N` runs the table at `N` seeds (`seed`, `seed + 101`, …) and
-//! prints the per-cell mean ratios. With `DEEPMORPH_ARTIFACTS` set, every
+//! prints the per-cell mean ratios, then how many of the per-seed cells
+//! the injected defect won (the mean can hide a seed's miss); `--json`
+//! writes the mean table. With `DEEPMORPH_ARTIFACTS` set, every
 //! stage persists in that directory, so a rerun reloads unchanged cells
 //! instead of retraining them.
 
@@ -16,7 +18,9 @@ use std::time::Instant;
 
 use deepmorph::artifact::{ArtifactStore, ARTIFACTS_ENV};
 use deepmorph::prelude::ModelScale;
-use deepmorph_bench::{render_table, run_table, run_table_seeds, Table1Config};
+use deepmorph_bench::{
+    aggregate_tables, render_table, run_table, run_table_seeds, Table1Config, TableResult,
+};
 
 fn parse_args() -> (Table1Config, Option<String>, usize) {
     let mut config = Table1Config::default();
@@ -108,13 +112,19 @@ fn main() {
         );
     };
     let store = env_store().unwrap_or_else(ArtifactStore::disabled);
+    let mut per_seed_won = None;
     let result = if num_seeds <= 1 {
         run_table(&config, store, |cell| print_cell(config.seed, cell))
     } else {
         let seeds: Vec<u64> = (0..num_seeds as u64)
             .map(|i| config.seed + i * 101)
             .collect();
-        run_table_seeds(&config, &seeds, store, print_cell)
+        run_table_seeds(&config, &seeds, store, print_cell).map(|tables| {
+            let won: usize = tables.iter().map(TableResult::cells_won).sum();
+            let total: usize = tables.iter().map(|t| t.cells.len()).sum();
+            per_seed_won = Some((won, total));
+            aggregate_tables(&tables)
+        })
     }
     .unwrap_or_else(|e| {
         eprintln!("table sweep failed: {e}");
@@ -122,6 +132,9 @@ fn main() {
     });
 
     println!("\n{}", render_table(&result));
+    if let Some((won, total)) = per_seed_won {
+        println!("per-seed cells won: {won} of {total}");
+    }
     println!("total wall time: {:.1}s", start.elapsed().as_secs_f32());
 
     if let Some(path) = json_path {

@@ -15,8 +15,7 @@
 //!   flat thread count while an active, bitwise-verified predict load
 //!   keeps its latency.
 //! * Criterion benches in `benches/` measure substrate and pipeline
-//!   throughput plus three ablations: probe granularity, alignment
-//!   metric, and population evidence.
+//!   throughput.
 //!
 //! The end-to-end correctness bars — live diagnosis and repair, the
 //! warm-sweep cache, the chaos zero-loss storm, the telemetry frame —

@@ -96,12 +96,17 @@ pub struct TableResult {
 }
 
 impl TableResult {
+    /// Number of cells where the injected defect won.
+    pub fn cells_won(&self) -> usize {
+        self.cells.iter().filter(|c| c.correct).count()
+    }
+
     /// Fraction of cells where the injected defect won.
     pub fn diagonal_accuracy(&self) -> f32 {
         if self.cells.is_empty() {
             return 0.0;
         }
-        self.cells.iter().filter(|c| c.correct).count() as f32 / self.cells.len() as f32
+        self.cells_won() as f32 / self.cells.len() as f32
     }
 
     /// The result set as a [`Json`] value (for `--json` output).
@@ -259,13 +264,11 @@ fn run_table_on(
     })
 }
 
-/// Runs the sweep across several seeds and averages the ratio cells —
-/// the robustness check behind the single-seed table. Every per-seed
-/// table shares `store`, so rerunning the multi-seed sweep (or extending
-/// its seed list) reloads every already-computed cell.
-///
-/// The aggregated cell's `correct` flag reflects the *mean* ratios (does
-/// the diagonal win on average); accuracy/faulty-count fields are means.
+/// Runs the sweep at each of `seeds` and returns one table per seed —
+/// the robustness check behind the single-seed table;
+/// [`aggregate_tables`] averages them. Every per-seed table shares
+/// `store`, so rerunning the multi-seed sweep (or extending its seed
+/// list) reloads every already-computed cell.
 ///
 /// # Errors
 ///
@@ -275,18 +278,23 @@ pub fn run_table_seeds(
     seeds: &[u64],
     store: ArtifactStore,
     mut progress: impl FnMut(u64, &CellResult),
-) -> Result<TableResult, DeepMorphError> {
+) -> Result<Vec<TableResult>, DeepMorphError> {
     let runner = SweepRunner::new(store);
-    let mut per_seed = Vec::new();
-    for &seed in seeds {
-        let cfg = Table1Config { seed, ..*config };
-        let result = run_table_on(&runner, &cfg, |cell| progress(seed, cell))?;
-        per_seed.push(result);
-    }
-    Ok(aggregate_tables(&per_seed))
+    seeds
+        .iter()
+        .map(|&seed| {
+            let cfg = Table1Config { seed, ..*config };
+            run_table_on(&runner, &cfg, |cell| progress(seed, cell))
+        })
+        .collect()
 }
 
 /// Averages matching cells across per-seed tables.
+///
+/// The aggregated cell's `correct` flag reflects the *mean* ratios (does
+/// the diagonal win on average), so it can hide a seed's miss that
+/// [`TableResult::cells_won`] on the per-seed tables counts;
+/// accuracy/faulty-count fields are means.
 pub fn aggregate_tables(tables: &[TableResult]) -> TableResult {
     let Some(first) = tables.first() else {
         return TableResult::default();
@@ -372,7 +380,7 @@ pub fn render_table(result: &TableResult) -> String {
     out.push_str(&format!(
         "diagonal accuracy: {:.0}% ({} of {} cells; '!' marks misses)\n",
         result.diagonal_accuracy() * 100.0,
-        result.cells.iter().filter(|c| c.correct).count(),
+        result.cells_won(),
         result.cells.len()
     ));
     out
@@ -407,23 +415,42 @@ mod tests {
         assert_eq!(table.diagonal_accuracy(), 0.0);
     }
 
+    fn lenet_itd(ratios: [f32; 3], reported: &str) -> CellResult {
+        CellResult {
+            model: "LeNet".into(),
+            dataset: "synth-digits".into(),
+            injected: "ITD".into(),
+            ratios,
+            reported: reported.into(),
+            correct: reported == "ITD",
+            test_accuracy: 0.8,
+            faulty_cases: 50,
+            model_health: 0.9,
+        }
+    }
+
     #[test]
     fn render_formats_cells() {
         let table = TableResult {
-            cells: vec![CellResult {
-                model: "LeNet".into(),
-                dataset: "synth-digits".into(),
-                injected: "ITD".into(),
-                ratios: [0.7, 0.2, 0.1],
-                reported: "ITD".into(),
-                correct: true,
-                test_accuracy: 0.8,
-                faulty_cases: 50,
-                model_health: 0.9,
-            }],
+            cells: vec![lenet_itd([0.7, 0.2, 0.1], "ITD")],
         };
         let s = render_table(&table);
         assert!(s.contains("0.70 0.20 0.10"));
         assert!(s.contains("diagonal accuracy"));
+    }
+
+    #[test]
+    fn mean_ratios_can_win_a_cell_that_a_seed_missed() {
+        let seeds = [
+            TableResult {
+                cells: vec![lenet_itd([0.9, 0.05, 0.05], "ITD")],
+            },
+            TableResult {
+                cells: vec![lenet_itd([0.4, 0.5, 0.1], "UTD")],
+            },
+        ];
+        let mean = aggregate_tables(&seeds);
+        assert_eq!(mean.cells_won(), 1);
+        assert_eq!(seeds.iter().map(TableResult::cells_won).sum::<usize>(), 1);
     }
 }

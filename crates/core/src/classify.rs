@@ -17,6 +17,14 @@
 //!
 //! Each case is assigned to its best-scoring defect; the report's ratios
 //! are the assignment fractions (matching how Table I rows sum to ≈ 1).
+//!
+//! There is one classifier: footprints align with patterns by
+//! Jensen–Shannon similarity ([`crate::specifics`]), every case is scored
+//! with the calibrated [`WEIGHTS`], and population evidence
+//! ([`PopulationEvidence`]) always contributes. On held-out seeds a
+//! cosine alignment won no more cells and scored the injected defect
+//! lower wherever its ratios differed, and dropping population evidence
+//! lost four cells.
 
 use deepmorph_tensor::stats;
 
@@ -25,32 +33,8 @@ use deepmorph_defects::DefectKind;
 use crate::pattern::ClassPatterns;
 use crate::specifics::FootprintSpecifics;
 
-/// Footprint-to-pattern alignment metric. Jensen–Shannon is the default;
-/// the `ablation` bench in `deepmorph-bench` measures cosine against it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlignmentMetric {
-    /// `1 - JSD/ln2` on probe distributions (default).
-    JensenShannon,
-    /// Cosine similarity on probe distributions.
-    Cosine,
-}
-
-impl AlignmentMetric {
-    /// Similarity in `[0, 1]` between two probe distributions.
-    pub fn similarity(self, p: &[f32], q: &[f32]) -> f32 {
-        match self {
-            AlignmentMetric::JensenShannon => stats::js_similarity(p, q),
-            AlignmentMetric::Cosine => stats::cosine_similarity(p, q).clamp(0.0, 1.0),
-        }
-    }
-}
-
-/// Signature weights. The defaults were calibrated once against the mean
-/// per-defect feature values printed by the `calibrate` binary
-/// (`cargo run --release -p deepmorph-bench --bin calibrate`) and are
-/// deliberately *not* per-model:
-/// Table I uses a single configuration across all four architectures, as
-/// the paper does.
+/// Signature weights: how much each piece of evidence counts towards its
+/// defect's score. The one set in use is [`WEIGHTS`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SignatureWeights {
     /// ITD: weight of the true class being starved in the training set.
@@ -80,46 +64,25 @@ pub struct SignatureWeights {
     pub sd_early_flatness: f32,
 }
 
-impl Default for SignatureWeights {
-    fn default() -> Self {
-        SignatureWeights {
-            itd_starvation: 0.50,
-            itd_entropy: 0.20,
-            itd_scatter: 0.20,
-            itd_novelty: 0.10,
-            utd_contamination: 0.45,
-            utd_noise_concentration: 0.25,
-            utd_confidence: 0.15,
-            utd_pair_concentration: 0.15,
-            sd_probe_disagreement: 0.65,
-            sd_unhealth: 0.35,
-            sd_early_flatness: 0.10,
-        }
-    }
-}
-
-/// Classifier configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClassifierConfig {
-    /// Alignment metric for footprint-vs-pattern comparison.
-    pub metric: AlignmentMetric,
-    /// Include population-level evidence (pair/class concentrations across
-    /// all faulty cases). Off, neutral values stand in for that evidence;
-    /// the `ablation` bench measures both settings.
-    pub use_population: bool,
-    /// Signature weights.
-    pub weights: SignatureWeights,
-}
-
-impl Default for ClassifierConfig {
-    fn default() -> Self {
-        ClassifierConfig {
-            metric: AlignmentMetric::JensenShannon,
-            use_population: true,
-            weights: SignatureWeights::default(),
-        }
-    }
-}
+/// The signature weights every diagnosis scores with. They were
+/// calibrated once against the mean per-defect feature values printed by
+/// the `calibrate` binary
+/// (`cargo run --release -p deepmorph-bench --bin calibrate`) and are
+/// deliberately *not* per-model: Table I uses a single configuration
+/// across all four architectures, as the paper does.
+pub const WEIGHTS: SignatureWeights = SignatureWeights {
+    itd_starvation: 0.50,
+    itd_entropy: 0.20,
+    itd_scatter: 0.20,
+    itd_novelty: 0.10,
+    utd_contamination: 0.45,
+    utd_noise_concentration: 0.25,
+    utd_confidence: 0.15,
+    utd_pair_concentration: 0.15,
+    sd_probe_disagreement: 0.65,
+    sd_unhealth: 0.35,
+    sd_early_flatness: 0.10,
+};
 
 /// Population-level evidence shared by all cases of one diagnosis run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -163,17 +126,6 @@ impl PopulationEvidence {
             pred_concentration: 1.0 - stats::normalized_entropy(&pred_hist),
         }
     }
-
-    /// Neutral evidence used when population analysis is disabled: every
-    /// population term contributes half weight, so per-case trajectory
-    /// evidence alone decides.
-    pub fn neutral() -> Self {
-        PopulationEvidence {
-            pair_concentration: 0.5,
-            true_concentration: 0.5,
-            pred_concentration: 0.5,
-        }
-    }
 }
 
 /// Raw per-case signature scores (before assignment).
@@ -204,119 +156,100 @@ impl CaseScores {
     }
 }
 
-/// Scores footprint specifics against the three defect signatures.
-#[derive(Debug, Clone, Default)]
-pub struct DefectClassifier {
-    config: ClassifierConfig,
+/// Scores every case and returns `(per-case scores, ratios)`, where
+/// `ratios[i]` is the fraction of cases assigned to `DefectKind::all()[i]`.
+pub fn classify(
+    cases: &[FootprintSpecifics],
+    patterns: &ClassPatterns,
+) -> (Vec<CaseScores>, [f32; 3]) {
+    let population = PopulationEvidence::compute(cases, patterns.num_classes());
+    let scores: Vec<CaseScores> = cases
+        .iter()
+        .map(|c| score_case(c, patterns, &population))
+        .collect();
+    let mut ratios = [0.0f32; 3];
+    for s in &scores {
+        ratios[s.assigned().index()] += 1.0;
+    }
+    let n = scores.len().max(1) as f32;
+    for r in &mut ratios {
+        *r /= n;
+    }
+    (scores, ratios)
 }
 
-impl DefectClassifier {
-    /// Creates a classifier with the given configuration.
-    pub fn new(config: ClassifierConfig) -> Self {
-        DefectClassifier { config }
-    }
+/// Scores one case against the three signatures, given the population
+/// evidence of the run it belongs to.
+pub fn score_case(
+    case: &FootprintSpecifics,
+    patterns: &ClassPatterns,
+    population: &PopulationEvidence,
+) -> CaseScores {
+    let w = &WEIGHTS;
+    let health = patterns.health();
+    // Early-layer margin relative to the training baseline: a weak
+    // model never develops margins, so both the case and the baseline
+    // are flat; a healthy model has a baseline the case can fail to
+    // reach.
+    let margin_baseline = patterns.early_margin_baseline().max(1e-3);
+    let early_margin_rel = (case.early_margin / margin_baseline).clamp(0.0, 1.0);
 
-    /// Scores every case and returns `(per-case scores, ratios)`, where
-    /// `ratios[i]` is the fraction of cases assigned to
-    /// `DefectKind::all()[i]`.
-    pub fn classify(
-        &self,
-        cases: &[FootprintSpecifics],
-        patterns: &ClassPatterns,
-    ) -> (Vec<CaseScores>, [f32; 3]) {
-        let population = if self.config.use_population {
-            PopulationEvidence::compute(cases, patterns.num_classes())
-        } else {
-            PopulationEvidence::neutral()
-        };
-        let scores: Vec<CaseScores> = cases
-            .iter()
-            .map(|c| self.score_case(c, patterns, &population))
-            .collect();
-        let mut ratios = [0.0f32; 3];
-        for s in &scores {
-            ratios[s.assigned().index()] += 1.0;
-        }
-        let n = scores.len().max(1) as f32;
-        for r in &mut ratios {
-            *r /= n;
-        }
-        (scores, ratios)
-    }
+    // ITD: the case's true class is starved in the *data flow* of the
+    // training set (nothing executes like it, whatever the labels
+    // say), the network is consequently uncertain, and errors scatter
+    // instead of forming one (true, predicted) pair. Starvation is
+    // squared so residual imbalance never masquerades as ITD, and
+    // gated by health: when the probes are near chance (a crippled
+    // structure), the flow histogram is unreadable and a skewed one
+    // must not fake a data hole.
+    let starvation = patterns.starvation(case.true_label) * health;
+    let itd = w.itd_starvation * starvation * starvation
+        + w.itd_entropy * case.final_entropy
+        + w.itd_scatter
+            * population.true_concentration
+            * (1.0 - population.pair_concentration).max(0.0)
+        + w.itd_novelty * case.novelty;
 
-    /// Scores one case. Exposed for tests and the ablation bench.
-    pub fn score_case(
-        &self,
-        case: &FootprintSpecifics,
-        patterns: &ClassPatterns,
-        population: &PopulationEvidence,
-    ) -> CaseScores {
-        let w = &self.config.weights;
-        let health = patterns.health();
-        // Early-layer margin relative to the training baseline: a weak
-        // model never develops margins, so both the case and the baseline
-        // are flat; a healthy model has a baseline the case can fail to
-        // reach.
-        let margin_baseline = patterns.early_margin_baseline().max(1e-3);
-        let early_margin_rel = (case.early_margin / margin_baseline).clamp(0.0, 1.0);
+    // UTD: the training set itself is contaminated along this case's
+    // confusion pair. The fingerprint appears in either direction
+    // depending on how far the backbone adopted the corruption:
+    // lightly-trained models leave samples *labeled* `predicted` that
+    // execute like `true_label`; heavily-trained ones drag the
+    // remaining genuine `true_label` samples toward `predicted`
+    // (labeled `true_label`, executing like `predicted`). Either way
+    // the (true, predicted) pair lights up, so take the max (a 40%
+    // relabel yields contamination ≈ 0.3; probe error is ≈ 0.03, so a
+    // 3x gain saturates the real signal while noise stays small). The
+    // per-case term is damped by how concentrated the overall label
+    // noise is, so a weak model's diffuse probe errors do not imitate
+    // mislabeling; the same concentration is population-level UTD
+    // evidence on its own.
+    let noise = patterns.concentrated_label_noise();
+    let pair_contamination = patterns
+        .contamination(case.predicted, case.true_label)
+        .max(patterns.contamination(case.true_label, case.predicted));
+    let contamination = (3.0 * pair_contamination).clamp(0.0, 1.0);
+    let utd = w.utd_contamination * contamination * noise.max(0.25)
+        + w.utd_noise_concentration * noise
+        + w.utd_confidence * case.final_conf_pred * health
+        + w.utd_pair_concentration * population.pair_concentration * (1.0 - starvation);
 
-        // ITD: the case's true class is starved in the *data flow* of the
-        // training set (nothing executes like it, whatever the labels
-        // say), the network is consequently uncertain, and errors scatter
-        // instead of forming one (true, predicted) pair. Starvation is
-        // squared so residual imbalance never masquerades as ITD, and
-        // gated by health: when the probes are near chance (a crippled
-        // structure), the flow histogram is unreadable and a skewed one
-        // must not fake a data hole.
-        let starvation = patterns.starvation(case.true_label) * health;
-        let itd = w.itd_starvation * starvation * starvation
-            + w.itd_entropy * case.final_entropy
-            + w.itd_scatter
-                * population.true_concentration
-                * (1.0 - population.pair_concentration).max(0.0)
-            + w.itd_novelty * case.novelty;
+    // SD: the probes say the features support the true class all the
+    // way down (late flip or none, low probe probability for the
+    // model's prediction), yet the head misclassifies — the structure
+    // cannot exploit its own features. Low health (training data never
+    // separates) and flat early margins corroborate. Concentrated
+    // label noise explains away the probe/model disagreement.
+    let sd = w.sd_probe_disagreement
+        * case.flip_fraction
+        * (1.0 - case.final_conf_pred)
+        * (1.0 - noise)
+        * (1.0 - starvation)
+        + w.sd_unhealth * (1.0 - health)
+        + w.sd_early_flatness * (1.0 - early_margin_rel) * (1.0 - health);
 
-        // UTD: the training set itself is contaminated along this case's
-        // confusion pair. The fingerprint appears in either direction
-        // depending on how far the backbone adopted the corruption:
-        // lightly-trained models leave samples *labeled* `predicted` that
-        // execute like `true_label`; heavily-trained ones drag the
-        // remaining genuine `true_label` samples toward `predicted`
-        // (labeled `true_label`, executing like `predicted`). Either way
-        // the (true, predicted) pair lights up, so take the max (a 40%
-        // relabel yields contamination ≈ 0.3; probe error is ≈ 0.03, so a
-        // 3x gain saturates the real signal while noise stays small). The
-        // per-case term is damped by how concentrated the overall label
-        // noise is, so a weak model's diffuse probe errors do not imitate
-        // mislabeling; the same concentration is population-level UTD
-        // evidence on its own.
-        let noise = patterns.concentrated_label_noise();
-        let pair_contamination = patterns
-            .contamination(case.predicted, case.true_label)
-            .max(patterns.contamination(case.true_label, case.predicted));
-        let contamination = (3.0 * pair_contamination).clamp(0.0, 1.0);
-        let utd = w.utd_contamination * contamination * noise.max(0.25)
-            + w.utd_noise_concentration * noise
-            + w.utd_confidence * case.final_conf_pred * health
-            + w.utd_pair_concentration * population.pair_concentration * (1.0 - starvation);
-
-        // SD: the probes say the features support the true class all the
-        // way down (late flip or none, low probe probability for the
-        // model's prediction), yet the head misclassifies — the structure
-        // cannot exploit its own features. Low health (training data never
-        // separates) and flat early margins corroborate. Concentrated
-        // label noise explains away the probe/model disagreement.
-        let sd = w.sd_probe_disagreement
-            * case.flip_fraction
-            * (1.0 - case.final_conf_pred)
-            * (1.0 - noise)
-            * (1.0 - starvation)
-            + w.sd_unhealth * (1.0 - health)
-            + w.sd_early_flatness * (1.0 - early_margin_rel) * (1.0 - health);
-
-        CaseScores {
-            scores: [itd.max(0.0), utd.max(0.0), sd.max(0.0)],
-        }
+    CaseScores {
+        scores: [itd.max(0.0), utd.max(0.0), sd.max(0.0)],
     }
 }
 
@@ -369,7 +302,6 @@ mod tests {
 
     #[test]
     fn novel_uncertain_cases_score_itd() {
-        let classifier = DefectClassifier::default();
         let patterns = patterns_with_health(0.95);
         let pop = PopulationEvidence {
             pair_concentration: 0.2,
@@ -377,13 +309,12 @@ mod tests {
             pred_concentration: 0.3,
         };
         let c = case(0.8, 0.9, 0.3, 0.3, 0.1);
-        let s = classifier.score_case(&c, &patterns, &pop);
+        let s = score_case(&c, &patterns, &pop);
         assert_eq!(s.assigned(), DefectKind::InsufficientTrainingData);
     }
 
     #[test]
     fn confident_pair_confusions_score_utd() {
-        let classifier = DefectClassifier::default();
         let patterns = patterns_with_health(0.95);
         let pop = PopulationEvidence {
             pair_concentration: 0.85,
@@ -391,13 +322,12 @@ mod tests {
             pred_concentration: 0.9,
         };
         let c = case(0.1, 0.1, 0.95, 0.9, 0.4);
-        let s = classifier.score_case(&c, &patterns, &pop);
+        let s = score_case(&c, &patterns, &pop);
         assert_eq!(s.assigned(), DefectKind::UnreliableTrainingData);
     }
 
     #[test]
     fn unhealthy_model_scores_sd() {
-        let classifier = DefectClassifier::default();
         let patterns = patterns_with_health(0.15); // barely above chance
         let pop = PopulationEvidence {
             pair_concentration: 0.1,
@@ -405,18 +335,17 @@ mod tests {
             pred_concentration: 0.2,
         };
         let c = case(0.3, 0.6, 0.4, 0.4, 0.02);
-        let s = classifier.score_case(&c, &patterns, &pop);
+        let s = score_case(&c, &patterns, &pop);
         assert_eq!(s.assigned(), DefectKind::StructureDefect);
     }
 
     #[test]
     fn ratios_sum_to_one() {
-        let classifier = DefectClassifier::default();
         let patterns = patterns_with_health(0.9);
         let cases: Vec<FootprintSpecifics> = (0..10)
             .map(|i| case(0.1 * i as f32 / 10.0, 0.5, 0.5, 0.5, 0.2))
             .collect();
-        let (scores, ratios) = classifier.classify(&cases, &patterns);
+        let (scores, ratios) = classify(&cases, &patterns);
         assert_eq!(scores.len(), 10);
         assert!((ratios.iter().sum::<f32>() - 1.0).abs() < 1e-5);
     }

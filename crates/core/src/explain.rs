@@ -10,7 +10,6 @@ use std::fmt::Write as _;
 
 use deepmorph_tensor::stats;
 
-use crate::classify::AlignmentMetric;
 use crate::footprint::Footprint;
 use crate::pattern::ClassPatterns;
 use crate::report::DefectReport;
@@ -28,7 +27,6 @@ pub fn explain_case(
     patterns: &ClassPatterns,
     probe_labels: &[String],
 ) -> String {
-    let metric = AlignmentMetric::JensenShannon;
     let mut out = String::new();
     let _ = writeln!(out, "case: true class {true_label}, predicted {predicted}");
     let _ = writeln!(
@@ -39,8 +37,8 @@ pub fn explain_case(
     for l in 0..footprint.depth() {
         let dist = footprint.layer(l);
         let top = stats::argmax(dist);
-        let a_true = metric.similarity(dist, patterns.pattern(l, true_label));
-        let a_pred = metric.similarity(dist, patterns.pattern(l, predicted));
+        let a_true = stats::js_similarity(dist, patterns.pattern(l, true_label));
+        let a_pred = stats::js_similarity(dist, patterns.pattern(l, predicted));
         let marker = if top == true_label {
             " "
         } else if top == predicted {

@@ -69,7 +69,6 @@ pub type Result<T> = std::result::Result<T, DeepMorphError>;
 /// that appear in this crate's public API).
 pub mod prelude {
     pub use crate::artifact::{content_fingerprint, ArtifactStore, Fingerprint, StoreStats};
-    pub use crate::classify::{AlignmentMetric, ClassifierConfig, DefectClassifier};
     pub use crate::explain::{explain_case, explain_report};
     pub use crate::footprint::{Footprint, FootprintSet};
     pub use crate::instrument::{InstrumentedModel, ProbeTrainingConfig, TrainedProbe};

@@ -11,7 +11,6 @@ use deepmorph_data::Dataset;
 use deepmorph_models::ModelHandle;
 use deepmorph_nn::train::{gather_batch, predict_all};
 
-use crate::classify::{ClassifierConfig, DefectClassifier};
 use crate::footprint::FootprintSet;
 use crate::instrument::{InstrumentedModel, ProbeTrainingConfig};
 use crate::pattern::ClassPatterns;
@@ -19,13 +18,12 @@ use crate::report::{CaseDiagnosis, DefectRatios, DefectReport};
 use crate::specifics::FootprintSpecifics;
 use crate::{DeepMorphError, Result};
 
-/// Configuration of a DeepMorph run.
+/// Configuration of a DeepMorph run. The classifier has no settings: it
+/// scores with the calibrated [`crate::classify::WEIGHTS`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DeepMorphConfig {
     /// Auxiliary-probe training hyper-parameters.
     pub probe: ProbeTrainingConfig,
-    /// Defect-classifier configuration.
-    pub classifier: ClassifierConfig,
     /// Cap on the number of faulty cases analyzed (0 = no cap). Footprint
     /// extraction is linear in this; 200 is plenty for stable ratios.
     pub max_faulty_cases: usize,
@@ -186,7 +184,6 @@ impl DiagnosisSession {
             &faulty,
             &faulty_fps,
             &self.patterns,
-            self.config.classifier,
             self.instrumented.probe_accuracies(),
             subject,
         ))
@@ -278,21 +275,21 @@ impl FitSplit {
 }
 
 /// Classifies faulty cases: footprints (one per case of `faulty`) →
-/// [`FootprintSpecifics`] → [`DefectClassifier`] → [`DefectReport`].
+/// [`FootprintSpecifics`] → [`crate::classify::classify`] →
+/// [`DefectReport`].
 pub(crate) fn classify(
     faulty: &FaultyCases,
     faulty_fps: &FootprintSet,
     patterns: &ClassPatterns,
-    config: ClassifierConfig,
     probe_accuracies: Vec<f32>,
     subject: &str,
 ) -> DefectReport {
     let specifics: Vec<FootprintSpecifics> = faulty_fps
         .iter()
         .zip(faulty.true_labels.iter().zip(&faulty.predicted))
-        .map(|(fp, (&t, &p))| FootprintSpecifics::compute(fp, t, p, patterns, config.metric))
+        .map(|(fp, (&t, &p))| FootprintSpecifics::compute(fp, t, p, patterns))
         .collect();
-    let (scores, ratios) = DefectClassifier::new(config).classify(&specifics, patterns);
+    let (scores, ratios) = crate::classify::classify(&specifics, patterns);
     let cases = scores
         .iter()
         .enumerate()
@@ -379,7 +376,6 @@ mod tests {
                 ..Default::default()
             },
             max_faulty_cases: 10,
-            ..Default::default()
         });
         let mut session = tool.prepare(model, &train).unwrap();
         let report = session.diagnose(&faulty, "LeNet toy").unwrap();

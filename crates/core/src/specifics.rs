@@ -3,11 +3,12 @@
 //! The paper's "footprint specifics" summarize how a faulty case's data
 //! flow compares, layer by layer, against the class execution patterns.
 //! [`FootprintSpecifics`] is that summary: the scalar features the defect
-//! classifier scores.
+//! classifier scores. A footprint layer aligns with a class pattern by
+//! Jensen–Shannon similarity (`1 - JSD/ln 2`, Lin 1991), the one measure
+//! pattern learning and the explanations also use.
 
 use deepmorph_tensor::stats;
 
-use crate::classify::AlignmentMetric;
 use crate::footprint::Footprint;
 use crate::pattern::ClassPatterns;
 
@@ -45,15 +46,11 @@ pub struct FootprintSpecifics {
 
 impl FootprintSpecifics {
     /// Computes the specifics of one faulty case.
-    ///
-    /// `metric` selects the footprint-to-pattern alignment function
-    /// (Jensen–Shannon by default; the `ablation` bench compares cosine).
     pub fn compute(
         footprint: &Footprint,
         true_label: usize,
         predicted: usize,
         patterns: &ClassPatterns,
-        metric: AlignmentMetric,
     ) -> Self {
         let depth = footprint.depth();
         let k = patterns.num_classes();
@@ -63,7 +60,7 @@ impl FootprintSpecifics {
         let mut align = vec![vec![0.0f32; k]; depth];
         for (l, row) in align.iter_mut().enumerate() {
             for (c, v) in row.iter_mut().enumerate() {
-                *v = metric.similarity(footprint.layer(l), patterns.pattern(l, c));
+                *v = stats::js_similarity(footprint.layer(l), patterns.pattern(l, c));
             }
         }
 
@@ -144,7 +141,7 @@ mod tests {
             vec![0.75, 0.125, 0.125],
             vec![0.92, 0.04, 0.04],
         ]);
-        let s = FootprintSpecifics::compute(&fp, 0, 1, &patterns, AlignmentMetric::JensenShannon);
+        let s = FootprintSpecifics::compute(&fp, 0, 1, &patterns);
         assert!(s.novelty < 0.1, "novelty {}", s.novelty);
         assert!(s.early_align_true > 0.8);
         assert_eq!(s.flip_fraction, 1.0);
@@ -154,7 +151,7 @@ mod tests {
     fn uniform_case_is_novel_and_uncertain() {
         let patterns = patterns_3class();
         let fp = Footprint::new(vec![vec![1.0 / 3.0; 3]; 4]);
-        let s = FootprintSpecifics::compute(&fp, 0, 1, &patterns, AlignmentMetric::JensenShannon);
+        let s = FootprintSpecifics::compute(&fp, 0, 1, &patterns);
         assert!(s.final_entropy > 0.99);
         assert!(s.early_margin < 0.05);
         // Uniform matches early patterns (which are near uniform) but not
@@ -172,18 +169,10 @@ mod tests {
             vec![0.15, 0.1, 0.75],
             vec![0.04, 0.04, 0.92],
         ]);
-        let s = FootprintSpecifics::compute(&fp, 0, 2, &patterns, AlignmentMetric::JensenShannon);
+        let s = FootprintSpecifics::compute(&fp, 0, 2, &patterns);
         assert!(s.late_align_pred > s.late_align_true);
         assert!(s.final_conf_pred > 0.9);
         assert!(s.flip_fraction <= 0.5);
         assert!(s.final_entropy < 0.4);
-    }
-
-    #[test]
-    fn cosine_metric_also_works() {
-        let patterns = patterns_3class();
-        let fp = Footprint::new(vec![vec![0.5, 0.25, 0.25]; 4]);
-        let s = FootprintSpecifics::compute(&fp, 0, 1, &patterns, AlignmentMetric::Cosine);
-        assert!((0.0..=1.0).contains(&s.best_align_mean));
     }
 }

@@ -43,7 +43,7 @@ use deepmorph_tensor::io::{
 use deepmorph_tensor::Tensor;
 
 use crate::artifact::{content_fingerprint, ArtifactStore, Fingerprint, Fingerprinter};
-use crate::classify::{AlignmentMetric, ClassifierConfig};
+use crate::classify::WEIGHTS;
 use crate::footprint::{Footprint, FootprintSet};
 use crate::instrument::{InstrumentedModel, ProbeTrainingConfig, TrainedProbe};
 use crate::pattern::ClassPatterns;
@@ -501,13 +501,15 @@ impl StagedEngine {
         fp.push_u64(cfg.seed);
     }
 
-    fn push_classifier_config(fp: &mut Fingerprinter, cfg: &ClassifierConfig) {
-        fp.push_u64(match cfg.metric {
-            AlignmentMetric::JensenShannon => 0,
-            AlignmentMetric::Cosine => 1,
-        });
-        fp.push_bool(cfg.use_population);
-        let w = &cfg.weights;
+    /// The classifier's identity in the report key: alignment-metric tag
+    /// `0` (Jensen–Shannon), population evidence `true`, then the 11
+    /// signature weights. The tag and the flag are constants, but they stay
+    /// hashed so that report keys, and the artifact stores warmed under
+    /// them, stay valid.
+    fn push_classifier(fp: &mut Fingerprinter) {
+        fp.push_u64(0);
+        fp.push_bool(true);
+        let w = &WEIGHTS;
         for v in [
             w.itd_starvation,
             w.itd_entropy,
@@ -588,7 +590,7 @@ impl StagedEngine {
     pub fn report_fingerprint(scenario: &Scenario) -> Fingerprint {
         let mut fp = Fingerprinter::new("deepmorph/stage/report/v1");
         fp.push_fingerprint(&Self::footprint_fingerprint(scenario));
-        Self::push_classifier_config(&mut fp, &scenario.cfg.deepmorph.classifier);
+        Self::push_classifier(&mut fp);
         fp.finish()
     }
 
@@ -633,6 +635,14 @@ impl StagedEngine {
 
     // -- stage execution -----------------------------------------------
 
+    /// Persists an artifact, encoding it only for a store that keeps it:
+    /// a disabled store would drop the bytes unread.
+    fn persist(&self, key: &Fingerprint, encode: impl FnOnce() -> Vec<u8>) {
+        if self.store.is_enabled() {
+            self.store.put(key, &encode());
+        }
+    }
+
     /// Fetches + decodes an artifact, treating decode failures as misses.
     fn cached<T>(&self, key: &Fingerprint, decode: impl Fn(&[u8]) -> CodecResult<T>) -> Option<T> {
         let bytes = self.store.get(key)?;
@@ -675,7 +685,7 @@ impl StagedEngine {
             faulty,
             total_faulty,
         };
-        self.store.put(&key, &artifact.encode());
+        self.persist(&key, || artifact.encode());
         Ok(artifact)
     }
 
@@ -698,7 +708,7 @@ impl StagedEngine {
         let probe = &scenario.cfg.deepmorph.probe;
         let inst = FitSplit::new(&train, probe).instrument(model, probe)?;
         let artifact = InstrumentedArtifact::from_model(&inst);
-        self.store.put(&key, &artifact.encode());
+        self.persist(&key, || artifact.encode());
         Ok(artifact)
     }
 
@@ -728,7 +738,7 @@ impl StagedEngine {
             holdout,
             faulty,
         };
-        self.store.put(&key, &artifact.encode());
+        self.persist(&key, || artifact.encode());
         Ok(artifact)
     }
 
@@ -763,14 +773,12 @@ impl StagedEngine {
             &trained.faulty,
             &footprints.faulty,
             &patterns,
-            scenario.cfg.deepmorph.classifier,
             instrumented.probe_accuracies(),
             &scenario.subject(),
         );
-        self.store.put(
-            &key,
-            &seal_container(REPORT_MAGIC, report.to_json().as_bytes()),
-        );
+        self.persist(&key, || {
+            seal_container(REPORT_MAGIC, report.to_json().as_bytes())
+        });
         Ok(report)
     }
 
@@ -893,7 +901,7 @@ impl StagedEngine {
             accuracy_after,
             repaired_train_size: repaired_train.len(),
         };
-        self.store.put(&key, &artifact.encode());
+        self.persist(&key, || artifact.encode());
         Ok(artifact)
     }
 
@@ -964,6 +972,9 @@ mod tests {
                 assert_ne!(fps[i], fps[j]);
             }
         }
+        // The report key hashes the classifier's identity; a change to
+        // those bytes would silently invalidate every warm artifact store.
+        assert_eq!(fps[3].as_hex(), "afdbb7ffd0ee3803d6ceaef37cd3bb60");
     }
 
     #[test]

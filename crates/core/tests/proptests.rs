@@ -1,8 +1,6 @@
 //! Property-based tests for DeepMorph's analysis invariants.
 
-use deepmorph::classify::{
-    AlignmentMetric, CaseScores, ClassifierConfig, DefectClassifier, PopulationEvidence,
-};
+use deepmorph::classify::{classify, score_case, CaseScores, PopulationEvidence};
 use deepmorph::footprint::{Footprint, FootprintSet};
 use deepmorph::pattern::ClassPatterns;
 use deepmorph::report::DefectRatios;
@@ -53,21 +51,19 @@ proptest! {
     fn specifics_are_bounded(fp in footprint(4, 5), t in 0usize..5, p in 0usize..5) {
         prop_assume!(t != p);
         let patterns = patterns_fixture(5, 4);
-        for metric in [AlignmentMetric::JensenShannon, AlignmentMetric::Cosine] {
-            let s = FootprintSpecifics::compute(&fp, t, p, &patterns, metric);
-            for v in [
-                s.early_align_true,
-                s.late_align_true,
-                s.late_align_pred,
-                s.best_align_mean,
-                s.early_margin,
-                s.flip_fraction,
-                s.final_entropy,
-                s.final_conf_pred,
-                s.novelty,
-            ] {
-                prop_assert!((0.0..=1.0 + 1e-4).contains(&v), "{v} out of range ({s:?})");
-            }
+        let s = FootprintSpecifics::compute(&fp, t, p, &patterns);
+        for v in [
+            s.early_align_true,
+            s.late_align_true,
+            s.late_align_pred,
+            s.best_align_mean,
+            s.early_margin,
+            s.flip_fraction,
+            s.final_entropy,
+            s.final_conf_pred,
+            s.novelty,
+        ] {
+            prop_assert!((0.0..=1.0 + 1e-4).contains(&v), "{v} out of range ({s:?})");
         }
     }
 
@@ -77,10 +73,9 @@ proptest! {
     ) {
         prop_assume!(t != p);
         let patterns = patterns_fixture(5, 4);
-        let s = FootprintSpecifics::compute(&fp, t, p, &patterns, AlignmentMetric::JensenShannon);
-        let classifier = DefectClassifier::new(ClassifierConfig::default());
+        let s = FootprintSpecifics::compute(&fp, t, p, &patterns);
         let pop = PopulationEvidence::compute(std::slice::from_ref(&s), 5);
-        let scores = classifier.score_case(&s, &patterns, &pop);
+        let scores = score_case(&s, &patterns, &pop);
         prop_assert!(scores.scores.iter().all(|&v| v >= 0.0));
         let dist = scores.distribution();
         prop_assert!((dist.iter().sum::<f32>() - 1.0).abs() < 1e-4);
@@ -98,11 +93,10 @@ proptest! {
             .map(|(i, fp)| {
                 let t = (i + seed as usize) % 5;
                 let p = (t + 1 + i % 4) % 5;
-                FootprintSpecifics::compute(fp, t, p, &patterns, AlignmentMetric::JensenShannon)
+                FootprintSpecifics::compute(fp, t, p, &patterns)
             })
             .collect();
-        let classifier = DefectClassifier::new(ClassifierConfig::default());
-        let (scores, ratios) = classifier.classify(&specifics, &patterns);
+        let (scores, ratios) = classify(&specifics, &patterns);
         prop_assert_eq!(scores.len(), specifics.len());
         prop_assert!((ratios.iter().sum::<f32>() - 1.0).abs() < 1e-4);
         // Ratios agree with per-case assignments.
@@ -125,7 +119,7 @@ proptest! {
             .filter(|(t, p)| t != p)
             .map(|&(t, p)| {
                 let fp = Footprint::new(vec![vec![0.2; 5]; 4]);
-                FootprintSpecifics::compute(&fp, t, p, &patterns, AlignmentMetric::JensenShannon)
+                FootprintSpecifics::compute(&fp, t, p, &patterns)
             })
             .collect();
         let pop = PopulationEvidence::compute(&specifics, 5);

@@ -172,9 +172,17 @@ impl DiagnosisContext {
 
     /// Serializes the context as the sidecar JSON document.
     pub fn to_json(&self) -> String {
+        // A JSON number is an f64, exact only up to 2^53: a larger seed is
+        // written as a decimal string so it survives the round trip, and a
+        // smaller one stays a number, the form every reader accepts.
+        let seed = if self.seed <= 1 << f64::MANTISSA_DIGITS {
+            Json::num(self.seed as f64)
+        } else {
+            Json::str(self.seed.to_string())
+        };
         Json::obj([
             ("dataset", Json::str(self.dataset.name())),
-            ("seed", Json::num(self.seed as f64)),
+            ("seed", seed),
             ("train_per_class", Json::usize(self.train_per_class)),
             ("test_per_class", Json::usize(self.test_per_class)),
             ("defect", self.defect_json()),
@@ -251,12 +259,15 @@ impl DiagnosisContext {
             Some(other) => return Err(bad(format!("unknown dataset `{other}`"))),
             None => return Err(bad("diagnosis sidecar lacks `dataset`".into())),
         };
-        let seed = doc
-            .get("seed")
-            .and_then(Json::as_f64)
-            .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-            .ok_or_else(|| bad("diagnosis sidecar lacks an integral `seed`".into()))?
-            as u64;
+        let seed = match doc.get("seed") {
+            Some(Json::Str(digits)) => digits.parse().ok(),
+            Some(number) => number
+                .as_f64()
+                .filter(|v| *v >= 0.0 && v.fract() == 0.0)
+                .map(|v| v as u64),
+            None => None,
+        }
+        .ok_or_else(|| bad("diagnosis sidecar lacks an integral `seed`".into()))?;
         let train_per_class = doc
             .get("train_per_class")
             .and_then(Json::as_usize)
@@ -1237,6 +1248,15 @@ mod tests {
             ..DiagnosisContext::new(DatasetKind::Digits, 7, 80)
         };
         assert_eq!(DiagnosisContext::from_json(&sd.to_json()).unwrap(), sd);
+
+        // Seeds past 2^53 do not fit a JSON number exactly.
+        for seed in [(1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
+            let big = DiagnosisContext::new(DatasetKind::Digits, seed, 10);
+            assert_eq!(DiagnosisContext::from_json(&big.to_json()).unwrap(), big);
+        }
+        assert!(DiagnosisContext::new(DatasetKind::Digits, 1 << 53, 10)
+            .to_json()
+            .contains("\"seed\": 9007199254740992,"));
 
         assert!(DiagnosisContext::from_json("{}").is_err());
         assert!(DiagnosisContext::from_json("not json").is_err());

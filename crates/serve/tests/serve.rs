@@ -723,7 +723,6 @@ fn registry_dir_round_trip_and_live_diagnosis() {
                     ..Default::default()
                 },
                 max_faulty_cases: 32,
-                ..Default::default()
             },
             ..ServerConfig::default()
         },

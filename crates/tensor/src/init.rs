@@ -78,7 +78,7 @@ pub fn gaussian(rng: &mut impl Rng) -> f32 {
 ///
 /// Each component (model init, data generation, defect injection, probe
 /// init…) gets its own stream so that changing one does not perturb the
-/// others — the key property for the ablation experiments.
+/// others — the key property for controlled experiments.
 pub fn stream_rng(base_seed: u64, stream: &str) -> ChaCha8Rng {
     // FNV-1a over the stream name, folded into the seed.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -20,8 +20,8 @@
 //!   Xavier/Glorot, He).
 //! * [`io`] — the versioned, checksummed binary codec (tensor encode/decode
 //!   plus the byte primitives the higher-layer artifact formats build on).
-//! * [`stats`] — distribution/geometry helpers (entropy, KL/JS divergence,
-//!   cosine similarity) that the DeepMorph footprint analysis relies on.
+//! * [`stats`] — distribution/geometry helpers (entropy, KL/JS divergence)
+//!   that the DeepMorph footprint analysis relies on.
 //!
 //! Layout convention is **NCHW** for 4-D activation tensors and
 //! `[rows, cols]` for matrices.

@@ -3,7 +3,7 @@
 //! DeepMorph's footprint analysis compares per-layer probe *distributions*
 //! against per-class execution patterns. This module collects the scalar
 //! comparisons it needs: Shannon entropy, KL/Jensen–Shannon divergence,
-//! cosine similarity, and simple summary statistics.
+//! and simple summary statistics.
 //!
 //! All functions operate on plain `&[f32]` slices so they can be applied to
 //! tensor rows without copying.
@@ -50,19 +50,6 @@ pub fn js_divergence(p: &[f32], q: &[f32]) -> f32 {
 /// This is DeepMorph's default footprint-to-pattern alignment metric.
 pub fn js_similarity(p: &[f32], q: &[f32]) -> f32 {
     (1.0 - js_divergence(p, q) / std::f32::consts::LN_2).clamp(0.0, 1.0)
-}
-
-/// Cosine similarity; 0 if either vector is all-zero.
-pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    let na: f32 = a.iter().map(|x| x * x).sum::<f32>().sqrt();
-    let nb: f32 = b.iter().map(|x| x * x).sum::<f32>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na * nb)
-    }
 }
 
 /// Squared Euclidean distance.
@@ -177,14 +164,6 @@ mod tests {
         let q = [0.0, 1.0];
         assert!(js_similarity(&p, &p) > 0.999);
         assert!(js_similarity(&p, &q) < 0.001);
-    }
-
-    #[test]
-    fn cosine_basics() {
-        assert!((cosine_similarity(&[1.0, 0.0], &[2.0, 0.0]) - 1.0).abs() < 1e-6);
-        assert!(cosine_similarity(&[1.0, 0.0], &[0.0, 3.0]).abs() < 1e-6);
-        assert_eq!(cosine_similarity(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
-        assert!((cosine_similarity(&[1.0, 1.0], &[-1.0, -1.0]) + 1.0).abs() < 1e-6);
     }
 
     #[test]

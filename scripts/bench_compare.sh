@@ -16,7 +16,6 @@ run_once() {
   rm -rf "$CRITERION_JSON_DIR"
   cargo bench --bench substrate
   cargo bench --bench pipeline
-  cargo bench --bench ablation
   cargo run --release -p deepmorph-bench --bin bench_compare -- \
     "$CRITERION_JSON_DIR" BENCH_baseline.json --threshold "${BENCH_THRESHOLD:-0.15}"
 }

@@ -11,6 +11,5 @@ rm -rf "$CRITERION_JSON_DIR"
 
 cargo bench --bench substrate
 cargo bench --bench pipeline
-cargo bench --bench ablation
 
 cargo run --release -p deepmorph-bench --bin baseline -- "$CRITERION_JSON_DIR" BENCH_baseline.json
