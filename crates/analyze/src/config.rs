@@ -33,10 +33,6 @@ pub struct AnalyzeConfig {
     pub no_alloc: Vec<NoAllocScope>,
     /// Path prefixes the atomic-ordering lint applies to.
     pub atomics_paths: Vec<String>,
-    /// Path of the wire-protocol source to pin.
-    pub wire_protocol: String,
-    /// Path of the checked-in golden layout spec.
-    pub wire_golden: String,
 }
 
 impl AnalyzeConfig {
@@ -49,13 +45,6 @@ impl AnalyzeConfig {
                 .iter()
                 .find(|(k, _)| k == key)
                 .map(|(_, v)| v)
-        };
-        let str_of = |section: &str, key: &str| -> Result<String, String> {
-            match get(section, key) {
-                Some(Value::Str(s)) => Ok(s.clone()),
-                Some(Value::Arr(_)) => Err(format!("[{section}] {key}: expected a string")),
-                None => Err(format!("[{section}] {key}: missing")),
-            }
         };
         let arr_of = |section: &str, key: &str| -> Result<Vec<String>, String> {
             match get(section, key) {
@@ -88,8 +77,6 @@ impl AnalyzeConfig {
             roots: arr_of("workspace", "roots")?,
             no_alloc,
             atomics_paths: arr_of("atomics", "paths")?,
-            wire_protocol: str_of("wire_layout", "protocol")?,
-            wire_golden: str_of("wire_layout", "golden")?,
         })
     }
 }
@@ -200,10 +187,6 @@ roots = ["crates", "src"]
 
 [atomics]
 paths = ["crates/telemetry"]
-
-[wire_layout]
-protocol = "crates/serve/src/protocol.rs"
-golden = "crates/serve/wire_layout.golden"
 "#;
 
     #[test]
@@ -217,7 +200,7 @@ golden = "crates/serve/wire_layout.golden"
             cfg.no_alloc[1].functions.as_deref(),
             Some(&["record".to_string(), "add".to_string()][..])
         );
-        assert_eq!(cfg.wire_golden, "crates/serve/wire_layout.golden");
+        assert_eq!(cfg.atomics_paths, vec!["crates/telemetry"]);
     }
 
     #[test]
@@ -233,9 +216,6 @@ golden = "crates/serve/wire_layout.golden"
 roots = ["crates"]
 [atomics]
 paths = []
-[wire_layout]
-protocol = "p"
-golden = "g"
 [no_alloc]
 "x.rs" = "sometimes"
 "#;

@@ -7,18 +7,17 @@
 //! cargo run -p deepmorph-analyze --release -- --json  # machine report
 //! ```
 //!
-//! Four checkers (see each module's docs): the unsafe audit
-//! ([`unsafe_audit`]), the atomic-ordering lint ([`atomics`]), the
-//! hot-path allocation lint ([`alloc_lint`]), and wire-layout pinning
-//! ([`layout`]). Configuration lives in `analyze.toml`; suppressions in
-//! `analyze.allow` (one per line, stale entries are themselves
-//! findings). Exit code 0 = clean, 1 = findings, 2 = bad setup.
+//! Three checkers (see each module's docs): the unsafe audit
+//! ([`unsafe_audit`]), the atomic-ordering lint ([`atomics`]), and the
+//! hot-path allocation lint ([`alloc_lint`]). Configuration lives in
+//! `analyze.toml`; suppressions in `analyze.allow` (one per line, stale
+//! entries are themselves findings). Exit code 0 = clean, 1 = findings,
+//! 2 = bad setup.
 
 mod alloc_lint;
 mod allowlist;
 mod atomics;
 mod config;
-mod layout;
 mod lexer;
 mod report;
 mod source;
@@ -90,12 +89,6 @@ fn run(root: &Path) -> Result<Report, String> {
         Err(e) => return Err(format!("{ALLOW_FILE}: {e}")),
     };
 
-    let golden_path = root.join(&cfg.wire_golden);
-    let golden_text = std::fs::read_to_string(&golden_path)
-        .map_err(|e| format!("{}: {e}", golden_path.display()))?;
-    let golden = layout::GoldenLayout::parse(&golden_text)
-        .map_err(|e| format!("{}: {e}", cfg.wire_golden))?;
-
     let files =
         source::walk_workspace(root, &cfg.roots).map_err(|e| format!("workspace walk: {e}"))?;
     if files.is_empty() {
@@ -107,7 +100,6 @@ fn run(root: &Path) -> Result<Report, String> {
 
     let mut findings = Vec::new();
     let mut inventory = Vec::new();
-    let mut saw_protocol = false;
     for file in &files {
         unsafe_audit::check(file, &allow, &mut findings, &mut inventory);
         if atomics::in_scope(file, &cfg.atomics_paths) {
@@ -116,16 +108,6 @@ fn run(root: &Path) -> Result<Report, String> {
         if let Some(scope) = alloc_lint::scope_for(file, &cfg.no_alloc) {
             alloc_lint::check(file, scope, &allow, &mut findings);
         }
-        if file.rel_path == cfg.wire_protocol {
-            saw_protocol = true;
-            layout::check(file, &golden, &allow, &mut findings);
-        }
-    }
-    if !saw_protocol {
-        return Err(format!(
-            "wire_layout protocol file {:?} not found under configured roots",
-            cfg.wire_protocol
-        ));
     }
 
     // A [no_alloc] scope that names nothing lints nothing.
@@ -176,20 +158,7 @@ roots = ["crates"]
 paths = ["crates/serve"]
 [no_alloc]
 "crates/serve/src/hot.rs" = "*"
-[wire_layout]
-protocol = "crates/serve/src/protocol.rs"
-golden = "wire_layout.golden"
 "#,
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("wire_layout.golden"),
-            "const KIND_PING 0\nstats 0 requests\n",
-        )
-        .unwrap();
-        std::fs::write(
-            src.join("protocol.rs"),
-            "const KIND_PING: u8 = 0;\nfn stats_values(s: &S) -> [u64; 1] { [s.requests] }\nfn enc(r: &Response) { match r { Response::Stats(s) => { for v in [s.requests] { use_(v); } } } }\n",
         )
         .unwrap();
         std::fs::write(

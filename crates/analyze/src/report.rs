@@ -6,8 +6,8 @@ use deepmorph_json::Json;
 /// entry must quote to suppress it.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Which checker produced it: `unsafe`, `atomics`, `alloc`,
-    /// `layout`, or `allowlist` (stale entries).
+    /// Which checker produced it: `unsafe`, `atomics`, `alloc`, or
+    /// `allowlist` (stale entries).
     pub checker: &'static str,
     /// Root-relative file path.
     pub path: String,

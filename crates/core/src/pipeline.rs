@@ -4,8 +4,10 @@
 //! against a live instrumented model (what the server does);
 //! [`crate::stage::StagedEngine`] runs them from stored artifacts.
 
+use std::borrow::Cow;
+
 use deepmorph_tensor::init::stream_rng;
-use deepmorph_tensor::{workspace, Tensor};
+use deepmorph_tensor::Tensor;
 
 use deepmorph_data::Dataset;
 use deepmorph_models::ModelHandle;
@@ -51,7 +53,7 @@ impl FaultyCases {
     ///
     /// The kept cases are the prefix of the test-order faulty list —
     /// identical to an uncapped collection followed by
-    /// [`FaultyCases::truncate`], bit for bit.
+    /// [`FaultyCases::capped`], bit for bit.
     ///
     /// # Errors
     ///
@@ -94,22 +96,22 @@ impl FaultyCases {
         self.true_labels.is_empty()
     }
 
-    /// Keeps only the first `max` cases (no-op if `max == 0` or already
-    /// smaller).
+    /// The first `max` cases (all of them if `max == 0`): borrowed when
+    /// nothing is cut, else a copy that gathers only the kept rows.
     ///
     /// # Errors
     ///
     /// Propagates tensor errors.
-    pub fn truncate(&mut self, max: usize) -> Result<()> {
+    pub fn capped(&self, max: usize) -> Result<Cow<'_, FaultyCases>> {
         if max == 0 || self.len() <= max {
-            return Ok(());
+            return Ok(Cow::Borrowed(self));
         }
         let keep: Vec<usize> = (0..max).collect();
-        let trimmed = gather_batch(&self.images, &keep)?;
-        workspace::recycle_tensor(std::mem::replace(&mut self.images, trimmed));
-        self.true_labels.truncate(max);
-        self.predicted.truncate(max);
-        Ok(())
+        Ok(Cow::Owned(FaultyCases {
+            images: gather_batch(&self.images, &keep)?,
+            true_labels: self.true_labels[..max].to_vec(),
+            predicted: self.predicted[..max].to_vec(),
+        }))
     }
 }
 
@@ -177,8 +179,7 @@ impl DiagnosisSession {
         if faulty.is_empty() {
             return Err(DeepMorphError::NoFaultyCases);
         }
-        let mut faulty = faulty.clone();
-        faulty.truncate(self.config.max_faulty_cases)?;
+        let faulty = faulty.capped(self.config.max_faulty_cases)?;
         let faulty_fps = self.instrumented.footprints(&faulty.images)?;
         Ok(classify(
             &faulty,
@@ -354,10 +355,14 @@ mod tests {
         let mut rng = stream_rng(2, "pipeline");
         let mut model = build_model(&spec, &mut rng).unwrap();
         let test = toy_dataset(5);
-        let mut faulty = FaultyCases::collect_capped(&mut model, &test, 0).unwrap().0;
-        faulty.truncate(3).unwrap();
-        assert!(faulty.len() <= 3);
-        assert_eq!(faulty.images.shape()[0], faulty.len());
+        let faulty = FaultyCases::collect_capped(&mut model, &test, 0).unwrap().0;
+        assert!(faulty.len() > 3);
+        let capped = faulty.capped(3).unwrap();
+        assert_eq!(
+            *capped,
+            FaultyCases::collect_capped(&mut model, &test, 3).unwrap().0
+        );
+        assert!(matches!(faulty.capped(0).unwrap(), Cow::Borrowed(_)));
     }
 
     #[test]

@@ -323,6 +323,13 @@ fn read_footprint_set(r: &mut ByteReader<'_>) -> CodecResult<FootprintSet> {
         labels.push(r.get_str("footprint label")?);
     }
     let n = r.get_len("footprint count")?;
+    // Real sets have a probe and classes; without them a footprint takes
+    // no bytes, and the size check below could not bound `n`.
+    if n > 0 && (depth == 0 || num_classes == 0) {
+        return Err(CodecError::Invalid {
+            context: format!("{n} footprints of depth {depth} over {num_classes} classes"),
+        });
+    }
     if r.remaining()
         < n.saturating_mul(depth)
             .saturating_mul(num_classes)
@@ -375,6 +382,21 @@ impl FootprintArtifact {
             faulty,
         })
     }
+}
+
+// ---------------------------------------------------------------------
+// Stage 4: report
+// ---------------------------------------------------------------------
+
+/// Decodes a report artifact: the report's JSON, sealed.
+fn decode_report(bytes: &[u8]) -> CodecResult<DefectReport> {
+    let payload = open_container(REPORT_MAGIC, bytes)?;
+    let text = std::str::from_utf8(payload).map_err(|_| CodecError::Invalid {
+        context: "report payload is not UTF-8".into(),
+    })?;
+    DefectReport::from_json(text).map_err(|e| CodecError::Invalid {
+        context: format!("report json: {e}"),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -757,15 +779,7 @@ impl StagedEngine {
         footprints: &FootprintArtifact,
     ) -> Result<DefectReport> {
         let key = Self::report_fingerprint(scenario);
-        if let Some(report) = self.cached(&key, |bytes| {
-            let payload = open_container(REPORT_MAGIC, bytes)?;
-            let text = std::str::from_utf8(payload).map_err(|_| CodecError::Invalid {
-                context: "report payload is not UTF-8".into(),
-            })?;
-            DefectReport::from_json(text).map_err(|e| CodecError::Invalid {
-                context: format!("report json: {e}"),
-            })
-        }) {
+        if let Some(report) = self.cached(&key, decode_report) {
             return Ok(report);
         }
         let patterns = self.patterns(scenario, instrumented, footprints)?;
@@ -1045,6 +1059,102 @@ mod tests {
         let pa = deepmorph_nn::train::predict_all(&mut a.graph, test.images(), 64).unwrap();
         let pb = deepmorph_nn::train::predict_all(&mut b.graph, test.images(), 64).unwrap();
         assert_eq!(pa, pb);
+    }
+
+    /// A footprint of no probes or no classes takes no bytes, so the size
+    /// check alone cannot bound the count a corrupt artifact claims.
+    #[test]
+    fn footprint_count_needs_probes_and_classes() {
+        let set = |w: &mut ByteWriter, classes: u64, labels: &[&str], count: u64| {
+            w.put_u64(classes);
+            w.put_u64(labels.len() as u64);
+            for label in labels {
+                w.put_str(label);
+            }
+            w.put_u64(count);
+        };
+        for count in [1 << 20, (1 << 63) - 1] {
+            for (classes, labels) in [(10, &[][..]), (0, &["conv1"][..])] {
+                let mut w = ByteWriter::new();
+                set(&mut w, classes, labels, count);
+                w.put_u8(0); // no holdout
+                set(&mut w, classes, labels, 0);
+                let bytes = seal_container(FOOTPRINT_MAGIC, w.as_slice());
+                let err = FootprintArtifact::decode(&bytes).unwrap_err();
+                assert!(
+                    matches!(err, CodecError::Invalid { .. }),
+                    "{count} footprints, {classes} classes, {labels:?}: {err:?}"
+                );
+            }
+        }
+    }
+
+    /// An encoded artifact with its magic, and whether its decoder
+    /// accepts a given container.
+    type Encoded = ([u8; 4], Vec<u8>, fn(&[u8]) -> bool);
+
+    /// One encoded artifact of every stage, built once for the property
+    /// below.
+    fn encoded_artifacts() -> &'static [Encoded] {
+        static ARTIFACTS: std::sync::OnceLock<Vec<Encoded>> = std::sync::OnceLock::new();
+        ARTIFACTS.get_or_init(|| {
+            let s = tiny_scenario();
+            let engine = StagedEngine::ephemeral();
+            let trained = engine.trained(&s).unwrap();
+            let instrumented = engine.instrumented(&s, &trained).unwrap();
+            let footprints = engine.footprints(&s, &trained, &instrumented).unwrap();
+            let report = engine
+                .report(&s, &trained, &instrumented, &footprints)
+                .unwrap();
+            let repaired = RepairedModelArtifact {
+                model_bytes: trained.model_bytes.clone(),
+                accuracy_after: 0.5,
+                repaired_train_size: 120,
+            };
+            vec![
+                (TRAINED_MAGIC, trained.encode(), |b| {
+                    TrainedModelArtifact::decode(b).is_ok()
+                }),
+                (INSTRUMENTED_MAGIC, instrumented.encode(), |b| {
+                    InstrumentedArtifact::decode(b).is_ok()
+                }),
+                (FOOTPRINT_MAGIC, footprints.encode(), |b| {
+                    FootprintArtifact::decode(b).is_ok()
+                }),
+                (
+                    REPORT_MAGIC,
+                    seal_container(REPORT_MAGIC, report.to_json().as_bytes()),
+                    |b| decode_report(b).is_ok(),
+                ),
+                (REPAIRED_MAGIC, repaired.encode(), |b| {
+                    RepairedModelArtifact::decode(b).is_ok()
+                }),
+            ]
+        })
+    }
+
+    proptest::proptest! {
+        /// Artifacts are read back from disk: a valid artifact of every
+        /// stage, with up to 16 payload bytes overwritten at arbitrary
+        /// offsets and optionally cut short, is resealed so the checksum
+        /// passes; its decoder then returns a value or a typed error.
+        #[test]
+        fn corrupted_artifacts_never_panic_the_decoders(
+            pick in 0usize..5,
+            edits in proptest::collection::vec((0usize..1 << 24, 0u8..=255), 0..17),
+            cut in proptest::collection::vec(0usize..1 << 24, 0..2),
+        ) {
+            let (magic, bytes, decode) = &encoded_artifacts()[pick];
+            let mut payload = open_container(*magic, bytes).unwrap().to_vec();
+            for (offset, byte) in edits {
+                let at = offset % payload.len();
+                payload[at] = byte;
+            }
+            if let Some(len) = cut.first() {
+                payload.truncate(len % payload.len());
+            }
+            decode(&seal_container(*magic, &payload));
+        }
     }
 
     #[test]

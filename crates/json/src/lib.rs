@@ -136,10 +136,15 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] with the byte offset of the first problem.
+    /// Returns [`JsonError`] with the byte offset of the first problem,
+    /// including arrays and objects nested more than 128 deep.
     pub fn parse(input: &str) -> Result<Json> {
         let bytes = input.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -252,9 +257,15 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// How deep arrays and objects may nest (serde_json's default). The
+/// parser recurses once per level, so outside input must not choose
+/// the depth.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -299,11 +310,21 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json>) -> Result<Json> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than 128 levels"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json> {
@@ -495,6 +516,20 @@ mod tests {
     fn rejects_malformed_input() {
         for bad in ["", "{", "[1,]", "{\"a\":}", "nul", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        for deep in [
+            nest(MAX_DEPTH + 1),
+            "[".repeat(100_000),
+            "{\"a\":".repeat(100_000),
+        ] {
+            let err = Json::parse(&deep).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
         }
     }
 

@@ -47,7 +47,8 @@ const KIND_PING: u8 = 0;
 const KIND_LIST_MODELS: u8 = 1;
 const KIND_PREDICT: u8 = 2;
 const KIND_DIAGNOSE: u8 = 3;
-// Kind 4 (a retired stats frame) is never reused.
+// Kind 4 (a retired stats frame) is never reused. `wire_format_is_pinned`
+// (in this module's tests) holds every kind byte and frame layout.
 const KIND_REPAIR: u8 = 5;
 const KIND_LIST_VERSIONS: u8 = 6;
 const KIND_ROLLBACK: u8 = 7;
@@ -459,8 +460,8 @@ pub fn encode_request(id: u64, request: &Request) -> Vec<u8> {
 /// Serving-counter values in their canonical wire order: the telemetry
 /// payload's counter list, prefixed there with a count so the list can
 /// grow. The one spelling of that order; the payload encodes through
-/// here and decodes through [`stats_from_values`], and
-/// `wire_layout.golden` pins it.
+/// here and decodes through [`stats_from_values`], and the test
+/// `telemetry_counter_prefix_is_pinned` pins each slot's field.
 fn stats_values(s: &StatsSnapshot) -> [u64; 20] {
     [
         s.requests,
@@ -949,6 +950,7 @@ pub fn decode_response(frame: &[u8]) -> CodecResult<(u64, Response)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deepmorph_tensor::io::fnv64;
 
     fn strip_prefix(wire: &[u8]) -> &[u8] {
         let len = u32::from_le_bytes(wire[..4].try_into().unwrap()) as usize;
@@ -1320,14 +1322,35 @@ mod tests {
 
     /// The flip side of forward compat: the telemetry payload opens
     /// with the counter count, then the 20 counters in slot order (slot
-    /// i at payload byte 8 + 8·i), so existing clients never skew.
-    /// `wire_layout.golden` pins each slot's field in `stats_values`;
-    /// building the report through `stats_from_values` pins that
-    /// function to the same order.
+    /// i at payload byte 8 + 8·i), so existing clients never skew. Each
+    /// counter is set by name to its slot number plus one, which pins
+    /// `stats_values` and `stats_from_values` to the same fixed order.
     #[test]
     fn telemetry_counter_prefix_is_pinned() {
+        let stats = StatsSnapshot {
+            requests: 1,
+            rows: 2,
+            batches: 3,
+            coalesced_batches: 4,
+            errors: 5,
+            busy_rejections: 6,
+            diagnoses: 7,
+            probe_trainings: 8,
+            repairs: 9,
+            swaps: 10,
+            expired: 11,
+            worker_panics: 12,
+            rollbacks: 13,
+            conn_rejections: 14,
+            active_connections: 15,
+            conns_accepted: 16,
+            conns_closed: 17,
+            outbound_hwm_bytes: 18,
+            loop_wakeups: 19,
+            accept_backoffs: 20,
+        };
         let report = TelemetryReport {
-            stats: stats_from_values(&std::array::from_fn(|slot| slot as u64 + 1)),
+            stats,
             ..TelemetryReport::default()
         };
         let wire = encode_response(5, &Response::Telemetry(report.clone()));
@@ -1336,18 +1359,99 @@ mod tests {
         assert_eq!(body[0], RESPONSE_BIT | KIND_TELEMETRY);
         // kind + id + payload version u16 + payload length u64.
         let payload = &body[1 + 8 + 2 + 8..];
-        for (word, chunk) in payload[..8 * 21].chunks_exact(8).enumerate() {
-            let want = if word == 0 { 20 } else { word as u64 };
+        assert_eq!(payload[..8], 20u64.to_le_bytes(), "counter count moved");
+        for (slot, chunk) in payload[8..8 * 21].chunks_exact(8).enumerate() {
             assert_eq!(
                 u64::from_le_bytes(chunk.try_into().unwrap()),
-                want,
-                "word {word} moved"
+                slot as u64 + 1,
+                "counter slot {slot} (payload byte offset {}) moved",
+                8 + 8 * slot
             );
         }
         assert_eq!(
             decode_response(frame).unwrap().1,
             Response::Telemetry(report)
         );
+    }
+
+    /// The wire format every deployed client depends on, pinned in one
+    /// place: the header constants, the kind bytes each decoder accepts,
+    /// and the bytes of one frame of every kind. A deliberate wire change
+    /// edits the values here in the same change; any other edit that
+    /// moves them breaks clients.
+    #[test]
+    fn wire_format_is_pinned() {
+        assert_eq!(FRAME_MAGIC, *b"DMSV");
+        assert_eq!(MAX_FRAME_BYTES, 16 << 20);
+        assert_eq!(TELEMETRY_PAYLOAD_VERSION, 1);
+
+        // Every kind byte, with an empty body: a kind the decoder knows
+        // fails later (or decodes), an unknown one fails on the kind.
+        let known = |err: Option<CodecError>| match err {
+            Some(CodecError::Invalid { context }) => !context.starts_with("unknown"),
+            _ => true,
+        };
+        let (mut requests, mut responses) = (Vec::new(), Vec::new());
+        for kind in 0..=u8::MAX {
+            let mut w = ByteWriter::new();
+            w.put_u8(kind);
+            w.put_u64(0);
+            let frame = seal_container(FRAME_MAGIC, w.as_slice());
+            if known(decode_request(&frame).err()) {
+                requests.push(kind);
+            }
+            if known(decode_response(&frame).err()) {
+                responses.push(kind);
+            }
+        }
+        assert_eq!(
+            requests,
+            [0, 1, 2, 3, 5, 6, 7, 8],
+            "request kind bytes moved (kind 4 stays retired)"
+        );
+        assert_eq!(
+            responses,
+            [0x7F, 0x80, 0x81, 0x82, 0x83, 0x85, 0x86, 0x87, 0x88],
+            "response kind bytes moved"
+        );
+
+        // FNV-64 of each case's frame at id 7, length prefix included.
+        const REQUESTS: [u64; 8] = [
+            0x544f_3e9e_cfb2_a73f,
+            0x1ef8_c1fb_f4fd_592e,
+            0x2d56_f2ac_ecd5_beb4,
+            0x0108_9781_12fc_1a3a,
+            0xa650_61ac_f3cb_2016,
+            0xb630_64d8_e7da_b784,
+            0xc801_fa41_0a53_eb8e,
+            0xb396_ec2f_013e_4e30,
+        ];
+        const RESPONSES: [u64; 12] = [
+            0x3687_7963_3183_3200,
+            0x7066_8511_1278_0a5a,
+            0xc6a7_c4f5_2d60_61b0,
+            0xa075_662b_a920_f9a3,
+            0x0ac3_c9df_6165_1f16,
+            0xd899_c584_26e0_4867,
+            0x14bd_3689_6ca8_822c,
+            0x76e3_425e_5063_7e80,
+            0x4eb6_3f1a_39df_7544,
+            0x18d9_9235_459d_7b11,
+            0x535b_fb0d_a273_dbfd,
+            0x6395_64e3_2af0_b510,
+        ];
+        let requests = request_cases();
+        assert_eq!(requests.len(), REQUESTS.len());
+        for (i, (request, want)) in requests.iter().zip(REQUESTS).enumerate() {
+            let got = fnv64(&encode_request(7, request));
+            assert_eq!(got, want, "request_cases()[{i}] frame moved: {got:#018x}");
+        }
+        let responses = response_cases();
+        assert_eq!(responses.len(), RESPONSES.len());
+        for (i, (response, want)) in responses.iter().zip(RESPONSES).enumerate() {
+            let got = fnv64(&encode_response(7, response));
+            assert_eq!(got, want, "response_cases()[{i}] frame moved: {got:#018x}");
+        }
     }
 
     /// Histogram counts come from the peer: whether they pile into one

@@ -1213,9 +1213,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn diagnosis_context_round_trips() {
-        let ctx = DiagnosisContext {
+    /// A context of every defect kind, between them setting every key.
+    fn sample_contexts() -> [DiagnosisContext; 3] {
+        let itd = DiagnosisContext {
             test_per_class: 25,
             defect: DefectSpec::insufficient_training_data(vec![0, 3], 0.75),
             train: TrainConfig {
@@ -1232,8 +1232,6 @@ mod tests {
             },
             ..DiagnosisContext::new(DatasetKind::Objects, 42, 100)
         };
-        assert_eq!(DiagnosisContext::from_json(&ctx.to_json()).unwrap(), ctx);
-
         let utd = DiagnosisContext {
             defect: DefectSpec::unreliable_training_data(3, 5, 0.5),
             train: TrainConfig {
@@ -1242,12 +1240,18 @@ mod tests {
             },
             ..DiagnosisContext::new(DatasetKind::Digits, 7, 80)
         };
-        assert_eq!(DiagnosisContext::from_json(&utd.to_json()).unwrap(), utd);
         let sd = DiagnosisContext {
             defect: DefectSpec::structure_defect(6),
             ..DiagnosisContext::new(DatasetKind::Digits, 7, 80)
         };
-        assert_eq!(DiagnosisContext::from_json(&sd.to_json()).unwrap(), sd);
+        [itd, utd, sd]
+    }
+
+    #[test]
+    fn diagnosis_context_round_trips() {
+        for ctx in sample_contexts() {
+            assert_eq!(DiagnosisContext::from_json(&ctx.to_json()).unwrap(), ctx);
+        }
 
         // Seeds past 2^53 do not fit a JSON number exactly.
         for seed in [(1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
@@ -1274,6 +1278,29 @@ mod tests {
         assert_eq!(legacy.defect, DefectSpec::Healthy);
         assert_eq!(legacy.test_per_class, 30);
         assert_eq!(legacy.train.epochs, 4);
+    }
+
+    proptest::proptest! {
+        /// Sidecars are read from disk, so their bytes are outside input:
+        /// a sample sidecar with up to 16 bytes overwritten at arbitrary
+        /// offsets, optionally cut short, read as lossy UTF-8, parses to
+        /// a context or a typed error, never a panic.
+        #[test]
+        fn sidecar_parsing_never_panics(
+            pick in 0usize..3,
+            edits in proptest::collection::vec((0usize..1 << 20, 0u8..=255), 0..17),
+            cut in proptest::collection::vec(0usize..1 << 20, 0..2),
+        ) {
+            let mut bytes = sample_contexts()[pick].to_json().into_bytes();
+            for (offset, byte) in edits {
+                let at = offset % bytes.len();
+                bytes[at] = byte;
+            }
+            if let Some(len) = cut.first() {
+                bytes.truncate(len % bytes.len());
+            }
+            let _ = DiagnosisContext::from_json(&String::from_utf8_lossy(&bytes));
+        }
     }
 
     #[test]

@@ -80,18 +80,21 @@ fn stale_tmp_files_are_quarantined_on_open() {
 
 #[test]
 fn unparseable_sidecar_is_quarantined_and_the_model_serves_without_provenance() {
-    let dir = temp_dir("sidecar");
-    save_model(dir.join("m.dmmd"), &mut lenet(3)).unwrap();
-    std::fs::write(dir.join("m.meta.json"), "{not json").unwrap();
+    // Malformed, and nested far past the JSON parser's depth limit.
+    for sidecar in ["{not json".to_string(), "[".repeat(100_000)] {
+        let dir = temp_dir("sidecar");
+        save_model(dir.join("m.dmmd"), &mut lenet(3)).unwrap();
+        std::fs::write(dir.join("m.meta.json"), sidecar).unwrap();
 
-    let registry = ModelRegistry::open(&dir).unwrap();
-    let id = registry.find("m").unwrap();
-    assert_eq!(registry.current(id).diagnosis, None);
-    assert!(registry
-        .quarantined()
-        .iter()
-        .any(|p| p.ends_with("m.meta.json")));
-    let _ = std::fs::remove_dir_all(&dir);
+        let registry = ModelRegistry::open(&dir).unwrap();
+        let id = registry.find("m").unwrap();
+        assert_eq!(registry.current(id).diagnosis, None);
+        assert!(registry
+            .quarantined()
+            .iter()
+            .any(|p| p.ends_with("m.meta.json")));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
