@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use deepmorph::artifact::{ArtifactStore, ARTIFACTS_ENV};
+use deepmorph::artifact::{env_dir, ArtifactStore, ARTIFACTS_ENV};
 use deepmorph::prelude::ModelScale;
 use deepmorph_bench::{
     aggregate_tables, render_table, run_table, run_table_seeds, Table1Config, TableResult,
@@ -83,10 +83,11 @@ fn parse_args() -> (Table1Config, Option<String>, usize) {
     (config, json_path, num_seeds)
 }
 
-/// The persistent artifact store, when `DEEPMORPH_ARTIFACTS` opts in.
+/// The persistent artifact store, when `DEEPMORPH_ARTIFACTS` opts in with
+/// a non-empty directory.
 fn env_store() -> Option<ArtifactStore> {
-    std::env::var_os(ARTIFACTS_ENV)?;
-    Some(ArtifactStore::from_env().expect("artifact store directory"))
+    let dir = env_dir(std::env::var_os(ARTIFACTS_ENV))?;
+    Some(ArtifactStore::open(dir).expect("artifact store directory"))
 }
 
 fn main() {

@@ -26,6 +26,7 @@
 //! once").
 
 use std::collections::HashMap;
+use std::ffi::OsString;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,6 +36,14 @@ use deepmorph_tensor::io::ByteWriter;
 
 /// Environment variable overriding the default on-disk store location.
 pub const ARTIFACTS_ENV: &str = "DEEPMORPH_ARTIFACTS";
+
+/// The store directory a value of [`ARTIFACTS_ENV`] names (pass
+/// `std::env::var_os(ARTIFACTS_ENV)`): `None` when the variable is unset
+/// or empty, so an empty value never roots a store in the working
+/// directory.
+pub fn env_dir(value: Option<OsString>) -> Option<PathBuf> {
+    value.filter(|v| !v.is_empty()).map(PathBuf::from)
+}
 
 /// Second FNV basis for the high fingerprint half (two independent
 /// 64-bit digests over the same bytes form the 128-bit identity).
@@ -244,7 +253,8 @@ impl ArtifactStore {
     ///
     /// Returns the `std::io::Error` if the directory cannot be created.
     pub fn from_env() -> std::io::Result<Self> {
-        let dir = std::env::var(ARTIFACTS_ENV).unwrap_or_else(|_| DEFAULT_ARTIFACTS_DIR.into());
+        let dir = env_dir(std::env::var_os(ARTIFACTS_ENV))
+            .unwrap_or_else(|| DEFAULT_ARTIFACTS_DIR.into());
         ArtifactStore::open(dir)
     }
 
@@ -344,6 +354,16 @@ mod tests {
         let mut fp = Fingerprinter::new("test");
         fp.push_u64(n);
         fp.finish()
+    }
+
+    #[test]
+    fn empty_env_value_reads_as_unset() {
+        assert_eq!(env_dir(None), None);
+        assert_eq!(env_dir(Some(OsString::new())), None);
+        assert_eq!(
+            env_dir(Some("runs/cache".into())),
+            Some(PathBuf::from("runs/cache"))
+        );
     }
 
     /// The fault plan is process-global; every test that installs one —

@@ -64,6 +64,17 @@ impl FaultyCases {
         max: usize,
     ) -> Result<(Self, usize)> {
         let preds = predict_all(&mut model.graph, test.images(), 64)?;
+        Self::from_predictions(&preds, test, max)
+    }
+
+    /// [`FaultyCases::collect_capped`] from the model's predictions on
+    /// `test`, for a caller that also needs them (the training stage
+    /// scores its test accuracy on the same pass).
+    pub(crate) fn from_predictions(
+        preds: &[usize],
+        test: &Dataset,
+        max: usize,
+    ) -> Result<(Self, usize)> {
         let mut faulty: Vec<usize> = preds
             .iter()
             .zip(test.labels())

@@ -35,7 +35,8 @@
 use deepmorph_data::Dataset;
 use deepmorph_defects::DefectSpec;
 use deepmorph_models::{decode_model, encode_model, ModelHandle, ProbePoint};
-use deepmorph_nn::train::{evaluate_accuracy, OptimizerKind};
+use deepmorph_nn::metrics::accuracy;
+use deepmorph_nn::train::{evaluate_accuracy, predict_all, OptimizerKind};
 use deepmorph_tensor::io::{
     open_container, read_tensor, seal_container, write_tensor, ByteReader, ByteWriter, CodecError,
     CodecResult,
@@ -694,12 +695,12 @@ impl StagedEngine {
             _ => 0,
         };
         let (mut model, train_accuracy) = scenario.train_fresh(&train, removed, "")?;
-        let test_accuracy = evaluate_accuracy(&mut model.graph, test.images(), test.labels(), 64)?;
-        let (faulty, total_faulty) = FaultyCases::collect_capped(
-            &mut model,
-            &test,
-            scenario.cfg.deepmorph.max_faulty_cases,
-        )?;
+        // One pass over the test set scores the model and finds its
+        // faulty cases.
+        let preds = predict_all(&mut model.graph, test.images(), 64)?;
+        let test_accuracy = accuracy(&preds, test.labels());
+        let (faulty, total_faulty) =
+            FaultyCases::from_predictions(&preds, &test, scenario.cfg.deepmorph.max_faulty_cases)?;
         let artifact = TrainedModelArtifact {
             model_bytes: encode_model(&mut model),
             train_accuracy,
@@ -969,6 +970,21 @@ mod tests {
             .inject(DefectSpec::insufficient_training_data(vec![0, 1, 2], 0.98))
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn trained_test_accuracy_equals_a_separate_evaluation() {
+        let s = tiny_scenario();
+        let trained = StagedEngine::ephemeral().trained(&s).unwrap();
+        let (_, test) = s.injected_data().unwrap();
+        let mut model = trained.instantiate().unwrap();
+        let evaluated =
+            evaluate_accuracy(&mut model.graph, test.images(), test.labels(), 64).unwrap();
+        assert_eq!(trained.test_accuracy.to_bits(), evaluated.to_bits());
+        assert!(
+            trained.total_faulty > 0,
+            "the tiny ITD model makes mistakes"
+        );
     }
 
     #[test]

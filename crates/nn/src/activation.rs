@@ -1,5 +1,11 @@
 //! Activation functions.
+//!
+//! Each pass splits its elements into contiguous chunks over the worker
+//! pool ([`deepmorph_tensor::chunks`]) once a batch is large enough; every
+//! element is computed by the same expression on whichever thread runs its
+//! chunk, so results are bitwise independent of the thread count.
 
+use deepmorph_tensor::chunks::{for_chunks2_mut, for_chunks_mut, ELEM_CHUNK, PAR_GRAIN_ELEMS};
 use deepmorph_tensor::{workspace, Tensor};
 
 use crate::dense::single_input;
@@ -32,12 +38,33 @@ impl Layer for ReLU {
 
     fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Result<Tensor> {
         let x = single_input(inputs, "relu")?;
-        let out = x.map(|v| v.max(0.0));
-        if mode == Mode::Train {
-            self.mask.clear();
-            self.mask.extend(x.data().iter().map(|&v| v > 0.0));
-            self.has_mask = true;
+        let mut out = workspace::tensor_raw(x.shape());
+        let src = x.data();
+        if mode == Mode::Eval {
+            for_chunks_mut(out.data_mut(), ELEM_CHUNK, PAR_GRAIN_ELEMS, |i, out| {
+                for (o, &v) in out.iter_mut().zip(&src[i * ELEM_CHUNK..]) {
+                    *o = v.max(0.0);
+                }
+            });
+            return Ok(out);
         }
+        // Output and sign mask in one pass.
+        self.mask.resize(x.len(), false);
+        self.has_mask = true;
+        for_chunks2_mut(
+            out.data_mut(),
+            ELEM_CHUNK,
+            &mut self.mask,
+            ELEM_CHUNK,
+            PAR_GRAIN_ELEMS,
+            |i, out, mask| {
+                let src = &src[i * ELEM_CHUNK..];
+                for ((o, m), &v) in out.iter_mut().zip(mask).zip(src) {
+                    *o = v.max(0.0);
+                    *m = v > 0.0;
+                }
+            },
+        );
         Ok(out)
     }
 
@@ -48,9 +75,13 @@ impl Layer for ReLU {
             });
         }
         let mut out = workspace::tensor_raw(grad.shape());
-        for ((o, &g), &keep) in out.data_mut().iter_mut().zip(grad.data()).zip(&self.mask) {
-            *o = if keep { g } else { 0.0 };
-        }
+        let (g, mask) = (grad.data(), &self.mask);
+        for_chunks_mut(out.data_mut(), ELEM_CHUNK, PAR_GRAIN_ELEMS, |i, out| {
+            let start = i * ELEM_CHUNK;
+            for ((o, &g), &keep) in out.iter_mut().zip(&g[start..]).zip(&mask[start..]) {
+                *o = if keep { g } else { 0.0 };
+            }
+        });
         Ok(Grads::one(out))
     }
 
@@ -101,9 +132,13 @@ impl Layer for Tanh {
         }
         // d tanh = 1 - tanh^2
         let mut out = workspace::tensor_raw(grad.shape());
-        for ((o, &g), &yv) in out.data_mut().iter_mut().zip(grad.data()).zip(y.data()) {
-            *o = g * (1.0 - yv * yv);
-        }
+        let (g, y) = (grad.data(), y.data());
+        for_chunks_mut(out.data_mut(), ELEM_CHUNK, PAR_GRAIN_ELEMS, |i, out| {
+            let start = i * ELEM_CHUNK;
+            for ((o, &g), &yv) in out.iter_mut().zip(&g[start..]).zip(&y[start..]) {
+                *o = g * (1.0 - yv * yv);
+            }
+        });
         Ok(Grads::one(out))
     }
 

@@ -104,15 +104,17 @@ impl Conv2d {
         self.serving.as_ref()
     }
 
-    /// Permutes `[n*positions, out_c]` to NCHW `[n, out_c, oh, ow]`.
+    /// Permutes `[n*positions, out_c]` to NCHW `[n, out_c, oh, ow]`,
+    /// adding each channel's bias on the way.
     ///
-    /// Per-sample pure permutation, so the batch loop splits over threads
-    /// (bitwise exact) via [`deepmorph_tensor::chunks`]. Every output
-    /// element is written, so the buffer is a raw workspace checkout.
+    /// Per-sample permutation plus one add per element, so the batch loop
+    /// splits over threads (bitwise exact) via
+    /// [`deepmorph_tensor::chunks`]. Every output element is written, so
+    /// the buffer is a raw workspace checkout.
     fn cols_to_nchw(&self, y: &Tensor, n: usize) -> Tensor {
         let (oc, positions) = (self.geo.out_channels, self.geo.out_positions());
         let mut out = workspace::tensor_raw(&[n, oc, self.geo.out_h, self.geo.out_w]);
-        let src = y.data();
+        let (src, bias) = (y.data(), self.bias.value.data());
         deepmorph_tensor::chunks::for_chunks_mut(
             out.data_mut(),
             oc * positions,
@@ -120,13 +122,35 @@ impl Conv2d {
             |i, img| {
                 for p in 0..positions {
                     let row = &src[(i * positions + p) * oc..(i * positions + p + 1) * oc];
-                    for (ch, &v) in row.iter().enumerate() {
-                        img[ch * positions + p] = v;
+                    for (ch, (&v, &b)) in row.iter().zip(bias).enumerate() {
+                        img[ch * positions + p] = v + b;
                     }
                 }
             },
         );
         out
+    }
+
+    /// Accumulates the weight and bias gradients of `grad` (w.r.t. the
+    /// last training forward's output) and returns `grad` in its
+    /// `[n*positions, out_c]` column form, which the data gradient needs.
+    fn accumulate_param_grads(&mut self, grad: &Tensor) -> Result<Tensor> {
+        let cols = self
+            .cached_cols
+            .as_ref()
+            .ok_or_else(|| NnError::MissingActivation {
+                layer: self.name.clone(),
+            })?;
+        let g_cols = self.nchw_to_cols(grad, self.cached_batch); // [n*pos, out_c]
+
+        // dW = g_cols^T @ cols : [out_c, patch]
+        let dw = self.ctx.matmul_tn(&g_cols, cols)?;
+        self.weight.grad.add_assign_tensor(&dw)?;
+        workspace::recycle_tensor(dw);
+        let db = g_cols.sum_axis0()?;
+        self.bias.grad.add_assign_tensor(&db)?;
+        workspace::recycle_tensor(db);
+        Ok(g_cols)
     }
 
     /// Permutes NCHW gradients back to `[n*positions, out_c]` (the inverse
@@ -163,14 +187,13 @@ impl Layer for Conv2d {
         let mut cols = workspace::tensor_raw(&[n * self.geo.out_positions(), self.geo.patch_len()]);
         im2col_mapped_into(x, &self.map, cols.data_mut())?;
         // [n*positions, patch] @ [out_c, patch]^T -> [n*positions, out_c]
-        let mut y = product_nt(
+        let y = product_nt(
             &self.ctx,
             &cols,
             &self.weight.value,
             self.serving.as_ref(),
             mode,
         )?;
-        y.add_row_broadcast(&self.bias.value)?;
         let out = self.cols_to_nchw(&y, n);
         workspace::recycle_tensor(y);
         if mode == Mode::Train {
@@ -183,30 +206,22 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Result<Grads> {
-        let cols = self
-            .cached_cols
-            .as_ref()
-            .ok_or_else(|| NnError::MissingActivation {
-                layer: self.name.clone(),
-            })?;
-        let n = self.cached_batch;
-        let g_cols = self.nchw_to_cols(grad, n); // [n*pos, out_c]
-
-        // dW = g_cols^T @ cols : [out_c, patch]
-        let dw = self.ctx.matmul_tn(&g_cols, cols)?;
-        self.weight.grad.add_assign_tensor(&dw)?;
-        workspace::recycle_tensor(dw);
-        let db = g_cols.sum_axis0()?;
-        self.bias.grad.add_assign_tensor(&db)?;
-        workspace::recycle_tensor(db);
+        let g_cols = self.accumulate_param_grads(grad)?;
         // d_cols = g_cols @ W : [n*pos, patch]
         let d_cols = self.ctx.matmul(&g_cols, &self.weight.value)?;
         workspace::recycle_tensor(g_cols);
+        let n = self.cached_batch;
         let mut dx =
             workspace::tensor_raw(&[n, self.geo.in_channels, self.geo.in_h, self.geo.in_w]);
         col2im_mapped_into(&d_cols, &self.map, n, dx.data_mut())?;
         workspace::recycle_tensor(d_cols);
         Ok(Grads::one(dx))
+    }
+
+    fn backward_params(&mut self, grad: &Tensor) -> Result<()> {
+        let g_cols = self.accumulate_param_grads(grad)?;
+        workspace::recycle_tensor(g_cols);
+        Ok(())
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
@@ -334,6 +349,26 @@ mod tests {
                 analytic.data()[i]
             );
         }
+    }
+
+    #[test]
+    fn backward_params_matches_backward_bitwise() {
+        let mut rng = stream_rng(6, "conv");
+        let mut layer = Conv2d::new(2, 3, 5, 5, 3, 1, 1, &mut rng).unwrap();
+        layer.bias.value = Tensor::from_slice(&[0.1, -0.2, 0.3]);
+        let wave = |len: usize, f: f32| (0..len).map(|i| (i as f32 * f).sin()).collect();
+        let x = Tensor::from_vec(wave(100, 0.7), &[2, 2, 5, 5]).unwrap();
+        let gout = Tensor::from_vec(wave(150, 0.3), &[2, 3, 5, 5]).unwrap();
+        let _ = layer.forward(&[&x], Mode::Train).unwrap();
+        let _ = layer.backward(&gout).unwrap();
+        let full = (layer.weight.grad.clone(), layer.bias.grad.clone());
+        layer.weight.zero_grad();
+        layer.bias.zero_grad();
+        layer.backward_params(&gout).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert!(full.0.data().iter().any(|&v| v != 0.0));
+        assert_eq!(bits(&layer.weight.grad), bits(&full.0));
+        assert_eq!(bits(&layer.bias.grad), bits(&full.1));
     }
 
     #[test]

@@ -286,6 +286,12 @@ impl Graph {
     /// Backpropagates `grad` (w.r.t. the terminal node's output),
     /// accumulating parameter gradients in every layer.
     ///
+    /// The gradient w.r.t. the graph input is never needed, so a node whose
+    /// inputs are all the graph input runs [`Layer::backward_params`]
+    /// instead of [`Layer::backward`], or nothing at all when it has no
+    /// parameters. Every other node computes its input gradients, even one
+    /// that feeds only such a parameterless node.
+    ///
     /// Must follow a training-mode forward pass.
     ///
     /// # Errors
@@ -311,6 +317,13 @@ impl Graph {
                 continue; // node does not influence the output
             };
             let node = &mut nodes[idx];
+            if node.inputs.iter().all(|id| id.is_source()) {
+                if node.layer.param_count() > 0 {
+                    node.layer.backward_params(&g)?;
+                }
+                workspace::recycle_tensor(g);
+                continue;
+            }
             let input_grads = node.layer.backward(&g)?;
             workspace::recycle_tensor(g);
             debug_assert_eq!(input_grads.len(), node.inputs.len());
@@ -587,8 +600,11 @@ impl Graph {
 mod tests {
     use super::*;
     use crate::activation::ReLU;
+    use crate::conv::Conv2d;
     use crate::dense::Dense;
+    use crate::layer::Grads;
     use crate::merge::Add;
+    use crate::shape_ops::Flatten;
     use deepmorph_tensor::init::stream_rng;
 
     fn linear_graph() -> Graph {
@@ -599,6 +615,68 @@ mod tests {
         let r = gb.add_layer(ReLU::new(), &[a]).unwrap();
         let b = gb.add_layer(Dense::new(4, 2, &mut rng), &[r]).unwrap();
         gb.build(b).unwrap()
+    }
+
+    /// A layer that keeps the provided [`Layer::backward_params`], so the
+    /// executor runs its full `backward` and drops the data gradient.
+    struct FullBackward<L>(L);
+
+    impl<L: Layer> Layer for FullBackward<L> {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Result<Tensor> {
+            self.0.forward(inputs, mode)
+        }
+
+        fn backward(&mut self, grad: &Tensor) -> Result<Grads> {
+            self.0.backward(grad)
+        }
+
+        fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+            self.0.visit_params(visitor);
+        }
+    }
+
+    /// conv → ReLU → flatten → dense, its conv passed through `wrap`.
+    fn conv_first_graph<L: Layer + 'static>(wrap: impl FnOnce(Conv2d) -> L) -> Graph {
+        let mut rng = stream_rng(7, "data-grad-skip");
+        let conv = Conv2d::new(2, 3, 6, 6, 3, 1, 1, &mut rng).unwrap();
+        let mut gb = GraphBuilder::new();
+        let x = gb.input();
+        let c = gb.add_layer(wrap(conv), &[x]).unwrap();
+        let r = gb.add_layer(ReLU::new(), &[c]).unwrap();
+        let f = gb.add_layer(Flatten::new(), &[r]).unwrap();
+        let d = gb.add_layer(Dense::new(108, 4, &mut rng), &[f]).unwrap();
+        gb.build(d).unwrap()
+    }
+
+    /// Every parameter gradient, as bits, after one train step on `x`.
+    fn param_grad_bits(g: &mut Graph, x: &Tensor) -> Vec<u32> {
+        let y = g.forward(x, Mode::Train).unwrap();
+        let grad = Tensor::from_vec(
+            (0..y.len()).map(|i| (i as f32 * 0.37).sin()).collect(),
+            y.shape(),
+        )
+        .unwrap();
+        g.zero_grad();
+        g.backward(&grad).unwrap();
+        let mut bits = Vec::new();
+        g.visit_params(&mut |p| bits.extend(p.grad.data().iter().map(|v| v.to_bits())));
+        bits
+    }
+
+    #[test]
+    fn skipping_the_data_gradient_leaves_parameter_gradients_bitwise_equal() {
+        let wave = (0..216).map(|i| (i as f32 * 0.61).cos()).collect();
+        let x = Tensor::from_vec(wave, &[3, 2, 6, 6]).unwrap();
+        let skipped = param_grad_bits(&mut conv_first_graph(|c| c), &x);
+        assert!(skipped.iter().any(|&b| b != 0), "gradients are all zero");
+        assert_eq!(
+            skipped,
+            param_grad_bits(&mut conv_first_graph(FullBackward), &x)
+        );
     }
 
     #[test]

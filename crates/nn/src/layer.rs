@@ -152,6 +152,26 @@ pub trait Layer: Send {
     /// been run, or shape errors on inconsistent gradients.
     fn backward(&mut self, grad: &Tensor) -> Result<Grads>;
 
+    /// Accumulates the parameter gradients of `grad` (w.r.t. the layer
+    /// output) without computing the input gradients: the graph executor
+    /// calls this instead of [`Layer::backward`] on a layer whose inputs
+    /// are all the graph input, whose gradient nobody needs.
+    ///
+    /// The parameter gradients must equal, bit for bit, what
+    /// [`Layer::backward`] accumulates. The default runs `backward` and
+    /// drops the result; the conv layer overrides it to skip its `g·W`
+    /// product and col2im.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Layer::backward`].
+    fn backward_params(&mut self, grad: &Tensor) -> Result<()> {
+        for g in self.backward(grad)? {
+            deepmorph_tensor::workspace::recycle_tensor(g);
+        }
+        Ok(())
+    }
+
     /// Visits every trainable parameter (stable order).
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
         let _ = visitor;

@@ -1,5 +1,8 @@
 //! Batch normalization.
 
+use deepmorph_tensor::chunks::{
+    for_chunks2_mut, for_chunks_mut, grain_by_work, PAR_GRAIN_MAP_ELEMS,
+};
 use deepmorph_tensor::{workspace, Tensor};
 
 use crate::dense::single_input;
@@ -11,6 +14,15 @@ use crate::{NnError, Result};
 /// Training mode normalizes with batch statistics and updates exponential
 /// running averages; evaluation mode uses the running averages, so
 /// inference is deterministic.
+///
+/// Once a batch holds [`PAR_GRAIN_MAP_ELEMS`] elements, each training pass
+/// fans out over the worker pool: a channel's batch reductions (mean and
+/// variance forward, the four gradient sums backward) stay one chain each,
+/// in sample-then-position order, on one thread, while the channels spread
+/// over threads; the elementwise writes (`x̂`, the output, `dx`) then
+/// spread the samples over threads and go one (sample, channel) plane at
+/// a time. The evaluation pass, one multiply-add per element, runs on the
+/// calling thread. Results are bitwise independent of the thread count.
 #[derive(Debug)]
 pub struct BatchNorm2d {
     name: String,
@@ -26,6 +38,9 @@ pub struct BatchNorm2d {
     cached_x_hat: Option<Tensor>,
     /// Per-channel `1/σ` of the last training forward (persistent buffer).
     inv_std: Vec<f32>,
+    /// Per-channel reductions: `[mean, var]` pairs forward, the four
+    /// backward sums per channel (persistent buffer).
+    sums: Vec<f32>,
 }
 
 impl BatchNorm2d {
@@ -42,6 +57,7 @@ impl BatchNorm2d {
             running_var: vec![1.0; channels],
             cached_x_hat: None,
             inv_std: Vec::new(),
+            sums: Vec::new(),
         }
     }
 
@@ -76,22 +92,26 @@ impl Layer for BatchNorm2d {
         let c = self.channels;
         let plane = h * w;
         let m = (n * plane) as f32;
+        let src = x.data();
         // Every element of `out` (and, in training, `x_hat`) is written
         // below, so both are raw workspace checkouts.
         let mut out = workspace::tensor_raw(x.shape());
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
 
         match mode {
             Mode::Train => {
-                let mut x_hat = workspace::tensor_raw(x.shape());
-                self.inv_std.clear();
-                self.inv_std.resize(c, 0.0);
-                for (ch, istd_slot) in self.inv_std.iter_mut().enumerate() {
-                    // Batch mean/var over (n, h, w) for this channel.
+                // Every training pass fans out by the batch's size, the
+                // per-channel ones too.
+                let grain = grain_by_work(x.len(), PAR_GRAIN_MAP_ELEMS);
+                // Batch mean and variance over (n, h, w), one chain per
+                // channel.
+                self.sums.resize(2 * c, 0.0);
+                for_chunks_mut(&mut self.sums, 2, grain, |ch, stats| {
                     let mut mean = 0.0;
                     for i in 0..n {
                         let base = (i * c + ch) * plane;
                         for p in 0..plane {
-                            mean += x.data()[base + p];
+                            mean += src[base + p];
                         }
                     }
                     mean /= m;
@@ -99,41 +119,56 @@ impl Layer for BatchNorm2d {
                     for i in 0..n {
                         let base = (i * c + ch) * plane;
                         for p in 0..plane {
-                            let d = x.data()[base + p] - mean;
+                            let d = src[base + p] - mean;
                             var += d * d;
                         }
                     }
-                    var /= m;
-                    let istd = 1.0 / (var + self.eps).sqrt();
-                    *istd_slot = istd;
-                    let g = self.gamma.value.data()[ch];
-                    let b = self.beta.value.data()[ch];
-                    for i in 0..n {
-                        let base = (i * c + ch) * plane;
-                        for p in 0..plane {
-                            let d = x.data()[base + p] - mean;
-                            let xh = d * istd;
-                            x_hat.data_mut()[base + p] = xh;
-                            out.data_mut()[base + p] = g * xh + b;
-                        }
-                    }
+                    stats[0] = mean;
+                    stats[1] = var / m;
+                });
+                self.inv_std.resize(c, 0.0);
+                for (ch, istd) in self.inv_std.iter_mut().enumerate() {
+                    let (mean, var) = (self.sums[2 * ch], self.sums[2 * ch + 1]);
+                    *istd = 1.0 / (var + self.eps).sqrt();
                     self.running_mean[ch] =
                         (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
                     self.running_var[ch] =
                         (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
                 }
+                let mut x_hat = workspace::tensor_raw(x.shape());
+                let (sums, inv_std) = (&self.sums, &self.inv_std);
+                for_chunks2_mut(
+                    x_hat.data_mut(),
+                    c * plane,
+                    out.data_mut(),
+                    c * plane,
+                    grain,
+                    |i, x_hat, out| {
+                        let planes = x_hat.chunks_mut(plane).zip(out.chunks_mut(plane));
+                        for (ch, ((x_hat, out), src)) in
+                            planes.zip(sample_planes(src, i, c, plane)).enumerate()
+                        {
+                            let (mean, istd) = (sums[2 * ch], inv_std[ch]);
+                            let (g, b) = (gamma[ch], beta[ch]);
+                            for ((xh, o), &v) in x_hat.iter_mut().zip(out).zip(src) {
+                                let d = v - mean;
+                                *xh = d * istd;
+                                *o = g * *xh + b;
+                            }
+                        }
+                    },
+                );
                 workspace::recycle_opt(self.cached_x_hat.replace(x_hat));
             }
             Mode::Eval => {
                 for ch in 0..c {
                     let istd = 1.0 / (self.running_var[ch] + self.eps).sqrt();
                     let mean = self.running_mean[ch];
-                    let g = self.gamma.value.data()[ch];
-                    let b = self.beta.value.data()[ch];
+                    let (g, b) = (gamma[ch], beta[ch]);
                     for i in 0..n {
                         let base = (i * c + ch) * plane;
                         for p in 0..plane {
-                            out.data_mut()[base + p] = g * (x.data()[base + p] - mean) * istd + b;
+                            out.data_mut()[base + p] = g * (src[base + p] - mean) * istd + b;
                         }
                     }
                 }
@@ -158,14 +193,15 @@ impl Layer for BatchNorm2d {
         }
         let plane = h * w;
         let m = (n * plane) as f32;
-        // Every element of `dx` is written below.
-        let mut dx = workspace::tensor_raw(grad.shape());
+        let grain = grain_by_work(grad.len(), PAR_GRAIN_MAP_ELEMS);
+        let (dy, xh) = (grad.data(), x_hat.data());
+        let gamma = self.gamma.value.data();
 
-        for ch in 0..c {
-            let g = self.gamma.value.data()[ch];
-            let istd = self.inv_std[ch];
-            // Accumulate dgamma, dbeta, and the two reduction terms the dx
-            // formula needs.
+        // Per channel: dgamma, dbeta, and the two reduction terms the dx
+        // formula needs.
+        self.sums.resize(4 * c, 0.0);
+        for_chunks_mut(&mut self.sums, 4, grain, |ch, sums| {
+            let g = gamma[ch];
             let mut dgamma = 0.0;
             let mut dbeta = 0.0;
             let mut sum_dxhat = 0.0;
@@ -173,8 +209,8 @@ impl Layer for BatchNorm2d {
             for i in 0..n {
                 let base = (i * c + ch) * plane;
                 for p in 0..plane {
-                    let dy = grad.data()[base + p];
-                    let xh = x_hat.data()[base + p];
+                    let dy = dy[base + p];
+                    let xh = xh[base + p];
                     dgamma += dy * xh;
                     dbeta += dy;
                     let dxhat = dy * g;
@@ -182,20 +218,30 @@ impl Layer for BatchNorm2d {
                     sum_dxhat_xhat += dxhat * xh;
                 }
             }
-            self.gamma.grad.data_mut()[ch] += dgamma;
-            self.beta.grad.data_mut()[ch] += dbeta;
-            // dx = (istd / m) * (m*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat))
-            for i in 0..n {
-                let base = (i * c + ch) * plane;
-                for p in 0..plane {
-                    let dy = grad.data()[base + p];
-                    let xh = x_hat.data()[base + p];
+            sums.copy_from_slice(&[dgamma, dbeta, sum_dxhat, sum_dxhat_xhat]);
+        });
+        for ch in 0..c {
+            self.gamma.grad.data_mut()[ch] += self.sums[4 * ch];
+            self.beta.grad.data_mut()[ch] += self.sums[4 * ch + 1];
+        }
+        // dx = (istd / m) * (m*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat))
+        // Every element of `dx` is written below.
+        let mut dx = workspace::tensor_raw(grad.shape());
+        let (sums, inv_std) = (&self.sums, &self.inv_std);
+        for_chunks_mut(dx.data_mut(), c * plane, grain, |i, dx| {
+            let planes = dx
+                .chunks_mut(plane)
+                .zip(sample_planes(dy, i, c, plane))
+                .zip(sample_planes(xh, i, c, plane));
+            for (ch, ((dx, dy), xh)) in planes.enumerate() {
+                let (g, istd) = (gamma[ch], inv_std[ch]);
+                let (sum_dxhat, sum_dxhat_xhat) = (sums[4 * ch + 2], sums[4 * ch + 3]);
+                for ((d, &dy), &xh) in dx.iter_mut().zip(dy).zip(xh) {
                     let dxhat = dy * g;
-                    dx.data_mut()[base + p] =
-                        (istd / m) * (m * dxhat - sum_dxhat - xh * sum_dxhat_xhat);
+                    *d = (istd / m) * (m * dxhat - sum_dxhat - xh * sum_dxhat_xhat);
                 }
             }
-        }
+        });
         Ok(Grads::one(dx))
     }
 
@@ -207,6 +253,7 @@ impl Layer for BatchNorm2d {
     fn clear_cache(&mut self) {
         workspace::recycle_opt(self.cached_x_hat.take());
         self.inv_std = Vec::new();
+        self.sums = Vec::new();
     }
 
     fn export_state(&self) -> Vec<(String, Vec<f32>)> {
@@ -245,6 +292,11 @@ impl Layer for BatchNorm2d {
         self.running_var.copy_from_slice(&entries[1].1);
         Ok(())
     }
+}
+
+/// The `c` channel planes of sample `i` in an NCHW buffer.
+fn sample_planes(data: &[f32], i: usize, c: usize, plane: usize) -> std::slice::Chunks<'_, f32> {
+    data[i * c * plane..(i + 1) * c * plane].chunks(plane)
 }
 
 #[cfg(test)]

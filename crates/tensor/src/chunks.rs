@@ -10,11 +10,36 @@
 //! available (`DEEPMORPH_THREADS=1`).
 
 /// Minimum output elements before a memory-bound kernel (im2col, pooling,
-/// permutes) fans out to threads.
+/// permutes, ReLU, the tanh gradient) fans out to threads.
 pub const PAR_GRAIN_ELEMS: usize = 1 << 15;
+
+/// Minimum output elements before a compute-bound elementwise pass fans
+/// out: [`Tensor::map`](crate::Tensor::map) (a tanh costs about 30 copies
+/// per element) and batch-norm (several passes per element). The
+/// threshold is set by work, so it is a quarter of [`PAR_GRAIN_ELEMS`].
+/// A single-row LeNet, AlexNet or ResNet forward stays below it (at most
+/// 6,144 elements per activation) and runs serially.
+pub const PAR_GRAIN_MAP_ELEMS: usize = 1 << 13;
+
+/// Chunk length of the elementwise passes: at [`PAR_GRAIN_MAP_ELEMS`]
+/// each thread gets two chunks, so a worker that wakes late still finds
+/// one.
+pub const ELEM_CHUNK: usize = 1 << 11;
 
 /// Minimum multiply-accumulate count before a matmul fans out to threads.
 pub const PAR_GRAIN_FLOPS: usize = 1 << 18;
+
+/// The `grain` argument that fans a kernel out by its total `work` rather
+/// than by the length of the buffer it writes (a reduction writes far
+/// fewer elements than it reads): `0` once `work` reaches `threshold`,
+/// otherwise never.
+pub fn grain_by_work(work: usize, threshold: usize) -> usize {
+    if work >= threshold {
+        0
+    } else {
+        usize::MAX
+    }
+}
 
 /// Runs `f(chunk_index, chunk)` over contiguous `chunk_len`-sized chunks,
 /// in parallel when worthwhile (buffer at least `grain` elements and more

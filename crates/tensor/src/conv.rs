@@ -688,11 +688,7 @@ pub fn global_avg_pool(input: &Tensor) -> Result<Tensor> {
     // One chunk per sample row of the [n, c] output; pure reduction over
     // that sample's planes. The work scales with the *input* size, so the
     // parallel threshold is computed on it rather than on `out.len()`.
-    let grain = if n * c * h * w >= crate::chunks::PAR_GRAIN_ELEMS {
-        0
-    } else {
-        usize::MAX
-    };
+    let grain = crate::chunks::grain_by_work(n * c * h * w, crate::chunks::PAR_GRAIN_ELEMS);
     crate::chunks::for_chunks_mut(&mut out, c, grain, |i, row| {
         for (ch, slot) in row.iter_mut().enumerate() {
             let plane = &src[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];

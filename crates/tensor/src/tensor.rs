@@ -2,7 +2,7 @@ use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
 use crate::shape::{Shape, MAX_RANK};
-use crate::{workspace, Result, TensorError};
+use crate::{chunks, workspace, Result, TensorError};
 
 /// A dense, contiguous, row-major `f32` n-dimensional array.
 ///
@@ -498,20 +498,40 @@ impl Tensor {
         out
     }
 
-    /// Applies `f` to every element, returning a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
+    /// Applies `f` to every element, returning a new tensor. Tensors of
+    /// at least [`chunks::PAR_GRAIN_MAP_ELEMS`] elements split into
+    /// contiguous chunks over the worker pool; each element is `f` of its
+    /// input either way.
+    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
         let mut out = workspace::tensor_raw(self.shape());
-        for (o, &v) in out.data.iter_mut().zip(&self.data) {
-            *o = f(v);
-        }
+        let src = &self.data;
+        chunks::for_chunks_mut(
+            &mut out.data,
+            chunks::ELEM_CHUNK,
+            chunks::PAR_GRAIN_MAP_ELEMS,
+            |i, dst| {
+                let src = &src[i * chunks::ELEM_CHUNK..];
+                for (o, &v) in dst.iter_mut().zip(src) {
+                    *o = f(v);
+                }
+            },
+        );
         out
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
+    /// Applies `f` to every element in place, split over the pool as in
+    /// [`Tensor::map`].
+    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
+        chunks::for_chunks_mut(
+            &mut self.data,
+            chunks::ELEM_CHUNK,
+            chunks::PAR_GRAIN_MAP_ELEMS,
+            |_, chunk| {
+                for v in chunk {
+                    *v = f(*v);
+                }
+            },
+        );
     }
 
     /// Sets every element to zero, keeping the allocation.

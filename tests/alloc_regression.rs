@@ -5,8 +5,10 @@
 //! thread-local arena, every kernel draws its buffers from free lists and
 //! recycles them back. This test pins that contract with a counting global
 //! allocator: after warm-up, a full conv forward+backward training step,
-//! a dispatching matmul, and an eval forward through a dense and a conv
-//! layer prepared for serving must perform **zero** heap allocations.
+//! a conv step that skips the data gradient, a batch-norm, ReLU and tanh
+//! training step, a dispatching matmul, and an eval forward through a
+//! dense and a conv layer prepared for serving must perform **zero** heap
+//! allocations.
 //!
 //! The whole file is a single `#[test]` so no sibling test can allocate
 //! concurrently; worker-pool threads only ever process borrowed chunks
@@ -16,6 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use deepmorph_nn::activation::Tanh;
 use deepmorph_nn::prelude::*;
 use deepmorph_telemetry::{Stage, TelemetryConfig, Trace, STAGE_COUNT};
 use deepmorph_tensor::backend::{self, GemmSpec};
@@ -79,6 +82,25 @@ fn conv_step(layer: &mut Conv2d, x: &Tensor, grad: &Tensor) {
     workspace::recycle_tensor(gx);
 }
 
+/// A conv training step as the graph runs it on a layer that reads the
+/// data: forward, then only the parameter gradients.
+fn conv_params_step(layer: &mut Conv2d, x: &Tensor, grad: &Tensor) {
+    let y = layer.forward(&[x], Mode::Train).unwrap();
+    workspace::recycle_tensor(y);
+    layer.backward_params(grad).unwrap();
+}
+
+/// One training step (forward in train mode + backward) through each of
+/// the elementwise and per-channel layers.
+fn activation_step(layers: &mut [&mut dyn Layer], x: &Tensor, grad: &Tensor) {
+    for layer in layers {
+        let y = layer.forward(&[x], Mode::Train).unwrap();
+        workspace::recycle_tensor(y);
+        let gx = layer.backward(grad).unwrap().into_first();
+        workspace::recycle_tensor(gx);
+    }
+}
+
 fn matmul_step(ctx: &ComputeCtx, a: &Tensor, b: &Tensor) {
     let c = ctx.matmul(a, b).unwrap();
     workspace::recycle_tensor(c);
@@ -110,12 +132,20 @@ fn warm_conv_step_and_matmul_do_not_allocate() {
     dense.prepare_serving().unwrap();
     served_conv.prepare_serving().unwrap();
     let x_dense = synth_tensor(&[32, 256], 7);
+    // A ResNet-stem-sized batch, above every elementwise grain.
+    let mut bn = BatchNorm2d::new(16);
+    let mut relu = ReLU::new();
+    let mut tanh = Tanh::new();
+    let x_act = synth_tensor(&[32, 16, 16, 16], 8);
+    let grad_act = synth_tensor(&[32, 16, 16, 16], 9);
 
     // Warm-up: spawns the worker pool (parallel runs), sizes the arena's
     // free lists, and settles optimizer-free layer caches. Two rounds so
     // the cached-cols swap cycle reaches steady state.
     for _ in 0..3 {
         conv_step(&mut layer, &x, &grad);
+        conv_params_step(&mut layer, &x, &grad);
+        activation_step(&mut [&mut bn, &mut relu, &mut tanh], &x_act, &grad_act);
         matmul_step(&ctx, &a, &b);
         serving_step(&mut dense, &mut served_conv, &x_dense, &x);
     }
@@ -130,11 +160,29 @@ fn warm_conv_step_and_matmul_do_not_allocate() {
         "warm conv forward+backward step allocated"
     );
 
+    // Measured window: the same step without the data gradient.
+    conv_params_step(&mut layer, &x, &grad);
+    let after_params = allocations();
+    assert_eq!(
+        after_params - after_conv,
+        0,
+        "warm conv forward+backward_params step allocated"
+    );
+
+    // Measured window: batch-norm, ReLU and tanh, forward and backward.
+    activation_step(&mut [&mut bn, &mut relu, &mut tanh], &x_act, &grad_act);
+    let after_act = allocations();
+    assert_eq!(
+        after_act - after_params,
+        0,
+        "warm batch-norm/ReLU/tanh train step allocated"
+    );
+
     // Measured window: a warm dispatching matmul (includes the workspace
     // packing buffers and the pooled result).
     matmul_step(&ctx, &a, &b);
     let after_matmul = allocations();
-    assert_eq!(after_matmul - after_conv, 0, "warm matmul allocated");
+    assert_eq!(after_matmul - after_act, 0, "warm matmul allocated");
 
     // The same product with fan-out pinned off shares the same arena.
     let mut c = workspace::tensor_zeroed(&[128, 128]);

@@ -16,7 +16,10 @@
 //! 3. thread-count-level: that diagnosis's report digest equals the pinned
 //!    [`FIXED_SCENARIO_DIGEST`] — `cargo test` and
 //!    `DEEPMORPH_THREADS=1 cargo test` (the serial reference, same build)
-//!    each hold their run to it.
+//!    each hold their run to it, and
+//! 4. training-level: a short ResNet-Tiny run, whose batch-norm, ReLU and
+//!    conv-bias passes the LeNet scenario never reaches, trains to the
+//!    pinned [`RESNET_TRAINED_DIGEST`] at every thread count.
 
 use deepmorph_repro::prelude::*;
 use deepmorph_tensor::backend::{self, GemmSpec};
@@ -152,9 +155,9 @@ fn run_fixed_scenario() -> deepmorph::report::DefectReport {
 /// same at every thread count.
 const FIXED_SCENARIO_DIGEST: &str = "131ed34786c062c7";
 
-fn fnv64(text: &str) -> u64 {
+fn fnv64(data: impl AsRef<[u8]>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
+    for &b in data.as_ref() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -171,7 +174,7 @@ fn fixed_seed_scenario_is_identical_across_runs_and_builds() {
     // cargo test` both run this test, and each must reach the pinned
     // digest. Identical numerics ⇒ identical digests.
     assert_eq!(
-        format!("{:016x}", fnv64(&first.to_json())),
+        format!("{:016x}", fnv64(first.to_json())),
         FIXED_SCENARIO_DIGEST,
         "diagnosis report diverged from the pinned digest — the serial and \
          parallel paths no longer agree bitwise"
@@ -200,8 +203,8 @@ fn artifact_store_round_trip_leaves_digest_unchanged() {
     assert_eq!(cold, plain, "staged (cold) run diverged from the plain run");
     assert_eq!(warm, plain, "cache round-trip changed the report");
     assert_eq!(
-        fnv64(&warm.to_json()),
-        fnv64(&plain.to_json()),
+        fnv64(warm.to_json()),
+        fnv64(plain.to_json()),
         "fixed-seed scenario digest changed across the store round-trip"
     );
 }
@@ -246,4 +249,52 @@ fn live_diagnosis_equals_offline_diagnosis_bitwise() {
     }
     // The ITD case is the fixed-seed scenario.
     assert_eq!(digests[0], FIXED_SCENARIO_DIGEST);
+}
+
+/// The [`resnet_trained_digest`] of the short ResNet-Tiny run, the same
+/// at every thread count.
+const RESNET_TRAINED_DIGEST: &str = "be0bc59109680a57";
+
+/// FNV-64 over a short ResNet-Tiny run's trained model container (every
+/// weight, bias, batch-norm γ/β and running statistic), its test accuracy
+/// and its faulty count: training through `BatchNorm2d`, `ReLU` and the
+/// convs' fused bias, then an eval pass over the test set.
+fn resnet_trained_digest() -> String {
+    let scenario = Scenario::builder(ModelFamily::ResNet, DatasetKind::Objects)
+        .seed(31)
+        .scale(ModelScale::Tiny)
+        .train_per_class(16)
+        .test_per_class(8)
+        .train_config(TrainConfig {
+            epochs: 2,
+            batch_size: 32,
+            ..TrainConfig::default()
+        })
+        .inject(DefectSpec::unreliable_training_data(3, 5, 0.5))
+        .build()
+        .expect("scenario builds");
+    let trained = StagedEngine::ephemeral()
+        .trained(&scenario)
+        .expect("trained stage");
+    let mut model = trained.instantiate().expect("model decodes");
+    let mut bytes = deepmorph_models::encode_model(&mut model);
+    bytes.extend_from_slice(
+        format!(
+            "{:08x}/{}",
+            trained.test_accuracy.to_bits(),
+            trained.total_faulty
+        )
+        .as_bytes(),
+    );
+    format!("{:016x}", fnv64(bytes))
+}
+
+#[test]
+fn resnet_training_is_pinned_at_every_thread_count() {
+    assert_eq!(
+        resnet_trained_digest(),
+        RESNET_TRAINED_DIGEST,
+        "ResNet-Tiny training diverged from the pinned digest — a \
+         batch-norm, ReLU or conv pass no longer matches the serial bits"
+    );
 }
